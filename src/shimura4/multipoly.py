@@ -4,9 +4,15 @@ Everything here is exact: coefficients are `fractions.Fraction`, terms are
 kept in a dict mapping exponent tuples to nonzero coefficients, and the
 variable order is fixed per polynomial. This is deliberately a small core --
 just what the verification pipeline needs: ring arithmetic, exact division,
-resultants by subresultant remainder sequences, discriminants, gcd /
-squarefree parts, rational substitution with denominator clearing, and
-valuation bookkeeping.
+resultants and discriminants, gcd / squarefree parts, rational substitution
+with denominator clearing, and valuation bookkeeping.
+
+Resultants go by evaluation and interpolation over the integers: each
+parameter is set to small integers, skipping the points where a leading
+coefficient in the eliminated variable vanishes, and the resultant is
+interpolated back through as many points as the Sylvester row bound on its
+degree requires, plus one. The univariate base case is a subresultant
+remainder sequence over int. gcds use a primitive remainder sequence.
 """
 
 from __future__ import annotations
@@ -231,6 +237,9 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant compares equal to its value, so it must hash like it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.variables, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -486,125 +495,192 @@ class MultiPoly:
 
 
 # ----------------------------------------------------------------------
-# univariate views and the subresultant machinery
+# dense univariate pseudo-remainder, shared by gcd_poly and the resultant
 
 
-def _uni_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    vt = (a[0] if a else b[0]).variables
-    out = [MultiPoly.zero(vt) for _ in range(len(a) + len(b) - 1)]
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            if cb.is_zero():
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return _uni_trim(out)
-
-
-def _uni_trim(a: list) -> list:
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _uni_scale(a: list, s: MultiPoly) -> list:
-    return _uni_trim([c * s for c in a])
-
-
-def _uni_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    vt = (a[0] if a else b[0]).variables
-    z = MultiPoly.zero(vt)
-    out = [(a[i] if i < len(a) else z) - (b[i] if i < len(b) else z) for i in range(n)]
-    return _uni_trim(out)
-
-
-def _uni_pseudo_rem(f: list, g: list) -> list:
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g.
+def _uni_pseudo_rem(A: list, B: list) -> list:
+    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B of dense
+    polynomials, lowest coefficient first. The coefficients may be ints or
+    MultiPolys; the resultant uses the first, gcd_poly the second.
 
     When a subtraction kills more than one leading term the loop runs fewer
-    times than deg f - deg g + 1; the remainder is then scaled by the
-    leftover power of lc(g) so the exact subresultant divisions stay valid.
+    times than deg A - deg B + 1; the remainder is then scaled by the
+    leftover power of lc(B) so the result is the true pseudo-remainder.
     """
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    n_left = (len(r) - 1) - dg + 1
-    while r and len(r) - 1 >= dg:
-        dr = len(r) - 1
-        lead = r[-1]
-        r = _uni_scale(r, lg)
-        shift = [MultiPoly.zero(lg.variables)] * (dr - dg) + [c * lead for c in g]
-        r = _uni_sub(r, shift)
-        n_left -= 1
-    if r and n_left > 0:
-        r = _uni_scale(r, lg ** n_left)
+    r = list(A)
+    dB = len(B) - 1
+    lb = B[-1]
+    left = len(r) - dB
+    while len(r) > dB:
+        lead = r.pop()
+        shift = len(r) - dB
+        r = [c * lb for c in r]
+        for j in range(dB):
+            r[shift + j] -= lead * B[j]
+        while r and not r[-1]:
+            r.pop()
+        left -= 1
+    if r and left > 0:
+        s = lb ** left
+        r = [c * s for c in r]
     return r
 
 
+# ----------------------------------------------------------------------
+# resultants by evaluation and interpolation
+#
+# Inside this section a polynomial in `var` is a dense list indexed by the
+# var-degree. Each entry is a dict mapping exponent tuples of the remaining
+# parameters to nonzero ints; the last tuple slot is the parameter that is
+# specialised first.
+
+
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Resultant of f and g with respect to var.
+    """Resultant of f and g with respect to var: the determinant of their
+    Sylvester matrix, with f and g read at their degrees in var.
 
-    Subresultant polynomial remainder sequence (Brown's beta divisions, all
-    exact over the coefficient ring), so intermediate coefficient swell stays
-    polynomial. The result is a MultiPoly in the same ring with var-degree 0.
+    Evaluation and interpolation (G. E. Collins, J. ACM 18, 1971), exact
+    throughout. Dividing out the rational contents leaves integer
+    polynomials, and res(a*f, b*g) = a^deg(g) * b^deg(f) * res(f, g) undoes
+    that at the end. One parameter p at a time is set to the integers
+    0, 1, -1, 2, ...; a point where lc(f) or lc(g) in var vanishes is
+    skipped. At every other point the Sylvester matrix specialises entry by
+    entry, so the specialised resultant is the exact value there. The row
+    bound deg_var(g) * deg_p(f) + deg_var(f) * deg_p(g) bounds deg_p of
+    the resultant, and Newton interpolation through that many points plus
+    one gives it back. Once no parameter is left, a subresultant remainder
+    sequence over int does the work.
 
-    Follows the classical algorithm: at each step the pseudo-remainder is
-    divided exactly by g_prev * h**delta, with h updated through
-    h <- lc**delta / h**(delta-1).
+    The result is a MultiPoly in the same ring with var-degree 0. It is
+    zero when f and g share a factor of positive degree in var. An operand
+    of var-degree 0 gives that operand to the power of the other's degree.
     """
     if f.variables != g.variables:
         raise MultiPolyError("resultant operands must share a variable tuple")
     vt = f.variables
     if f.is_zero() or g.is_zero():
         return MultiPoly.zero(vt)
-    A = _uni_trim(f.as_univariate(var))
-    B = _uni_trim(g.as_univariate(var))
-    m, n = len(A) - 1, len(B) - 1
+    m, n = f.degree(var), g.degree(var)
     sign = 1
     if m < n:
-        A, B = B, A
-        m, n = n, m
-        if (m & 1) and (n & 1):
-            sign = -sign
+        f, g, m, n = g, f, n, m
+        if m & n & 1:
+            sign = -1
     if n == 0:
-        return sign * B[0] ** m
-    one = MultiPoly.constant(1, vt)
-    gprev = one
-    h = one
+        return sign * g ** m
+    i = f._vidx(var)
+    params = [k for k in range(len(vt)) if k != i
+              and any(e[k] for p in (f, g) for e in p.terms)]
+    cf, cg = f.content(), g.content()
+    r = _res_params(_integer_rows(f, i, m, params, cf),
+                    _integer_rows(g, i, n, params, cg), len(params))
+    scale = sign * cf ** n * cg ** m
+    out = {}
+    for pe, c in r.items():
+        e = [0] * len(vt)
+        for k, d in zip(params, pe):
+            e[k] = d
+        out[tuple(e)] = c * scale
+    return MultiPoly(vt, out)
+
+
+def _integer_rows(f: MultiPoly, i: int, deg: int, params: list,
+                  content: Fraction) -> list:
+    """f / content as a dense list in variable i, of degree deg, with
+    entries {param exponents: int}."""
+    rows = [{} for _ in range(deg + 1)]
+    for e, c in f.terms.items():
+        rows[e[i]][tuple(e[k] for k in params)] = (c / content).numerator
+    return rows
+
+
+def _res_params(A: list, B: list, k: int) -> dict:
+    """Resultant of A and B (deg A >= deg B >= 1, nonzero leading
+    coefficients) as {exponents of the k parameters: int}."""
+    if k == 0:
+        r = _res_int([c.get((), 0) for c in A], [c.get((), 0) for c in B])
+        return {(): r} if r else {}
+    bound = ((len(B) - 1) * max(e[-1] for c in A for e in c)
+             + (len(A) - 1) * max(e[-1] for c in B for e in c))
+    xs, values = [], []
+    x = 0
+    while len(xs) <= bound:
+        Ax = [_evaluate_last(c, x) for c in A]
+        Bx = [_evaluate_last(c, x) for c in B]
+        if Ax[-1] and Bx[-1]:
+            xs.append(x)
+            values.append(_res_params(Ax, Bx, k - 1))
+        x = -x if x > 0 else 1 - x
+    out = {}
+    for key in set().union(*values):
+        for d, c in enumerate(_interpolate(xs, [v.get(key, 0) for v in values])):
+            if c:
+                out[key + (d,)] = c
+    return out
+
+
+def _evaluate_last(c: dict, x: int) -> dict:
+    """Set the last parameter of c to x."""
+    out = {}
+    for e, v in c.items():
+        key = e[:-1]
+        out[key] = out.get(key, 0) + v * x ** e[-1]
+    return {e: v for e, v in out.items() if v}
+
+
+def _interpolate(xs: list, ys: list) -> list:
+    """Coefficients, lowest first, of the integer polynomial of degree
+    < len(xs) through the points (xs[j], ys[j]).
+
+    Newton divided differences. For a polynomial with integer coefficients
+    at integer nodes every divided difference is an integer, so each
+    division is checked exact.
+    """
+    c = list(ys)
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i] = _exact(c[i] - c[i - 1], xs[i] - xs[i - j])
+    p = [c[-1]]
+    for i in range(len(xs) - 2, -1, -1):
+        # p <- p * (x - xs[i]) + c[i]
+        p = ([c[i] - xs[i] * p[0]]
+             + [p[d - 1] - xs[i] * p[d] for d in range(1, len(p))] + [p[-1]])
+    return p
+
+
+def _res_int(A: list, B: list) -> int:
+    """Resultant of dense int polynomials A and B, lowest coefficient first,
+    with deg A >= deg B >= 1 and nonzero leading coefficients.
+
+    Subresultant remainder sequence: each pseudo-remainder is divided
+    exactly by g * h^delta, with h <- lc^delta / h^(delta - 1).
+    """
+    sign = 1
+    g = h = 1
     while True:
         m, n = len(A) - 1, len(B) - 1
         delta = m - n
-        if (m & 1) and (n & 1):
+        if m & n & 1:
             sign = -sign
         R = _uni_pseudo_rem(A, B)
         if not R:
             # common factor of positive degree
-            return MultiPoly.zero(vt)
-        denom = gprev * (h ** delta)
-        R = [c.exact_div(denom) for c in R]
-        A, B = B, R
-        gprev = A[-1]
-        if delta == 0:
-            # h unchanged... careful: h <- h^(1-delta) g^delta = h
-            pass
-        elif delta == 1:
-            h = gprev
-        else:
-            # h <- g^delta / h^(delta-1), exact in the subresultant theory
-            h = (gprev ** delta).exact_div(h ** (delta - 1))
-        if len(B) - 1 == 0:
+            return 0
+        denom = g * h ** delta
+        A, B = B, [_exact(c, denom) for c in R]
+        g = A[-1]
+        if delta:
+            h = _exact(g ** delta, h ** (delta - 1))
+        if len(B) == 1:
             m = len(A) - 1
-            lb = B[0]
-            if m == 0:
-                raise MultiPolyError("internal: PRS collapsed")  # pragma: no cover
-            # final correction: res = sign * lb^m / h^(m-1)
-            if m == 1:
-                return sign * lb
-            return sign * (lb ** m).exact_div(h ** (m - 1))
+            return sign * _exact(B[0] ** m, h ** (m - 1))
+
+
+def _exact(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise MultiPolyError("internal: inexact division in resultant")  # pragma: no cover
+    return q
 
 
 def discriminant(f: MultiPoly, var: str) -> MultiPoly:
@@ -646,9 +722,7 @@ def gcd_poly(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     vt = f.variables
     xv = MultiPoly.variable(var, vt)
     while B.degree(var) > 0:
-        a = _uni_trim(A.as_univariate(var))
-        b = _uni_trim(B.as_univariate(var))
-        R = _uni_pseudo_rem(a, b)
+        R = _uni_pseudo_rem(A.as_univariate(var), B.as_univariate(var))
         if not R:
             return _normalize_gcd(B, var)
         Rp = MultiPoly.zero(vt)

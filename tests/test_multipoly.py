@@ -1,5 +1,6 @@
 """Exact polynomial core: arithmetic, division, resultants, squarefree."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,133 @@ def test_resultant_swap_sign():
     f2 = x ** 3 - x
     g2 = x ** 3 + 2 * x ** 2 - 1  # both degrees odd: antisymmetric
     assert resultant(f2, g2, "x") == -resultant(g2, f2, "x")
+
+
+def _sylvester_det(f, g, var):
+    """Determinant of the Sylvester matrix of f and g in var, by
+    fraction-free (Bareiss) elimination over the MultiPoly ring."""
+    vt = f.variables
+    zero = MultiPoly.zero(vt)
+    a = f.as_univariate(var)[::-1]
+    b = g.as_univariate(var)[::-1]
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    rows = ([[zero] * i + a + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + b + [zero] * (m - 1 - i) for i in range(m)])
+    sign, prev = 1, MultiPoly.constant(1, vt)
+    for k in range(size):
+        piv = next((r for r in range(k, size) if rows[r][k]), None)
+        if piv is None:
+            return zero
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                rows[i][j] = (rows[i][j] * rows[k][k]
+                              - rows[i][k] * rows[k][j]).exact_div(prev)
+        prev = rows[k][k]
+    return sign * prev
+
+
+def _random_poly(rng, vt, degrees, nterms, frac=False):
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(rng.randint(0, d) for d in degrees)
+        terms[e] = F(rng.randint(-9, 9), rng.randint(1, 6) if frac else 1)
+    return MultiPoly(vt, terms)
+
+
+def _resultant_cases():
+    """Seeded (name, f, g, var) cases, each aimed at one part of the
+    evaluation/interpolation resultant."""
+    rng = random.Random(20251001)
+    vt = ("x", "t")
+    x, t = MultiPoly.generators(*vt)
+    bad = t * (t - 1) * (t + 1) * (t - 2)  # vanishes at 0, 1, -1 and 2
+    cases = []
+    for k in range(3):
+        cases.append((f"lc-vanishes-at-first-points-{k}",
+                      bad * x ** 3 + _random_poly(rng, vt, (2, 2), 5),
+                      _random_poly(rng, vt, (2, 2), 4) + (t + 3) * x ** 2, "x"))
+        a, c, d = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3))
+        b = a * c - c * c + d
+        # res = f(-c*t) = d * t^2 + 7: degree 2, below the bound 4
+        cases.append((f"degree-below-bound-{k}",
+                      x ** 2 + a * t * x + b * t ** 2 + 7, x + c * t, "x"))
+        cases.append((f"fraction-coefficients-{k}",
+                      _random_poly(rng, vt, (4, 2), 6, frac=True) + F(2, 3) * x ** 5,
+                      _random_poly(rng, vt, (3, 3), 5, frac=True) - F(5, 7) * t * x ** 4, "x"))
+        common = x - rng.randint(-3, 3) * t - 1
+        cases.append((f"common-factor-{k}",
+                      common * _random_poly(rng, vt, (2, 2), 4) * x,
+                      common * (_random_poly(rng, vt, (2, 1), 3) + x ** 3), "x"))
+        cases.append((f"var-degree-zero-{k}",
+                      _random_poly(rng, vt, (0, 3), 3) + 1,
+                      _random_poly(rng, vt, (3, 2), 5) + x ** 4, "x"))
+        cases.append((f"eliminate-the-parameter-{k}",
+                      _random_poly(rng, vt, (3, 3), 6) + t ** 4,
+                      _random_poly(rng, vt, (2, 2), 5) + x * t ** 2, "t"))
+    vt3 = ("Y", "W", "t")
+    Y, W, tt = MultiPoly.generators(*vt3)
+    for k in range(3):
+        # the disc_W shape: a cubic in W with coefficients in Y and t
+        G = (3 * W ** 3 + (tt - 1) * _random_poly(rng, vt3, (2, 1, 2), 6)
+             + _random_poly(rng, vt3, (2, 0, 1), 3))
+        cases.append((f"two-parameters-{k}", G, G.derivative("W"), "W"))
+    return cases
+
+
+RESULTANT_CASES = _resultant_cases()
+
+
+@pytest.mark.parametrize("name,f,g,var", RESULTANT_CASES,
+                         ids=[c[0] for c in RESULTANT_CASES])
+def test_resultant_matches_sylvester_determinant(name, f, g, var):
+    r = resultant(f, g, var)
+    assert r == _sylvester_det(f, g, var)
+    assert r.degree(var) <= 0
+    if name.startswith("common-factor"):
+        assert r.is_zero()
+    else:
+        assert not r.is_zero()
+    if name.startswith("degree-below-bound"):
+        bound = (g.degree(var) * f.degree("t") + f.degree(var) * g.degree("t"))
+        assert r.degree("t") == 2 < bound
+    if name.startswith("var-degree-zero"):
+        assert f.degree(var) == 0
+        assert r == f ** g.degree(var)
+        assert resultant(g, f, var) == r
+
+
+@pytest.mark.parametrize("name,f,g,var", RESULTANT_CASES,
+                         ids=[c[0] for c in RESULTANT_CASES])
+def test_resultant_matches_sympy(name, f, g, var):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(f.variables)
+
+    def to_sympy(p):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(s ** k for s, k in zip(syms, e)))
+                           for e, c in p.terms.items()))
+
+    want = sympy.resultant(to_sympy(f), to_sympy(g), syms[f.variables.index(var)])
+    assert sympy.expand(to_sympy(resultant(f, g, var)) - want) == 0
+
+
+def test_resultant_of_two_constants_is_one():
+    x, t = MultiPoly.generators("x", "t")
+    assert resultant(t + 2, 3 * t, "x") == 1
+
+
+def test_constant_hashes_like_its_value():
+    p = MultiPoly.constant(3, ("x",))
+    assert p == 3 and hash(p) == hash(3)
+    assert len({p, 3}) == 1
+    half = MultiPoly.constant(F(1, 2), ("x", "t"))
+    assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+    zero = MultiPoly.zero(("x",))
+    assert zero == 0 and hash(zero) == hash(0)
 
 
 def test_discriminant_quadratic_cubic():
