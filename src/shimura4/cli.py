@@ -24,9 +24,10 @@ from .intfactor import factorization_string
 from .quaternion import embedding_tolerance, matrix_embedding, uniformizer_triple
 from .report import Check, FLAGGED, GIVEN, PASS, RECOMPUTED, Suite, VerificationReport
 
+# exact tile counts by depth 0 .. trianglestacks.MAX_DEPTH
 TILE_COUNTS = {
-    (2, 3, 7): {0: 1, 1: 6, 2: 15, 3: 31, 4: 55, 5: 88, 6: 136, 7: 203, 8: 295},
-    (2, 3, 9): {0: 1, 1: 6, 2: 15, 3: 31, 4: 59},
+    (2, 3, 7): (1, 6, 15, 31, 55, 88, 136, 203, 295, 424, 602, 848, 1190),
+    (2, 3, 9): (1, 6, 15, 31, 59, 104, 174, 287, 468, 755, 1210, 1936, 3091),
 }
 
 
@@ -196,14 +197,8 @@ def suite_triangle(opts) -> Suite:
         if n == 7 and opts.svg:
             svg = opts.svg
         count = trianglestacks.tessellate(2, 3, n, depth=depth, svg_path=svg)
-        frozen = TILE_COUNTS[(2, 3, n)].get(depth)
-        if frozen is not None:
-            s.add(Check.equal(f"tile-count-2-3-{n}-depth-{depth}",
-                              frozen, count))
-        else:
-            s.add(Check.predicate(f"tile-count-2-3-{n}-depth-{depth}",
-                                  count >= 1, "positive tile count",
-                                  str(count)))
+        s.add(Check.equal(f"tile-count-2-3-{n}-depth-{depth}",
+                          TILE_COUNTS[(2, 3, n)][depth], count))
         if svg:
             ok = os.path.exists(svg) and os.path.getsize(svg) > 0
             s.add(Check.predicate("svg-written", ok, f"file at {svg}",
@@ -291,7 +286,8 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit a deterministic JSON report")
     parser.add_argument("--depth", type=int, default=4,
-                        help="tessellation depth (default 4)")
+                        help="tessellation depth, 0 to "
+                             f"{trianglestacks.MAX_DEPTH} (default 4)")
     parser.add_argument("--precision", type=int, default=30,
                         help="working precision in digits for the one "
                              "numerical check (default 30)")
@@ -301,6 +297,8 @@ def main(argv=None) -> int:
                         help="also render the (2,3,7) tessellation to PATH")
     parser.add_argument("--version", action="version", version=__version__)
     opts = parser.parse_args(argv)
+    if not 0 <= opts.depth <= trianglestacks.MAX_DEPTH:
+        parser.error(f"--depth must be between 0 and {trianglestacks.MAX_DEPTH}")
 
     try:
         report = build_report(opts.suite, opts)

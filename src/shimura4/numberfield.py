@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .multipoly import MultiPoly, MultiPolyError
@@ -235,6 +236,17 @@ class NumberField:
         if len(dense) < 2:
             raise NumberFieldError("minimal polynomial must be non-constant")
         object.__setattr__(self, "_dense", dense)
+        # x^k mod m for d <= k <= 2d - 2, scaled to integers by one common
+        # denominator: the rows that fold a product of two reduced elements
+        # back below degree d
+        rows, xk = [], [-c for c in dense[:-1]]
+        for _ in range(len(dense) - 2):
+            rows.append(xk)
+            xk = [p + xk[-1] * c for p, c in zip([Fraction(0)] + xk[:-1], rows[0])]
+        den = lcm(*(c.denominator for row in rows for c in row))
+        object.__setattr__(self, "_fold", tuple(
+            tuple(c.numerator * (den // c.denominator) for c in row) for row in rows))
+        object.__setattr__(self, "_fold_den", den)
         roots = isolate_real_roots(dense)
         if len(roots) != len(dense) - 1:
             raise NumberFieldError("minimal polynomial is not totally real")
@@ -332,10 +344,26 @@ class NumberFieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = _mul(list(self.coords), list(o.coords))
-        _, rem = _divmod_exact(prod, self.field._dense)
-        rem += [Fraction(0)] * (self.field.degree - len(rem))
-        return NumberFieldElem(self.field, tuple(rem))
+        # convolution and fold over the integers, denominators kept aside
+        field = self.field
+        d = field.degree
+        dx = lcm(*(c.denominator for c in self.coords))
+        dy = lcm(*(c.denominator for c in o.coords))
+        xs = [c.numerator * (dx // c.denominator) for c in self.coords]
+        ys = [c.numerator * (dy // c.denominator) for c in o.coords]
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(xs):
+            if a:
+                for j, b in enumerate(ys):
+                    prod[i + j] += a * b
+        den = field._fold_den
+        out = [c * den for c in prod[:d]]
+        for c, row in zip(prod[d:], field._fold):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        den *= dx * dy
+        return NumberFieldElem(field, tuple(Fraction(c, den) for c in out))
 
     __rmul__ = __mul__
 
@@ -393,7 +421,10 @@ class NumberFieldElem:
         return self.coords == o.coords
 
     def __hash__(self):
-        return hash((self.field.min_poly, self.coords))
+        # a rational element equals its value, so it hashes like it
+        if self.is_rational():
+            return hash(self.coords[0])
+        return hash(self.coords)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -185,7 +185,10 @@ class Quaternion:
         return all((p - q).is_zero() for p, q in zip(self.coords, o.coords))
 
     def __hash__(self):
-        return hash((id(self.algebra), self.coords))
+        # a scalar equals its coordinate, so it hashes like it
+        if self.is_scalar():
+            return hash(self.coords[0])
+        return hash(self.coords)
 
     def is_scalar(self) -> bool:
         return all(c.is_zero() for c in self.coords[1:])

@@ -1,19 +1,25 @@
 """Triangle group data and hyperbolic disk tessellations.
 
 The exact part: curvature classification of a triple (p, q, r), the degree
-of the log-canonical bundle on the associated quotient stack, and the
-Bezout-type weight pairs used in the local cyclic-quotient bookkeeping.
+of the log-canonical bundle on the associated quotient stack, the
+Bezout-type weight pairs used in the local cyclic-quotient bookkeeping, and
+the tile counts of the (2, 3, n) tessellations. A count is a breadth-first
+search over words in the quaternion triple of `quaternion.uniformizer_triple`:
+each word is an integer coordinate vector, each step an integer
+matrix-vector product with an exact division, and tiles are told apart by
+hashing vectors up to sign. No float decides whether two tiles are equal.
 
-The numerical part: the standard geodesic triangle in the Poincare disk,
-rotation generators in SU(1,1) around its vertices, a breadth-first
-tessellation of the disk with exact-enough dedup (tolerance 1e-9), and an
-SVG rendering with true geodesic arcs.
+The numerical part, used only for drawing and for the generator-relation
+residual: the standard geodesic triangle in the Poincare disk, rotation
+generators in SU(1,1) around its vertices, and an SVG rendering with true
+geodesic arcs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -197,26 +203,77 @@ def rotation_generators(p: int, q: int, r: int) -> tuple:
     return gp, gq, gr
 
 
-def _word_matrices(p: int, q: int, r: int, max_len: int) -> list:
-    """All distinct matrices of words up to max_len over the generators and
-    their inverses, as (matrix, word_length) with BFS word length."""
-    gp, gq, gr = rotation_generators(p, q, r)
-    gens = [gp, mat_inv(gp), gq, mat_inv(gq), gr, mat_inv(gr)]
-    seen = [(IDENTITY, 0)]
-    frontier = [IDENTITY]
-    for depth in range(1, max_len + 1):
+def _generator_matrices(p: int, q: int, r: int) -> tuple:
+    """Integer left-multiplication matrices of the quaternion triple.
+
+    For delta_p, delta_q, delta_r of `uniformizer_triple(r)` and their
+    inverses (in the order of the float generators used for drawing), the
+    matrix of x -> g x over Q in the basis v^k e_s (v generates the field,
+    e_s = 1, i, j, k), as rows, times the common denominator `den` of all
+    six. Returns (matrices, den).
+    """
+    if p != 2 or q != 3 or not isinstance(r, int) or r < 7 or r % 2 == 0:
+        raise TriangleError(f"exact tessellation covers (2,3,n) with n odd and "
+                            f">= 7, got ({p},{q},{r})")
+    # imported here: families imports this module for canonical_degree
+    # alone, and the quaternion module loads mpmath
+    from .quaternion import uniformizer_triple
+    trip = uniformizer_triple(r)
+    field = trip.algebra.field
+    powers = [field.element([0] * k + [1]) for k in range(field.degree)]
+    # v is central, so the column of v^k e_s is (g e_s) v^k
+    cols = [[[c for x in ge.coords for c in (x * vk).coords]
+             for ge in (g * e for e in trip.algebra.basis()) for vk in powers]
+            for delta in (trip.delta_p, trip.delta_q, trip.delta_r)
+            for g in (delta, delta.inverse())]
+    den = math.lcm(*(c.denominator for m in cols for col in m for c in col))
+    mats = [tuple(tuple(c.numerator * (den // c.denominator) for c in row)
+                  for row in zip(*m)) for m in cols]
+    return mats, den
+
+
+def _apply(rows: tuple, u: tuple, den: int) -> tuple:
+    """rows . u / den, exactly: a remainder means a word left the lattice."""
+    out = []
+    for row in rows:
+        c, rem = divmod(sum(map(operator.mul, row, u)), den)
+        if rem:
+            raise TriangleError("word coordinates left the lattice 1/den Z")
+        out.append(c)
+    return tuple(out)
+
+
+def _tile_tree(p: int, q: int, r: int, max_len: int) -> list:
+    """Breadth-first search over words of length <= max_len in the exact
+    generators and their inverses, one entry per distinct tile.
+
+    A word is the vector of its quaternion's coordinates times den; it is
+    taken up to sign (the group acts through +-1), normalised so the first
+    nonzero entry is positive. Entry i is (parent, generator, word length):
+    tile i is generator `generator` times tile `parent`; the base tile is
+    (-1, -1, 0).
+    """
+    mats, den = _generator_matrices(p, q, r)
+    start = (den,) + (0,) * (len(mats[0]) - 1)
+    seen = {start}
+    tiles = [(-1, -1, 0)]
+    frontier = [(0, start)]
+    for length in range(1, max_len + 1):
         new_frontier = []
-        for M in frontier:
-            for g in gens:
-                Y = mat_mul(g, M)
-                if not any(mat_dist(Y, S) < 1e-9 for S, _ in seen):
-                    seen.append((Y, depth))
-                    new_frontier.append(Y)
+        for parent, u in frontier:
+            for gi, rows in enumerate(mats):
+                w = _apply(rows, u, den)
+                if next(c for c in w if c) < 0:
+                    w = tuple(-c for c in w)
+                if w not in seen:
+                    seen.add(w)
+                    new_frontier.append((len(tiles), w))
+                    tiles.append((parent, gi, length))
         frontier = new_frontier
-    return seen
+    return tiles
 
 
-MAX_DEPTH = 8  # tile count and float error both grow fast past this
+MAX_DEPTH = 12  # cli.TILE_COUNTS freezes the counts through this depth
 
 
 def tessellate(p: int, q: int, r: int, depth: int = 4,
@@ -224,20 +281,28 @@ def tessellate(p: int, q: int, r: int, depth: int = 4,
     """Number of distinct triangle tiles within BFS depth of the base tile.
 
     Tiles are images of the base triangle under words in the rotation
-    generators; two words give the same tile exactly when their matrices
-    agree up to sign, decided with tolerance 1e-9. Optionally renders the
-    tiling to an SVG file with geodesic edges, two-colored by word-length
-    parity (a rendering choice: neighboring depths alternate shade).
+    generators. The count is exact: words run over the quaternion triple
+    of `uniformizer_triple(r)` as integer coordinate vectors, and two words
+    give the same tile exactly when their vectors agree up to sign. So
+    (p, q, r) must be (2, 3, n) with n odd and >= 7. Floats are used only
+    for drawing: optionally renders the tiling to an SVG file with geodesic
+    edges, two-colored by word-length parity (a rendering choice:
+    neighboring depths alternate shade).
     """
     if not isinstance(depth, int) or depth < 0:
         raise TriangleError("depth must be a non-negative integer")
     if depth > MAX_DEPTH:
         raise TriangleError(f"depth capped at {MAX_DEPTH}")
-    mats = _word_matrices(p, q, r, depth)
+    tiles = _tile_tree(p, q, r, depth)
     if svg_path is not None:
-        verts = triangle_vertices(p, q, r)
-        _render_svg(svg_path, mats, verts)
-    return len(mats)
+        gp, gq, gr = rotation_generators(p, q, r)
+        gens = (gp, mat_inv(gp), gq, mat_inv(gq), gr, mat_inv(gr))
+        mats = []
+        for parent, gi, length in tiles:
+            M = IDENTITY if parent < 0 else mat_mul(gens[gi], mats[parent][0])
+            mats.append((M, length))
+        _render_svg(svg_path, mats, triangle_vertices(p, q, r))
+    return len(tiles)
 
 
 # ----------------------------------------------------------------------
@@ -290,29 +355,3 @@ def _render_svg(path: str, mats: Sequence, verts: tuple) -> None:
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)
-
-
-# ----------------------------------------------------------------------
-# trace spectra (for comparing with the quaternionic picture)
-
-
-def words_over(generators: Sequence, max_len: int) -> list:
-    """Products of all nonempty words of length <= max_len, with the word."""
-    out = []
-    frontier = [((), IDENTITY)]
-    for _ in range(max_len):
-        nxt = []
-        for word, M in frontier:
-            for gi, g in enumerate(generators):
-                nw = word + (gi,)
-                nm = mat_mul(M, g)
-                nxt.append((nw, nm))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
-def trace_spectrum(generators: Sequence, max_len: int) -> list:
-    """Sorted |trace| multiset over nonempty words of length <= max_len."""
-    return sorted(abs(complex(M[0][0] + M[1][1]).real)
-                  for _, M in words_over(generators, max_len))

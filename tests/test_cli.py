@@ -83,9 +83,26 @@ def test_depth_flag_uses_frozen_counts(capsys):
     assert code == 0
     doc = json.loads(out)
     ids = {c["id"]: c for s in doc["suites"] for c in s["checks"]}
-    # depth 5 frozen for (2,3,7) only; (2,3,9) falls back to a sanity check
     assert ids["tile-count-2-3-7-depth-5"]["expected"] == "88"
-    assert ids["tile-count-2-3-9-depth-5"]["expected"] == "positive tile count"
+    assert ids["tile-count-2-3-9-depth-5"]["expected"] == "104"
+
+
+def test_deepest_depth_matches_frozen_counts(capsys):
+    from shimura4.trianglestacks import MAX_DEPTH
+    assert all(len(c) == MAX_DEPTH + 1 for c in cli.TILE_COUNTS.values())
+    code, out, _ = run(capsys, ["triangle", "--depth", str(MAX_DEPTH), "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    ids = {c["id"]: c for s in doc["suites"] for c in s["checks"]}
+    assert ids[f"tile-count-2-3-9-depth-{MAX_DEPTH}"]["actual"] == "3091"
+
+
+@pytest.mark.parametrize("depth", ["-1", "13", "99"])
+def test_depth_out_of_range_is_usage_error(capsys, depth):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["triangle", "--depth", depth])
+    assert exc.value.code == 2
+    assert "--depth" in capsys.readouterr().err
 
 
 def test_corrupted_data_dir_fails(tmp_path, capsys):

@@ -101,6 +101,34 @@ def test_field_inverse_roundtrip_randomized():
         assert e * e.inverse() == K.one()
 
 
+def test_mul_matches_schoolbook_remainder():
+    # reference: the dense product reduced by Euclidean division by m
+    import random
+    from shimura4.numberfield import _divmod_exact, _mul
+    rng = random.Random(11)
+    fields = [field_2cos(n) for n in (5, 7, 9, 11)]
+    fields.append(NumberField(dense_to_poly([F(-1, 3), F(-2), F(1, 2), F(1)]), "w"))
+    fields.append(NumberField(dense_to_poly([F(-7, 4), F(1)]), "u"))
+    for K in fields:
+        for _ in range(40):
+            x, y = (K.element([F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4]))
+                               if rng.random() < 0.7 else 0
+                               for _ in range(K.degree)]) for _ in range(2))
+            _, rem = _divmod_exact(_mul(list(x.coords), list(y.coords)), K._dense)
+            z = x * y
+            assert z.coords == tuple(rem) + (F(0),) * (K.degree - len(rem))
+            assert all(type(c) is F for c in z.coords)
+
+
+def test_hash_agrees_with_eq():
+    K = field_2cos(7)
+    assert K.element([3]) == 3 and hash(K.element([3])) == hash(3)
+    half = K.element([F(1, 2)])
+    assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+    v = K.gen()
+    assert len({v, field_2cos(7).gen(), v * 1}) == 1
+
+
 def test_real_embeddings_ordered():
     K = field_2cos(7)
     ivs = K.real_embeddings

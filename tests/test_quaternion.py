@@ -169,6 +169,17 @@ def test_triple_rejects_even_or_small_n():
         uniformizer_triple(5)
 
 
+def test_hash_agrees_with_eq():
+    t1, t2 = uniformizer_triple(7), uniformizer_triple(7)
+    assert t1.delta_q == t2.delta_q
+    assert len({t1.delta_q, t2.delta_q}) == 1
+    one = t1.algebra.one()
+    assert one == 1 and hash(one) == hash(1)
+    v = t1.algebra.field.gen()
+    scalar = t1.algebra.element(v)
+    assert scalar == v and hash(scalar) == hash(v)
+
+
 def test_norm_multiplicative_spot():
     tri = uniformizer_triple(7)
     x = tri.delta_q + tri.delta_r

@@ -9,7 +9,9 @@ import pytest
 from shimura4.trianglestacks import (
     IDENTITY,
     INFINITY,
+    MAX_DEPTH,
     TriangleError,
+    _apply,
     bezout_weights,
     canonical_degree,
     classify,
@@ -18,7 +20,6 @@ from shimura4.trianglestacks import (
     mat_mul,
     rotation_generators,
     tessellate,
-    trace_spectrum,
     triangle_vertices,
 )
 
@@ -136,14 +137,29 @@ def test_tessellate_depth0_and_1():
     assert tessellate(2, 3, 9, depth=1) == 6
 
 
+def _float_dedup_counts(p, q, r, max_len):
+    """Tile counts by depth from a BFS over the float rotation generators
+    that compares every new matrix with every tile found, to 1e-9."""
+    gp, gq, gr = rotation_generators(p, q, r)
+    gens = [gp, mat_inv(gp), gq, mat_inv(gq), gr, mat_inv(gr)]
+    seen, frontier, counts = [IDENTITY], [IDENTITY], [1]
+    for _ in range(max_len):
+        new_frontier = []
+        for M in frontier:
+            for g in gens:
+                Y = mat_mul(g, M)
+                if not any(mat_dist(Y, S) < 1e-9 for S in seen):
+                    seen.append(Y)
+                    new_frontier.append(Y)
+        frontier = new_frontier
+        counts.append(len(seen))
+    return counts
+
+
 def test_depth1_count_independent_dedup():
-    gp, gq, gr = rotation_generators(2, 3, 7)
-    cands = [IDENTITY, gp, mat_inv(gp), gq, mat_inv(gq), gr, mat_inv(gr)]
-    distinct = []
-    for M in cands:
-        if not any(mat_dist(M, S) < 1e-9 for S in distinct):
-            distinct.append(M)
-    assert len(distinct) == tessellate(2, 3, 7, depth=1)
+    for n in (7, 9):
+        exact = [tessellate(2, 3, n, depth=d) for d in range(7)]
+        assert exact == _float_dedup_counts(2, 3, n, 6)
 
 
 def test_tessellate_growth_regression():
@@ -156,11 +172,26 @@ def test_tessellate_depth_guard():
         tessellate(2, 3, 7, depth=-1)
     with pytest.raises(TriangleError):
         tessellate(2, 3, 7, depth=99)
+    with pytest.raises(TriangleError):
+        tessellate(2, 3, 7, depth=MAX_DEPTH + 1)
 
 
 def test_tessellate_needs_hyperbolic():
     with pytest.raises(TriangleError):
         tessellate(2, 3, 5, depth=2)
+
+
+@pytest.mark.parametrize("pqr", [(2, 3, 8), (3, 3, 7), (2, 3, INFINITY)])
+def test_tessellate_needs_a_quaternion_triple(pqr):
+    # exact only for the (2,3,n) triples with n odd and >= 7
+    with pytest.raises(TriangleError):
+        tessellate(*pqr, depth=2)
+
+
+def test_bfs_step_raises_on_remainder():
+    assert _apply(((1, 1), (2, 0)), (3, 1), 2) == (2, 3)
+    with pytest.raises(TriangleError):
+        _apply(((1, 1), (1, 0)), (3, 1), 2)
 
 
 def test_svg_output(tmp_path):
@@ -172,10 +203,3 @@ def test_svg_output(tmp_path):
     assert text.count("<path") == n
     assert 'viewBox="-1.05 -1.05 2.1 2.1"' in text
     assert "A " in text  # at least one geodesic arc
-
-
-def test_trace_spectrum_word_counts():
-    gens = rotation_generators(2, 3, 7)
-    spec = trace_spectrum(list(gens), 2)
-    assert len(spec) == 3 + 9
-    assert spec == sorted(spec)
