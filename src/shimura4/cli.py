@@ -24,6 +24,11 @@ from .intfactor import factorization_string
 from .quaternion import embedding_tolerance, matrix_embedding, uniformizer_triple
 from .report import Check, FLAGGED, GIVEN, PASS, RECOMPUTED, Suite, VerificationReport
 
+# below this many digits the matrix-trace tolerance, 10^(1 - precision),
+# is too loose for the check to mean anything (at 15 it is 1e-14; the
+# residuals measure below 1e-21)
+MIN_PRECISION = 15
+
 # exact tile counts by depth 0 .. trianglestacks.MAX_DEPTH
 TILE_COUNTS = {
     (2, 3, 7): (1, 6, 15, 31, 55, 88, 136, 203, 295, 424, 602, 848, 1190),
@@ -290,15 +295,24 @@ def main(argv=None) -> int:
                              f"{trianglestacks.MAX_DEPTH} (default 4)")
     parser.add_argument("--precision", type=int, default=30,
                         help="working precision in digits for the one "
-                             "numerical check (default 30)")
+                             f"numerical check, at least {MIN_PRECISION} "
+                             "(default 30)")
     parser.add_argument("--data-dir", default=None,
-                        help="directory with replacement cm_x7.tsv/cm_x9.tsv")
+                        help="directory holding replacement cm_x7.tsv and "
+                             "cm_x9.tsv")
     parser.add_argument("--svg", default=None, metavar="PATH",
                         help="also render the (2,3,7) tessellation to PATH")
     parser.add_argument("--version", action="version", version=__version__)
     opts = parser.parse_args(argv)
     if not 0 <= opts.depth <= trianglestacks.MAX_DEPTH:
         parser.error(f"--depth must be between 0 and {trianglestacks.MAX_DEPTH}")
+    if opts.precision < MIN_PRECISION:
+        parser.error(f"--precision must be at least {MIN_PRECISION}")
+    if opts.data_dir is not None:
+        missing = [name for name in map(cmtables.data_file_name, (7, 9))
+                   if not os.path.isfile(os.path.join(opts.data_dir, name))]
+        if missing:
+            parser.error(f"--data-dir {opts.data_dir} has no {', '.join(missing)}")
 
     try:
         report = build_report(opts.suite, opts)

@@ -90,10 +90,6 @@ def _read_bytes(n: int, data_dir: Optional[str]) -> bytes:
     return resources.files("shimura4").joinpath("data", fname).read_bytes()
 
 
-def table_checksum(n: int, data_dir: Optional[str] = None) -> str:
-    return hashlib.sha256(_read_bytes(n, data_dir)).hexdigest()
-
-
 def load_table(n: int, data_dir: Optional[str] = None) -> CMTable:
     raw = _read_bytes(n, data_dir)
     fname, base_p, base_e, modulus = _TABLE_PARAMS[n]

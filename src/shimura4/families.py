@@ -23,14 +23,12 @@ engine never invents an expected value at run time.
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
-from .intfactor import factor_integer
+from .intfactor import _int_nth_root, factor_integer
 from .multipoly import (
     MultiPoly,
     MultiPolyError,
@@ -418,26 +416,11 @@ def _fraction_nth_root(x: Fraction, n: int) -> Optional[Fraction]:
         raise ValueError("n must be positive")
     if x < 0 and n % 2 == 0:
         return None
-    sign = -1 if x < 0 else 1
     ax = abs(x)
-
-    def iroot(m: int) -> Optional[int]:
-        if m == 0:
-            return 0
-        lo, hi = 1, 1 << ((m.bit_length() + n - 1) // n + 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid ** n < m:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo ** n == m else None
-
-    a = iroot(ax.numerator)
-    b = iroot(ax.denominator)
-    if a is None or b is None:
+    r = F(_int_nth_root(ax.numerator, n), _int_nth_root(ax.denominator, n))
+    if r ** n != ax:
         return None
-    return sign * F(a, b)
+    return r if x >= 0 else -r
 
 
 def match_hyperelliptic_up_to_twist(lhs: MultiPoly, target: MultiPoly,
@@ -855,29 +838,3 @@ def c9_fiber_components_t1() -> tuple:
     a = apply_reduction(plans[1])
     b = apply_reduction(plans[2])
     return a, b
-
-
-# ----------------------------------------------------------------------
-# canonical text export
-
-
-def export_family_polynomials(directory: str) -> list:
-    """Write both family polynomials as canonical plain text; returns paths."""
-    os.makedirs(directory, exist_ok=True)
-    out = []
-    for name, poly in (("hyperelliptic_family.txt", c7_family()),
-                       ("plane_family.txt", c9_family())):
-        path = os.path.join(directory, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# variables: {' '.join(poly.variables)}\n")
-            fh.write(str(poly) + "\n")
-        out.append(path)
-    return out
-
-
-def family_checksums() -> dict:
-    """SHA-256 of the canonical string forms (stability anchors for tests)."""
-    return {
-        "hyperelliptic": hashlib.sha256(str(c7_family()).encode()).hexdigest(),
-        "plane": hashlib.sha256(str(c9_family()).encode()).hexdigest(),
-    }

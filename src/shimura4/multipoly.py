@@ -7,17 +7,23 @@ just what the verification pipeline needs: ring arithmetic, exact division,
 resultants and discriminants, gcd / squarefree parts, rational substitution
 with denominator clearing, and valuation bookkeeping.
 
+gcds and squarefree parts are univariate over Q: they run Euclid's
+algorithm, each remainder made monic, on dense coefficient lists
+(`poly_to_dense` / `dense_to_poly`), and `_uni_divmod` is the one
+Euclidean division over Q in the package.
+
 Resultants go by evaluation and interpolation over the integers: each
 parameter is set to small integers, skipping the points where a leading
 coefficient in the eliminated variable vanishes, and the resultant is
 interpolated back through as many points as the Sylvester row bound on its
 degree requires, plus one. The univariate base case is a subresultant
-remainder sequence over int. gcds use a primitive remainder sequence.
+remainder sequence over int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -129,11 +135,6 @@ class MultiPoly:
             return -1
         i = self._vidx(var)
         return max(e[i] for e in self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def coefficient(self, var: str, power: int) -> "MultiPoly":
         """The coefficient of var**power, as a polynomial in the same ring
@@ -418,13 +419,6 @@ class MultiPoly:
                     rem[key] = val
         return MultiPoly(self.variables, quo)
 
-    def divides(self, other: "MultiPoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except MultiPolyError:
-            return False
-
     # ------------------------------------------------------------------
     # valuations
 
@@ -444,20 +438,6 @@ class MultiPoly:
         shifted, _ = self.substitute({var: (xv + p, None)})
         return shifted.valuation(var)
 
-    def reduce_at_zero(self, var: str) -> tuple:
-        """Divide out the full var-power and set var = 0.
-
-        Returns (value, k) where self = var**k * g with g(var=0) != 0 and
-        value = g(var=0) as a MultiPoly in the same ring.
-        """
-        k = self.valuation(var)
-        i = self._vidx(var)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                out[e[:i] + (0,) + e[i + 1:]] = c
-        return MultiPoly(self.variables, out), k
-
     def shift_down(self, var: str, k: int) -> "MultiPoly":
         """Exact division by var**k (valuation must be >= k)."""
         if k == 0:
@@ -470,14 +450,10 @@ class MultiPoly:
                          {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in self.terms.items()})
 
     # ------------------------------------------------------------------
-    # content / primitive part (recursive, over Q then Z)
+    # content
 
     def content(self) -> Fraction:
-        """gcd of the coefficients as positive rational (0 for the zero poly).
-
-        Sign convention: content is positive; the primitive part keeps the
-        sign of the original leading (lex) coefficient.
-        """
+        """gcd of the coefficients as positive rational (0 for the zero poly)."""
         if not self.terms:
             return Fraction(0)
         num = 0
@@ -487,43 +463,123 @@ class MultiPoly:
             den = den * c.denominator // _int_gcd(den, c.denominator)
         return Fraction(num, den)
 
-    def primitive_part(self) -> "MultiPoly":
-        c = self.content()
-        if c == 0:
-            return self
-        return self / c
-
 
 # ----------------------------------------------------------------------
-# dense univariate pseudo-remainder, shared by gcd_poly and the resultant
+# dense univariate polynomials over Q
+#
+# A dense polynomial is a list of Fractions, lowest coefficient first, with
+# no trailing zeros; [] is the zero polynomial. gcds, squarefree parts and
+# (in numberfield) Sturm chains and field inverses all divide through
+# _uni_divmod.
 
 
-def _uni_pseudo_rem(A: list, B: list) -> list:
-    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B of dense
-    polynomials, lowest coefficient first. The coefficients may be ints or
-    MultiPolys; the resultant uses the first, gcd_poly the second.
+def _trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
-    When a subtraction kills more than one leading term the loop runs fewer
-    times than deg A - deg B + 1; the remainder is then scaled by the
-    leftover power of lc(B) so the result is the true pseudo-remainder.
+
+def _deriv(p: Sequence) -> list:
+    return [c * k for k, c in enumerate(p)][1:]
+
+
+def poly_to_dense(f: MultiPoly, var: str) -> list:
+    """f as a dense Fraction list in var; raises MultiPolyError when a
+    variable other than var occurs in f."""
+    i = f._vidx(var)
+    out = [Fraction(0)] * (f.degree(var) + 1)
+    for e, c in f.terms.items():
+        if any(e[:i]) or any(e[i + 1:]):
+            raise MultiPolyError(f"{f} is not univariate in {var!r}")
+        out[e[i]] = c
+    return out
+
+
+def dense_to_poly(p: Sequence, var: str = "x") -> MultiPoly:
+    """Dense list p as a MultiPoly in the single variable var."""
+    return _from_dense(p, (var,), var)
+
+
+def _from_dense(p: Sequence, variables: tuple, var: str) -> MultiPoly:
+    """Dense list p in var as a MultiPoly on the given variables."""
+    i = variables.index(var)
+    head, tail = (0,) * i, (0,) * (len(variables) - i - 1)
+    return MultiPoly(variables, {head + (k,) + tail: c for k, c in enumerate(p)})
+
+
+def _uni_divmod(a: Sequence, b: list) -> tuple:
+    """Euclidean quotient and remainder of dense a by dense nonzero b
+    over Q."""
+    r = _trim(list(a))
+    db = len(b) - 1
+    lb = b[-1]
+    q = [Fraction(0)] * max(0, len(r) - db)
+    while len(r) > db:
+        c = r.pop() / lb
+        shift = len(r) - db
+        q[shift] = c
+        for j in range(db):
+            r[shift + j] -= c * b[j]
+        _trim(r)
+    return q, r
+
+
+def _monic(p: list) -> list:
+    return [c / p[-1] for c in p] if p else p
+
+
+def _uni_gcd(a: list, b: list) -> list:
+    """Monic gcd of dense a and b, [] when both are zero: Euclid with each
+    remainder made monic."""
+    a, b = _monic(a), _monic(b)
+    while b:
+        a, b = b, _monic(_uni_divmod(a, b)[1])
+    return a
+
+
+def gcd_poly(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """Monic gcd over Q of f and g, both univariate in var (zero when both
+    are zero). Raises MultiPolyError when a variable other than var occurs.
     """
-    r = list(A)
-    dB = len(B) - 1
-    lb = B[-1]
-    left = len(r) - dB
-    while len(r) > dB:
-        lead = r.pop()
-        shift = len(r) - dB
-        r = [c * lb for c in r]
-        for j in range(dB):
-            r[shift + j] -= lead * B[j]
-        while r and not r[-1]:
-            r.pop()
-        left -= 1
-    if r and left > 0:
-        s = lb ** left
-        r = [c * s for c in r]
-    return r
+    if f.variables != g.variables:
+        raise MultiPolyError("gcd operands must share a variable tuple")
+    a = _uni_gcd(poly_to_dense(f, var), poly_to_dense(g, var))
+    return _from_dense(a, f.variables, var)
+
+
+def squarefree_part(f: MultiPoly, var: str) -> MultiPoly:
+    """Monic f / gcd(f, df/dvar) for f univariate in var: the same roots,
+    each with multiplicity 1."""
+    p = poly_to_dense(f, var)
+    if len(p) < 2:
+        raise MultiPolyError("squarefree part needs positive degree")
+    q, _ = _uni_divmod(p, _uni_gcd(p, _deriv(p)))
+    return _from_dense(_monic(q), f.variables, var)
+
+
+def squarefree_decomposition(f: MultiPoly, var: str) -> list:
+    """Yun's algorithm: f = c * prod p_i^i with p_i monic, squarefree and
+    pairwise coprime, for f univariate in var.
+
+    Returns a list of (p_i, i) with deg(p_i) >= 1, in increasing i.
+    """
+    p = poly_to_dense(f, var)
+    if len(p) < 2:
+        raise MultiPolyError("squarefree decomposition needs positive degree")
+    out = []
+    a = _uni_gcd(p, _deriv(p))
+    b, _ = _uni_divmod(p, a)
+    c, _ = _uni_divmod(_deriv(p), a)
+    i = 1
+    while len(b) > 1:
+        d = _trim([u - v for u, v in zip_longest(c, _deriv(b), fillvalue=0)])
+        a = _uni_gcd(b, d)
+        if len(a) > 1:
+            out.append((_from_dense(a, f.variables, var), i))
+        b, _ = _uni_divmod(b, a)
+        c, _ = _uni_divmod(d, a)
+        i += 1
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -676,6 +732,32 @@ def _res_int(A: list, B: list) -> int:
             return sign * _exact(B[0] ** m, h ** (m - 1))
 
 
+def _uni_pseudo_rem(A: list, B: list) -> list:
+    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B of dense int
+    polynomials, lowest coefficient first.
+
+    When a subtraction kills more than one leading term the loop runs fewer
+    times than deg A - deg B + 1; the remainder is then scaled by the
+    leftover power of lc(B) so the result is the true pseudo-remainder.
+    """
+    r = list(A)
+    dB = len(B) - 1
+    lb = B[-1]
+    left = len(r) - dB
+    while len(r) > dB:
+        lead = r.pop()
+        shift = len(r) - dB
+        r = [c * lb for c in r]
+        for j in range(dB):
+            r[shift + j] -= lead * B[j]
+        _trim(r)
+        left -= 1
+    if r and left > 0:
+        s = lb ** left
+        r = [c * s for c in r]
+    return r
+
+
 def _exact(a: int, b: int) -> int:
     q, rem = divmod(a, b)
     if rem:
@@ -697,101 +779,3 @@ def discriminant(f: MultiPoly, var: str) -> MultiPoly:
     if (n * (n - 1) // 2) % 2:
         d = -d
     return d
-
-
-def gcd_poly(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """gcd of f and g taken as univariate in var.
-
-    Primitive polynomial remainder sequence: each pseudo-remainder is
-    stripped of its coefficient content before the next step, which keeps
-    sizes tame without the subresultant division bookkeeping. Univariate
-    input gives a monic result; with parameters in the coefficients the
-    result is primitive (content recursion through the remaining variables).
-    """
-    if f.variables != g.variables:
-        raise MultiPolyError("gcd operands must share a variable tuple")
-    if f.is_zero():
-        return _normalize_gcd(g, var)
-    if g.is_zero():
-        return _normalize_gcd(f, var)
-    A, B = f, g
-    if A.degree(var) < B.degree(var):
-        A, B = B, A
-    A = _strip_var_content(A, var)
-    B = _strip_var_content(B, var)
-    vt = f.variables
-    xv = MultiPoly.variable(var, vt)
-    while B.degree(var) > 0:
-        R = _uni_pseudo_rem(A.as_univariate(var), B.as_univariate(var))
-        if not R:
-            return _normalize_gcd(B, var)
-        Rp = MultiPoly.zero(vt)
-        for k, c in enumerate(R):
-            Rp = Rp + c * xv ** k
-        A, B = B, _strip_var_content(Rp, var)
-    if B.is_zero():
-        return _normalize_gcd(A, var)
-    return MultiPoly.constant(1, vt)
-
-
-def _strip_var_content(f: MultiPoly, var: str) -> MultiPoly:
-    """Divide f by the gcd of its coefficients w.r.t. var (recursive)."""
-    coeffs = [c for c in f.as_univariate(var) if not c.is_zero()]
-    if not coeffs:
-        return f
-    if all(c.is_constant() for c in coeffs):
-        return f.primitive_part()
-    rest = [v for v in f.variables_used() if v != var]
-    if not rest:
-        return f.primitive_part()
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        cont = gcd_poly(cont, c, rest[0])
-        if cont.is_constant():
-            return f.primitive_part()
-    return f.exact_div(cont).primitive_part()
-
-
-def _normalize_gcd(f: MultiPoly, var: str) -> MultiPoly:
-    if f.is_zero():
-        return f
-    f = _strip_var_content(f, var)
-    lc = f.leading_coefficient(var)
-    if lc.is_constant():
-        f = f / lc.constant_value()  # monic
-    return f
-
-
-def squarefree_part(f: MultiPoly, var: str) -> MultiPoly:
-    """f / gcd(f, df/dvar), normalized primitive. Same roots, multiplicity 1."""
-    if f.degree(var) < 1:
-        raise MultiPolyError("squarefree part needs positive degree")
-    g = gcd_poly(f, f.derivative(var), var)
-    return _normalize_gcd(f.exact_div(g), var)
-
-
-def squarefree_decomposition(f: MultiPoly, var: str) -> list:
-    """Yun's algorithm: f = c * prod p_i^i with p_i squarefree coprime.
-
-    Returns a list of (p_i, i) with deg(p_i) >= 1, in increasing i. Intended
-    for univariate f (coefficients constant in the other variables); the gcd
-    steps tolerate parameters but the use sites are univariate.
-    """
-    if f.degree(var) < 1:
-        raise MultiPolyError("squarefree decomposition needs positive degree")
-    out = []
-    fp = f.derivative(var)
-    a = gcd_poly(f, fp, var)
-    b = f.exact_div(a)
-    c = fp.exact_div(a)
-    d = c - b.derivative(var)
-    i = 1
-    while b.degree(var) > 0:
-        a = gcd_poly(b, d, var)
-        if a.degree(var) > 0:
-            out.append((a, i))
-        b = b.exact_div(a)
-        c = d.exact_div(a)
-        d = c - b.derivative(var)
-        i += 1
-    return out

@@ -6,18 +6,29 @@ represented by exact isolating intervals from a Sturm chain. Element signs
 under an embedding are decided exactly by interval refinement -- no floating
 point is involved anywhere in a sign decision.
 
-Dense univariate polynomials over Fraction are used internally as plain
-lists [c0, c1, ...]; the public surface speaks MultiPoly.
+Dense univariate polynomials are plain Fraction lists [c0, c1, ...], in the
+format of multipoly's dense section: Sturm chains and inverses divide with
+its `_uni_divmod`, and `poly_to_dense` / `dense_to_poly` are re-exported
+from there. The public surface speaks MultiPoly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from typing import Sequence
 
-from .multipoly import MultiPoly, MultiPolyError
+from .multipoly import (
+    MultiPoly,
+    _deriv,
+    _trim,
+    _uni_divmod,
+    dense_to_poly,
+    poly_to_dense,
+    squarefree_part,
+)
 
 
 class NumberFieldError(ValueError):
@@ -28,39 +39,11 @@ class NumberFieldError(ValueError):
 # dense univariate helpers (coefficients ascending)
 
 
-def _trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def _deriv(p: Sequence[Fraction]) -> list:
-    return [c * k for k, c in enumerate(p)][1:]
-
-
-def _neg(p):
-    return [-c for c in p]
-
-
-def _rem(a: list, b: list) -> list:
-    """Euclidean remainder over Q."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and a:
-        q = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        _trim(a)
-    return a
 
 
 def _mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
@@ -74,40 +57,6 @@ def _mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
     return _trim(out)
 
 
-def _divmod_exact(a: list, b: list) -> tuple:
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    q = [Fraction(0)] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = a[-1] / lb
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, cc in enumerate(b):
-            a[shift + i] -= c * cc
-        _trim(a)
-    return _trim(q), a
-
-
-def poly_to_dense(f: MultiPoly, var: str) -> list:
-    """MultiPoly univariate in var -> dense Fraction list."""
-    coeffs = []
-    for k in range(f.degree(var) + 1):
-        c = f.coefficient(var, k)
-        if not c.is_constant():
-            raise NumberFieldError(f"{f} is not univariate in {var!r}")
-        coeffs.append(c.constant_value())
-    return _trim(coeffs)
-
-
-def dense_to_poly(p: Sequence[Fraction], var: str = "x") -> MultiPoly:
-    x = MultiPoly.variable(var, (var,))
-    out = MultiPoly.zero((var,))
-    for k, c in enumerate(p):
-        out = out + MultiPoly.constant(c, (var,)) * x ** k
-    return out
-
-
 # ----------------------------------------------------------------------
 # Sturm chains
 
@@ -116,10 +65,10 @@ def sturm_chain(p: Sequence[Fraction]) -> list:
     """Sturm sequence p, p', -rem(...), ... for a squarefree p."""
     chain = [_trim(list(p)), _deriv(list(p))]
     while chain[-1]:
-        r = _neg(_rem(chain[-2], chain[-1]))
+        r = _uni_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
-        chain.append(r)
+        chain.append([-c for c in r])
     return chain
 
 
@@ -375,14 +324,10 @@ class NumberFieldElem:
         r0, r1 = list(self.field._dense), _trim(list(self.coords))
         t0, t1 = [], [Fraction(1)]
         while len(r1) - 1 > 0:
-            q, r = _divmod_exact(r0, r1)
-            qt1 = _mul(q, t1)
-            n = max(len(qt1), len(t0))
-            t_next = _trim([(t0[i] if i < len(t0) else Fraction(0)) -
-                            (qt1[i] if i < len(qt1) else Fraction(0))
-                            for i in range(n)])
+            q, r = _uni_divmod(r0, r1)
             r0, r1 = r1, r
-            t0, t1 = t1, t_next
+            t0, t1 = t1, _trim([a - b for a, b in
+                                zip_longest(t0, _mul(q, t1), fillvalue=0)])
         if not r1:
             raise NumberFieldError("element not invertible (reducible modulus?)")
         c = r1[0]
@@ -540,7 +485,6 @@ def minpoly_2cos(n: int, var: str = "x") -> MultiPoly:
         return dense_to_poly([Fraction(-2), Fraction(1)], var)  # 2cos(2pi) = 2
     if n == 2:
         return dense_to_poly([Fraction(2), Fraction(1)], var)   # 2cos(pi) = -2
-    from .multipoly import squarefree_part
     vn = _chebyshev_like(n)
     vn2 = list(vn)
     vn2[0] -= 2
@@ -553,8 +497,7 @@ def minpoly_2cos(n: int, var: str = "x") -> MultiPoly:
     for d in range(3, n):
         if n % d == 0:
             f = f.exact_div(minpoly_2cos(d, var))
-    lc = f.leading_coefficient(var).constant_value()
-    return f / lc
+    return f  # monic: a monic squarefree part divided by monic factors
 
 
 def field_2cos(n: int, name: str = "v") -> NumberField:

@@ -34,11 +34,10 @@ class Check:
             raise ValueError(f"bad status {self.status!r}")
 
     @staticmethod
-    def equal(check_id: str, expected, actual, citation: str = RECOMPUTED,
-              flag_on_mismatch: bool = False) -> "Check":
-        ok = expected == actual
-        status = PASS if ok else (FLAGGED if flag_on_mismatch else FAIL)
-        return Check(check_id, status, str(expected), str(actual), citation)
+    def equal(check_id: str, expected, actual,
+              citation: str = RECOMPUTED) -> "Check":
+        return Check(check_id, PASS if expected == actual else FAIL,
+                     str(expected), str(actual), citation)
 
     @staticmethod
     def predicate(check_id: str, ok: bool, expected: str, actual: str,

@@ -122,6 +122,39 @@ def test_corrupted_data_dir_fails(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
+@pytest.mark.parametrize("which", ["only-x7", "missing-dir"])
+def test_bad_data_dir_is_usage_error(tmp_path, capsys, which):
+    from shimura4.cmtables import data_file_name
+    from importlib import resources
+    if which == "only-x7":
+        src = resources.files("shimura4").joinpath("data", data_file_name(7))
+        (tmp_path / data_file_name(7)).write_bytes(src.read_bytes())
+        data_dir = tmp_path
+    else:
+        data_dir = tmp_path / "no-such-dir"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cm-tables", "--data-dir", str(data_dir)])
+    assert exc.value.code == 2
+    assert "--data-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", ["0", "-5", "-40", "14"])
+def test_precision_below_floor_is_usage_error(capsys, precision):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["quaternion", "--precision", precision])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
+def test_precision_at_floor_passes(capsys):
+    code, out, _ = run(capsys, ["quaternion", "--precision", "15", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    checks = {c["id"]: c for s in doc["suites"] for c in s["checks"]}
+    assert checks["matrix-trace-7"]["status"] == "pass"
+    assert "within 1e-14" in checks["matrix-trace-7"]["expected"]
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     def boom(opts):
         raise RuntimeError("synthetic")

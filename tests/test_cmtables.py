@@ -6,7 +6,6 @@ from shimura4.cmtables import (
     EXPECTED_ROW_COUNTS,
     FieldLabel,
     load_table,
-    table_checksum,
     verify_row,
     verify_table,
 )
@@ -34,7 +33,6 @@ def test_row_counts_and_checksums():
         t = load_table(n)
         assert len(t.rows) == EXPECTED_ROW_COUNTS[n]
         assert t.checksum == sha
-        assert table_checksum(n) == sha
 
 
 def test_tables_fully_verify():

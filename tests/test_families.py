@@ -16,8 +16,6 @@ from shimura4.families import (
     c9_family,
     c9_family_flat_form,
     c9_fiber_components_t1,
-    export_family_polynomials,
-    family_checksums,
     is_smooth_fiber_c7,
     j_invariant_depressed,
     match_hyperelliptic_up_to_twist,
@@ -355,19 +353,16 @@ def test_quadratic_twist_factor():
     assert quadratic_twist_factor(F(1), F(1), F(1), F(2)) is None
 
 
-# ----------------------------------------------------------------------
-# export
-
-
-def test_export_and_checksums(tmp_path):
-    paths = export_family_polynomials(str(tmp_path))
-    assert len(paths) == 2
-    for p in paths:
-        with open(p, encoding="utf-8") as fh:
-            head = fh.readline()
-            body = fh.readline().strip()
-        assert head.startswith("# variables: ")
-        assert body
-    sums = family_checksums()
-    assert set(sums) == {"hyperelliptic", "plane"}
-    assert all(len(v) == 64 for v in sums.values())
+def test_fraction_nth_root():
+    from shimura4.families import _fraction_nth_root
+    assert _fraction_nth_root(F(27, 8), 3) == F(3, 2)
+    assert _fraction_nth_root(F(16, 81), 4) == F(2, 3)
+    assert _fraction_nth_root(F(5, 4), 2) is None  # numerator not a square
+    assert _fraction_nth_root(F(4, 5), 2) is None  # denominator not a square
+    assert _fraction_nth_root(F(2 ** 90 + 1), 3) is None
+    assert _fraction_nth_root(F(-32, 243), 5) == F(-2, 3)
+    assert _fraction_nth_root(F(-4), 2) is None
+    assert _fraction_nth_root(F(0), 7) == 0
+    assert _fraction_nth_root(F(1), 1) == 1
+    with pytest.raises(ValueError):
+        _fraction_nth_root(F(1), 0)

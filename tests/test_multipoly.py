@@ -98,9 +98,6 @@ def test_valuation_and_reduce():
     u, x = MultiPoly.generators("u", "x")
     f = u ** 3 * (x ** 2 + 1) + u ** 5 * x
     assert f.valuation("u") == 3
-    red, k = f.reduce_at_zero("u")
-    assert k == 3
-    assert red == x ** 2 + 1
     assert f.shift_down("u", 3) == x ** 2 + 1 + u ** 2 * x
     with pytest.raises(MultiPolyError):
         f.shift_down("u", 4)
@@ -310,13 +307,17 @@ def test_gcd_univariate_monic():
 
 
 def test_gcd_with_parameter_coefficients():
+    # gcd and squarefree parts are univariate over Q: a parameter is refused
     x, t = MultiPoly.generators("x", "t")
     common = x ** 2 + t
-    f = common * (x - 1)
-    g = common * (x + t)
-    got = gcd_poly(f, g, "x")
-    # primitive, up to sign
-    assert got in (common, -common)
+    with pytest.raises(MultiPolyError):
+        gcd_poly(common * (x - 1), common * (x + t), "x")
+    with pytest.raises(MultiPolyError):
+        squarefree_part(common ** 2, "x")
+    with pytest.raises(MultiPolyError):
+        squarefree_decomposition(common ** 2, "x")
+    # a variable of the ring that does not occur is fine, and is kept
+    assert gcd_poly((x - 1) * (x + 2), (x - 1) ** 2, "x") == x - 1
 
 
 def test_squarefree_part():
@@ -338,6 +339,45 @@ def test_squarefree_decomposition_yun():
     assert f.exact_div(rebuilt).is_constant()
 
 
+def _random_planted(rng, x):
+    """A random product of 1..3 factors over Q, each to a power 1..3."""
+    f = MultiPoly.constant(F(rng.randint(1, 9), rng.randint(1, 5)), ("x",))
+    for _ in range(rng.randint(1, 3)):
+        deg = rng.randint(1, 3)
+        p = x ** deg + sum((F(rng.randint(-6, 6), rng.randint(1, 4)) * x ** k
+                            for k in range(deg)), MultiPoly.zero(("x",)))
+        f = f * p ** rng.randint(1, 3)
+    return f
+
+
+def test_gcd_and_squarefree_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
+    x, = MultiPoly.generators("x")
+
+    def to_sympy(p):
+        return sympy.Poly({e: sympy.Rational(c.numerator, c.denominator)
+                           for e, c in p.terms.items()}, X, domain="QQ")
+
+    def coeffs(p):  # lowest first, as Fractions
+        return [F(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+
+    def dense(p):
+        return [p.coefficient("x", k).constant_value() for k in range(p.degree("x") + 1)]
+
+    rng = random.Random(2025)
+    for _ in range(40):
+        shared = _random_planted(rng, x)
+        f = shared * _random_planted(rng, x)
+        g = shared * _random_planted(rng, x)
+        sf, sg = to_sympy(f), to_sympy(g)
+        assert dense(gcd_poly(f, g, "x")) == coeffs(sf.gcd(sg).monic())
+        assert dense(squarefree_part(f, "x")) == coeffs(sf.sqf_part().monic())
+        want = [(coeffs(p.monic()), m) for p, m in sf.sqf_list()[1]]
+        got = [(dense(p), m) for p, m in squarefree_decomposition(f, "x")]
+        assert got == sorted(want, key=lambda pm: pm[1])
+
+
 def test_str_is_deterministic_graded_lex():
     x, t = MultiPoly.generators("x", "t")
     f = t * x ** 2 - 2 * x + t ** 3 - 1
@@ -350,4 +390,3 @@ def test_content_primitive():
     assert f.content() == 2
     f2 = x / 2 + F(1, 3)
     assert f2.content() == F(1, 6)
-    assert f2.primitive_part() == 3 * x + 2

@@ -104,7 +104,8 @@ def test_field_inverse_roundtrip_randomized():
 def test_mul_matches_schoolbook_remainder():
     # reference: the dense product reduced by Euclidean division by m
     import random
-    from shimura4.numberfield import _divmod_exact, _mul
+    from shimura4.multipoly import _uni_divmod
+    from shimura4.numberfield import _mul
     rng = random.Random(11)
     fields = [field_2cos(n) for n in (5, 7, 9, 11)]
     fields.append(NumberField(dense_to_poly([F(-1, 3), F(-2), F(1, 2), F(1)]), "w"))
@@ -114,7 +115,7 @@ def test_mul_matches_schoolbook_remainder():
             x, y = (K.element([F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4]))
                                if rng.random() < 0.7 else 0
                                for _ in range(K.degree)]) for _ in range(2))
-            _, rem = _divmod_exact(_mul(list(x.coords), list(y.coords)), K._dense)
+            _, rem = _uni_divmod(_mul(list(x.coords), list(y.coords)), K._dense)
             z = x * y
             assert z.coords == tuple(rem) + (F(0),) * (K.degree - len(rem))
             assert all(type(c) is F for c in z.coords)

@@ -22,8 +22,6 @@ def test_check_equal_and_predicate():
     assert c.status == PASS
     c = Check.equal("a", 5, 6)
     assert c.status == FAIL
-    c = Check.equal("a", 5, 6, flag_on_mismatch=True)
-    assert c.status == FLAGGED
     c = Check.predicate("b", False, "yes", "no")
     assert c.status == FAIL
 
