@@ -3,8 +3,8 @@
 Subpackages of interest:
 
 - multipoly / numberfield / intfactor: the exact computation core
-- quaternion: quaternion algebras over real cyclotomic fields and their
-  2x2 real splittings
+- quaternion: quaternion algebras over real cyclotomic fields, the real
+  places where they split, and the (2, 3, n) rotation triples
 - trianglestacks: triangle group data, degrees, and disk tessellations
 - families: the two one-parameter families, their discriminants, semistable
   reduction charts, and differential bookkeeping

@@ -13,6 +13,7 @@ Exit codes: 0 all checks passed (flagged-only runs count as success),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction as F
@@ -21,12 +22,13 @@ from . import __version__
 from . import cmtables, families, hypergeom, trianglestacks
 from .families import VerificationError, apply_reduction, reduction_plans
 from .intfactor import factorization_string
-from .quaternion import embedding_tolerance, matrix_embedding, uniformizer_triple
+from .numberfield import isolate_real_roots, minpoly_2cos, poly_to_dense, refine_interval
+from .quaternion import uniformizer_triple
 from .report import Check, FLAGGED, GIVEN, PASS, RECOMPUTED, Suite, VerificationReport
 
-# below this many digits the matrix-trace tolerance, 10^(1 - precision),
-# is too loose for the check to mean anything (at 15 it is 1e-14; the
-# residuals measure below 1e-21)
+# the matrix-trace checks print a certified enclosure of 2 cos(pi/n) that
+# is narrower than 10^-precision; below this many digits it would say less
+# than a double does
 MIN_PRECISION = 15
 
 # exact tile counts by depth 0 .. trianglestacks.MAX_DEPTH
@@ -142,9 +144,48 @@ def suite_arakelov(opts) -> Suite:
     return s
 
 
+def _decimal(k: int, digits: int) -> str:
+    """k / 10^digits written out with all its digits."""
+    q, r = divmod(abs(k), 10 ** digits)
+    return f"{'-' if k < 0 else ''}{q}.{r:0{digits}d}"
+
+
+def _trace_check(trip, precision: int) -> Check:
+    """matrix-trace-n, exactly: at the split place 0, delta_r has trace
+    sigma_0(trd delta_r), and that is 2 cos(pi/n), the largest root of g =
+    minpoly_2cos(2n), when trd(delta_r) = -v, g(-v) = 0 in K, and
+    sigma_0(-v) lies above g's second-largest root."""
+    n = trip.n
+    K = trip.algebra.field
+    minus_v = -K.gen()
+    g = poly_to_dense(minpoly_2cos(2 * n), "x")
+    *_, (_, second_hi), (lo, hi) = isolate_real_roots(g)
+    facts = {
+        "trd(delta_r) = -v": trip.delta_r.reduced_trace() == minus_v,
+        "g(-v) = 0": sum((c * minus_v ** k for k, c in enumerate(g)),
+                          K.zero()).is_zero(),
+        "sigma_0(-v) above the second root of g":
+            (minus_v - second_hi).sign_at_embedding(0) > 0,
+    }
+    failed = [fact for fact, ok in facts.items() if not ok]
+    if failed:
+        actual = "not shown: " + "; ".join(failed)
+    else:
+        # once sigma_0(-v) is known to be g's largest root, its enclosure is
+        # refined on g's own isolating interval: the field's cached root
+        # intervals depend on what ran before, this one does not
+        digits = precision + 1
+        lo, hi = refine_interval(g, lo, hi, F(1, 10 ** digits))
+        actual = (f"sigma_0(-v) in [{_decimal(math.floor(lo * 10 ** digits), digits)}, "
+                  f"{_decimal(math.ceil(hi * 10 ** digits), digits)}]")
+    return Check.predicate(
+        f"matrix-trace-{n}", not failed,
+        f"trd(delta_r) = -v and sigma_0(-v) = 2 cos(pi/{n}), the largest "
+        f"root of minpoly_2cos({2 * n})", actual)
+
+
 def suite_quaternion(opts) -> Suite:
     s = Suite("quaternion")
-    import mpmath as mp
     for n in (7, 9):
         trip = uniformizer_triple(n)
         alg = trip.algebra
@@ -166,15 +207,7 @@ def suite_quaternion(opts) -> Suite:
         s.add(Check.equal(f"split-places-{n}", [0], places,
                           citation=RECOMPUTED + "; index 0 is the most "
                           "negative embedding of the generator"))
-        prec = opts.precision
-        tol = embedding_tolerance(prec)
-        with mp.workdps(prec + 10):
-            m = matrix_embedding(dr, 0, precision=prec)
-            resid = abs(abs(m[0, 0] + m[1, 1]) - 2 * mp.cos(mp.pi / n))
-            ok = resid < tol
-        s.add(Check.predicate(f"matrix-trace-{n}", bool(ok),
-                              f"|trace| = 2 cos(pi/{n}) within {tol:g}",
-                              f"residual {mp.nstr(resid, 3)}"))
+        s.add(_trace_check(trip, opts.precision))
     return s
 
 
@@ -191,12 +224,15 @@ def suite_triangle(opts) -> Suite:
         s.add(Check.equal(f"bezout-weights-2-{n}",
                           {7: (4, 1), 9: (5, 1)}[n],
                           trianglestacks.bezout_weights(2, n)))
-        gp, gq, gr = trianglestacks.rotation_generators(2, 3, n)
-        prod = trianglestacks.mat_mul(trianglestacks.mat_mul(gr, gq), gp)
-        resid = trianglestacks.mat_dist(prod, trianglestacks.IDENTITY)
-        s.add(Check.predicate(f"generator-relation-2-3-{n}", resid < 1e-9,
-                              "r * q * p = identity up to sign, within 1e-9",
-                              f"residual {resid:.2e}"))
+        prod, den = trianglestacks.relation_product(2, 3, n)
+        size = len(prod)
+        off = sum(prod[i][j] != (den ** 3 if i == j else 0)
+                  for i in range(size) for j in range(size))
+        s.add(Check.predicate(
+            f"generator-relation-2-3-{n}", off == 0,
+            "M_r M_q M_p = den^3 I on the integer search matrices",
+            f"{size}x{size}, den = {den}: "
+            + ("holds exactly" if off == 0 else f"{off} entries differ")))
         depth = opts.depth
         svg = None
         if n == 7 and opts.svg:
@@ -294,9 +330,9 @@ def main(argv=None) -> int:
                         help="tessellation depth, 0 to "
                              f"{trianglestacks.MAX_DEPTH} (default 4)")
     parser.add_argument("--precision", type=int, default=30,
-                        help="working precision in digits for the one "
-                             f"numerical check, at least {MIN_PRECISION} "
-                             "(default 30)")
+                        help="digits of the certified 2 cos(pi/n) enclosures "
+                             f"the matrix-trace checks print, at least "
+                             f"{MIN_PRECISION} (default 30)")
     parser.add_argument("--data-dir", default=None,
                         help="directory holding replacement cm_x7.tsv and "
                              "cm_x9.tsv")
@@ -313,6 +349,10 @@ def main(argv=None) -> int:
                    if not os.path.isfile(os.path.join(opts.data_dir, name))]
         if missing:
             parser.error(f"--data-dir {opts.data_dir} has no {', '.join(missing)}")
+    if opts.svg is not None:
+        svg_dir = os.path.dirname(opts.svg) or "."
+        if not os.path.isdir(svg_dir):
+            parser.error(f"--svg {opts.svg}: no directory {svg_dir}")
 
     try:
         report = build_report(opts.suite, opts)

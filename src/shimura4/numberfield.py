@@ -293,26 +293,12 @@ class NumberFieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # convolution and fold over the integers, denominators kept aside
         field = self.field
-        d = field.degree
-        dx = lcm(*(c.denominator for c in self.coords))
-        dy = lcm(*(c.denominator for c in o.coords))
-        xs = [c.numerator * (dx // c.denominator) for c in self.coords]
-        ys = [c.numerator * (dy // c.denominator) for c in o.coords]
-        prod = [0] * (2 * d - 1)
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in enumerate(ys):
-                    prod[i + j] += a * b
-        den = field._fold_den
-        out = [c * den for c in prod[:d]]
-        for c, row in zip(prod[d:], field._fold):
-            if c:
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        den *= dx * dy
-        return NumberFieldElem(field, tuple(Fraction(c, den) for c in out))
+        (xs,), dx = _int_rows((self,))
+        (ys,), dy = _int_rows((o,))
+        den = field._fold_den * dx * dy
+        return NumberFieldElem(field, tuple(Fraction(c, den)
+                                            for c in _mul_fold(field, ((xs, ys),))))
 
     __rmul__ = __mul__
 
@@ -446,6 +432,41 @@ class NumberFieldElem:
     def float_at_embedding(self, index: int) -> float:
         lo, hi = self.embedding_interval(index, Fraction(1, 10 ** 20))
         return float((lo + hi) / 2)
+
+
+# ----------------------------------------------------------------------
+# integer products: the field product and the quaternion product share these
+
+
+def _int_rows(elems) -> tuple:
+    """(rows, den): the coordinates of each element as an integer row, all
+    over one common denominator."""
+    den = lcm(*(c.denominator for x in elems for c in x.coords))
+    return [[c.numerator * (den // c.denominator) for c in x.coords]
+            for x in elems], den
+
+
+def _mul_fold(field: NumberField, pairs) -> list:
+    """Sum of xs * ys over the integer rows (xs, ys) in pairs, reduced mod
+    the minimal polynomial: an integer row over field._fold_den.
+
+    The products are summed before the one fold, since convolving and
+    folding are both linear.
+    """
+    d = field.degree
+    prod = [0] * (2 * d - 1)
+    for xs, ys in pairs:
+        for i, a in enumerate(xs):
+            if a:
+                for j, b in enumerate(ys):
+                    prod[i + j] += a * b
+    den = field._fold_den
+    out = [c * den for c in prod[:d]] if den != 1 else prod[:d]
+    for c, row in zip(prod[d:], field._fold):
+        if c:
+            for i, r in enumerate(row):
+                out[i] += c * r
+    return out
 
 
 # ----------------------------------------------------------------------

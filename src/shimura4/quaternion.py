@@ -1,10 +1,12 @@
 """Quaternion algebras over totally real fields, and their real splittings.
 
 An algebra (a, b / K) has basis 1, i, j, k with i^2 = a, j^2 = b, ij = -ji
-= k. Everything structural (products, norms, projective orders, which real
-places split) is decided exactly through NumberField arithmetic; only the
-2x2 matrix realization at a split place is numerical, via mpmath at a
-requested working precision.
+= k. Everything (products, norms, projective orders, which real places
+split) is decided exactly through NumberField arithmetic; there is no float
+in this module. A product runs over the integers: both factors are brought
+to one common denominator, and each coordinate of the result is a sum of
+integer convolutions folded once by the field's minimal polynomial, with a,
+b and ab kept as integer rows on the algebra.
 
 The `uniformizer_triple` constructor builds the (2, 3, n) triple used by the
 verification suites: delta_p = i, delta_q = 1/2 + (v/2) i + (1/2) j over
@@ -16,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
-import mpmath as mp
-
-from .numberfield import NumberField, NumberFieldElem, field_2cos
+from .numberfield import NumberField, NumberFieldElem, _int_rows, _mul_fold, field_2cos
 
 Coord = Union[int, Fraction, NumberFieldElem]
 
@@ -39,6 +40,10 @@ class QuaternionAlgebra:
     def __post_init__(self):
         if self.a.is_zero() or self.b.is_zero():
             raise QuaternionError("a and b must be nonzero")
+        # a, b and ab as integer rows over one denominator, for __mul__
+        rows, den = _int_rows((self.a, self.b, self.a * self.b))
+        object.__setattr__(self, "_const_rows", tuple(rows))
+        object.__setattr__(self, "_const_den", den)
 
     def element(self, x0, x1=0, x2=0, x3=0) -> "Quaternion":
         co = tuple(self._coerce(c) for c in (x0, x1, x2, x3))
@@ -98,7 +103,7 @@ class Quaternion:
 
     def _coerce(self, other):
         if isinstance(other, Quaternion):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise QuaternionError("elements of different algebras")
             return other
         if isinstance(other, (int, Fraction, NumberFieldElem)):
@@ -130,15 +135,28 @@ class Quaternion:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.algebra.a, self.algebra.b
-        x0, x1, x2, x3 = self.coords
-        y0, y1, y2, y3 = o.coords
-        ab = a * b
-        z0 = x0 * y0 + a * x1 * y1 + b * x2 * y2 - ab * x3 * y3
-        z1 = x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2
-        z2 = x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1
-        z3 = x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1
-        return Quaternion(self.algebra, (z0, z1, z2, z3))
+        alg = self.algebra
+        field = alg.field
+        xs, dx = _int_rows(self.coords)
+        ys, dy = _int_rows(o.coords)
+        x0, x1, x2, x3 = xs
+        y0, y1, y2, y3 = ys
+        # a y1, a y3, b y2, b y3 and ab y3 come out over scale * dy, with
+        # scale = fold_den * const_den; the plain y rows are brought to it
+        ra, rb, rab = alg._const_rows
+        ay1, ay3, by2, by3, aby3 = (_mul_fold(field, ((r, y),)) for r, y in (
+            (ra, y1), (ra, y3), (rb, y2), (rb, y3), (rab, y3)))
+        scale = field._fold_den * alg._const_den
+        if scale != 1:
+            y0, y1, y2, y3 = ([scale * c for c in y] for y in (y0, y1, y2, y3))
+        y1n, ay1n, by3n, aby3n = ([-c for c in y] for y in (y1, ay1, by3, aby3))
+        zs = (_mul_fold(field, ((x0, y0), (x1, ay1), (x2, by2), (x3, aby3n))),
+              _mul_fold(field, ((x0, y1), (x1, y0), (x3, by2), (x2, by3n))),
+              _mul_fold(field, ((x0, y2), (x2, y0), (x1, ay3), (x3, ay1n))),
+              _mul_fold(field, ((x0, y3), (x3, y0), (x1, y2), (x2, y1n))))
+        den = scale * field._fold_den * dx * dy
+        return Quaternion(alg, tuple(
+            NumberFieldElem(field, tuple(Fraction(c, den) for c in z)) for z in zs))
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -182,7 +200,7 @@ class Quaternion:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return all((p - q).is_zero() for p, q in zip(self.coords, o.coords))
+        return self.coords == o.coords
 
     def __hash__(self):
         # a scalar equals its coordinate, so it hashes like it
@@ -234,11 +252,13 @@ class UniformizerTriple:
     delta_r: Quaternion
 
 
+@lru_cache(maxsize=None)
 def uniformizer_triple(n: int) -> UniformizerTriple:
     """Build the standard order-(2, 3, n) triple for odd n >= 7.
 
     delta_p = i, delta_q = 1/2 + (v/2) i + (1/2) j, and delta_r is forced by
-    the relation delta_r delta_q delta_p = 1.
+    the relation delta_r delta_q delta_p = 1. Cached: the quaternion and
+    triangle suites share one triple, and so one field, per n.
     """
     if n < 7 or n % 2 == 0:
         raise QuaternionError("triple is defined here for odd n >= 7")
@@ -251,53 +271,3 @@ def uniformizer_triple(n: int) -> UniformizerTriple:
                           K.element([half]), K.zero()))
     dr = dp.inverse() * dq.inverse()
     return UniformizerTriple(n, alg, dp, dq, dr)
-
-
-# ----------------------------------------------------------------------
-# 2x2 realization at a split real place
-
-
-def matrix_embedding(x: Quaternion, place_index: int, precision: int = 30):
-    """Numerical 2x2 real matrix image of x at a split real place.
-
-    Requires a < 0 < b at that place (the pattern the standard triples
-    produce); other sign patterns raise. With s = sqrt(b):
-
-        1 -> I,   i -> [[0, 1], [a, 0]],   j -> [[s, 0], [0, -s]],
-        k = ij -> [[0, -s], [a s, 0]]
-
-    (each image M satisfies M^2 = a, b, -ab respectively and i j = -j i).
-    Returns an mpmath matrix computed with `precision` decimal digits plus
-    guard digits; coordinates of x are evaluated at the place by exact
-    interval refinement before conversion, so the only error is the final
-    rounding.
-    """
-    alg = x.algebra
-    sa = alg.a.sign_at_embedding(place_index)
-    sb = alg.b.sign_at_embedding(place_index)
-    if not (sa < 0 < sb):
-        raise QuaternionError("splitting pattern unsupported: need a < 0 < b")
-    work = precision + 10
-    width = Fraction(1, 10 ** (precision + 5))
-
-    def val(e: NumberFieldElem):
-        lo, hi = e.embedding_interval(place_index, width)
-        return (lo + hi) / 2
-
-    with mp.workdps(work):
-        a = mp.mpf(val(alg.a).numerator) / mp.mpf(val(alg.a).denominator)
-        bf = val(alg.b)
-        s = mp.sqrt(mp.mpf(bf.numerator) / mp.mpf(bf.denominator))
-        x0, x1, x2, x3 = (val(c) for c in x.coords)
-        c0 = mp.mpf(x0.numerator) / mp.mpf(x0.denominator)
-        c1 = mp.mpf(x1.numerator) / mp.mpf(x1.denominator)
-        c2 = mp.mpf(x2.numerator) / mp.mpf(x2.denominator)
-        c3 = mp.mpf(x3.numerator) / mp.mpf(x3.denominator)
-        m = mp.matrix([[c0 + c2 * s, c1 - c3 * s],
-                       [c1 * a + c3 * a * s, c0 - c2 * s]])
-    return m
-
-
-def embedding_tolerance(precision: int) -> float:
-    """Comparison tolerance matched to matrix_embedding's precision."""
-    return 10.0 ** (1 - precision)

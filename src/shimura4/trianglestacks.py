@@ -9,10 +9,12 @@ each word is an integer coordinate vector, each step an integer
 matrix-vector product with an exact division, and tiles are told apart by
 hashing vectors up to sign. No float decides whether two tiles are equal.
 
-The numerical part, used only for drawing and for the generator-relation
-residual: the standard geodesic triangle in the Poincare disk, rotation
-generators in SU(1,1) around its vertices, and an SVG rendering with true
-geodesic arcs.
+The relation delta_r delta_q delta_p = 1 is checked exactly, on the same
+integer matrices the search runs on (`relation_product`).
+
+The numerical part, used only for drawing: the standard geodesic triangle
+in the Poincare disk, rotation generators in SU(1,1) around its vertices,
+and an SVG rendering with true geodesic arcs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 INFINITY = math.inf
@@ -203,6 +206,7 @@ def rotation_generators(p: int, q: int, r: int) -> tuple:
     return gp, gq, gr
 
 
+@lru_cache(maxsize=None)
 def _generator_matrices(p: int, q: int, r: int) -> tuple:
     """Integer left-multiplication matrices of the quaternion triple.
 
@@ -210,13 +214,14 @@ def _generator_matrices(p: int, q: int, r: int) -> tuple:
     inverses (in the order of the float generators used for drawing), the
     matrix of x -> g x over Q in the basis v^k e_s (v generates the field,
     e_s = 1, i, j, k), as rows, times the common denominator `den` of all
-    six. Returns (matrices, den).
+    six. Returns (matrices, den); cached, so the relation check and every
+    search share one set.
     """
     if p != 2 or q != 3 or not isinstance(r, int) or r < 7 or r % 2 == 0:
         raise TriangleError(f"exact tessellation covers (2,3,n) with n odd and "
                             f">= 7, got ({p},{q},{r})")
     # imported here: families imports this module for canonical_degree
-    # alone, and the quaternion module loads mpmath
+    # alone, and should not load the number field and quaternion modules
     from .quaternion import uniformizer_triple
     trip = uniformizer_triple(r)
     field = trip.algebra.field
@@ -227,9 +232,22 @@ def _generator_matrices(p: int, q: int, r: int) -> tuple:
             for delta in (trip.delta_p, trip.delta_q, trip.delta_r)
             for g in (delta, delta.inverse())]
     den = math.lcm(*(c.denominator for m in cols for col in m for c in col))
-    mats = [tuple(tuple(c.numerator * (den // c.denominator) for c in row)
-                  for row in zip(*m)) for m in cols]
+    mats = tuple(tuple(tuple(c.numerator * (den // c.denominator) for c in row)
+                       for row in zip(*m)) for m in cols)
     return mats, den
+
+
+def relation_product(p: int, q: int, r: int) -> tuple:
+    """(M_r M_q M_p, den) for the integer generator matrices of
+    `_generator_matrices`: the product is den^3 times the matrix of
+    x -> delta_r delta_q delta_p x, so the relation holds exactly when it
+    equals den^3 I."""
+    mats, den = _generator_matrices(p, q, r)
+    prod = mats[0]
+    for m in (mats[2], mats[4]):
+        prod = tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*prod))
+                     for row in m)
+    return prod, den
 
 
 def _apply(rows: tuple, u: tuple, den: int) -> tuple:

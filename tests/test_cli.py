@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -151,8 +156,29 @@ def test_precision_at_floor_passes(capsys):
     assert code == 0
     doc = json.loads(out)
     checks = {c["id"]: c for s in doc["suites"] for c in s["checks"]}
-    assert checks["matrix-trace-7"]["status"] == "pass"
-    assert "within 1e-14" in checks["matrix-trace-7"]["expected"]
+    for n in (7, 9):
+        check = checks[f"matrix-trace-{n}"]
+        assert check["status"] == "pass"
+        lo, hi = check["actual"].removeprefix("sigma_0(-v) in [").rstrip("]").split(", ")
+        assert len(lo.split(".")[1]) == len(hi.split(".")[1]) == 16
+        assert 0 < Fraction(hi) - Fraction(lo) < Fraction(1, 10 ** 15)
+
+
+def test_svg_into_missing_directory_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["triangle", "--svg", str(tmp_path / "no-such-dir" / "x.svg")])
+    assert exc.value.code == 2
+    assert "--svg" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_mpmath():
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, shimura4.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

@@ -1,17 +1,21 @@
 """Quaternion algebra structure and the order-(2,3,n) triples."""
 
 import math
+import random
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
-from shimura4.numberfield import field_2cos
+from shimura4.numberfield import (
+    NumberField,
+    dense_to_poly,
+    isolate_real_roots,
+    minpoly_2cos,
+    poly_to_dense,
+)
 from shimura4.quaternion import (
     QuaternionAlgebra,
     QuaternionError,
-    embedding_tolerance,
-    matrix_embedding,
     uniformizer_triple,
 )
 
@@ -19,7 +23,6 @@ F = Fraction
 
 
 def _rational_algebra(a, b):
-    from shimura4.numberfield import NumberField, dense_to_poly
     K = NumberField(dense_to_poly([F(1), F(1)], "x"), "r")  # Q as Q[x]/(x+1)
     return QuaternionAlgebra(K, K.element([a]), K.element([b]))
 
@@ -113,53 +116,60 @@ def test_split_place_is_most_negative_root(subtests=None):
         assert mid < -math.sqrt(3) + 0.2
 
 
-def test_matrix_embedding_images():
-    tri = uniformizer_triple(7)
-    alg = tri.algebra
-    tol = embedding_tolerance(30)
-    one, i, j, k = alg.basis()
-    mi = matrix_embedding(i, 0, 30)
-    mj = matrix_embedding(j, 0, 30)
-    mk = matrix_embedding(k, 0, 30)
-    with mp.workdps(45):
-        # i^2 = a = -1, j^2 = b, ij = k
-        sq = mi * mi
-        assert abs(sq[0, 0] + 1) < tol and abs(sq[1, 1] + 1) < tol
-        b_float = alg.b.float_at_embedding(0)
-        sqj = mj * mj
-        assert abs(sqj[0, 0] - b_float) < 1e-9
-        prod = mi * mj
-        assert max(abs(prod[r, c] - mk[r, c]) for r in range(2) for c in range(2)) < tol
+def _schoolbook_product(x, y):
+    """The quaternion product written out in NumberFieldElem arithmetic."""
+    a, b = x.algebra.a, x.algebra.b
+    x0, x1, x2, x3 = x.coords
+    y0, y1, y2, y3 = y.coords
+    return (x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
 
 
-@pytest.mark.parametrize("n", [7, 9])
-def test_matrix_embedding_det_is_norm(n):
-    tri = uniformizer_triple(n)
-    x = tri.delta_q * tri.delta_r + tri.delta_p
-    m = matrix_embedding(x, 0, 40)
-    nx = x.reduced_norm()
-    lo, hi = nx.embedding_interval(0, F(1, 10 ** 45))
-    mid = (lo + hi) / 2
-    with mp.workdps(60):
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        target = mp.mpf(mid.numerator) / mp.mpf(mid.denominator)
-        assert abs(det - target) < mp.mpf(10) ** (-38)
+@pytest.mark.parametrize("case", [7, 9, 11, "rational", "fraction-coefficients"])
+def test_mul_matches_schoolbook_formula(case):
+    rng = random.Random(f"quaternion-mul-{case}")
+    if case == "rational":
+        alg = _rational_algebra(F(2, 3), -5)
+    elif case == "fraction-coefficients":
+        # a field with a rational-coefficient modulus, and a, b with denominators
+        K = NumberField(dense_to_poly([F(-1, 3), F(-2), F(1, 2), F(1)]), "w")
+        alg = QuaternionAlgebra(K, K.element([F(1, 3), F(-2, 5)]),
+                                K.element([F(-7, 2), 0, F(1, 4)]))
+    else:
+        alg = uniformizer_triple(case).algebra
+    K = alg.field
+
+    def rand():
+        return alg.element(*(K.element([F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))
+                                        if rng.random() < 0.8 else 0
+                                        for _ in range(K.degree)])
+                             for _ in range(4)))
+
+    for _ in range(60):
+        x, y = rand(), rand()
+        z = x * y
+        assert z.coords == _schoolbook_product(x, y)
+        assert all(type(c) is F for e in z.coords for c in e.coords)
 
 
-def test_matrix_embedding_trace_of_dr():
-    # the order-n generator has |trace| = 2 cos(pi/n) at the split place
+def test_trace_of_dr_is_largest_root_exactly():
+    # trd(delta_r) = -v, a root of minpoly_2cos(2n), and at the split place
+    # sigma_0(-v) lies above the second-largest root: so it is 2 cos(pi/n)
     for n in (7, 9, 11):
         tri = uniformizer_triple(n)
-        m = matrix_embedding(tri.delta_r, 0, 30)
-        tr = float(m[0, 0] + m[1, 1])
-        assert abs(abs(tr) - 2 * math.cos(math.pi / n)) < 1e-12
-
-
-def test_matrix_embedding_wrong_pattern_raises():
-    alg = _rational_algebra(1, 1)  # a > 0: unsupported pattern
-    x = alg.element(1, 0, 0, 0)
-    with pytest.raises(QuaternionError):
-        matrix_embedding(x, 0, 20)
+        K = tri.algebra.field
+        minus_v = -K.gen()
+        assert tri.delta_r.reduced_trace() == minus_v
+        g = poly_to_dense(minpoly_2cos(2 * n), "x")
+        assert sum((c * minus_v ** k for k, c in enumerate(g)), K.zero()) == 0
+        roots = isolate_real_roots(g)
+        assert (minus_v - roots[-2][1]).sign_at_embedding(0) == 1
+        # and not above the largest root's interval: the placement is tight
+        assert (minus_v - roots[-1][1]).sign_at_embedding(0) == -1
+        lo, hi = roots[-1]
+        assert lo < 2 * math.cos(math.pi / n) <= hi
 
 
 def test_triple_rejects_even_or_small_n():
@@ -169,8 +179,14 @@ def test_triple_rejects_even_or_small_n():
         uniformizer_triple(5)
 
 
+def test_triple_is_cached():
+    assert uniformizer_triple(9) is uniformizer_triple(9)
+
+
 def test_hash_agrees_with_eq():
-    t1, t2 = uniformizer_triple(7), uniformizer_triple(7)
+    # the second triple is built afresh, past the cache
+    t1, t2 = uniformizer_triple(7), uniformizer_triple.__wrapped__(7)
+    assert t1.delta_q is not t2.delta_q
     assert t1.delta_q == t2.delta_q
     assert len({t1.delta_q, t2.delta_q}) == 1
     one = t1.algebra.one()

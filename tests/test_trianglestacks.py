@@ -12,12 +12,14 @@ from shimura4.trianglestacks import (
     MAX_DEPTH,
     TriangleError,
     _apply,
+    _generator_matrices,
     bezout_weights,
     canonical_degree,
     classify,
     mat_dist,
     mat_inv,
     mat_mul,
+    relation_product,
     rotation_generators,
     tessellate,
     triangle_vertices,
@@ -192,6 +194,23 @@ def test_bfs_step_raises_on_remainder():
     assert _apply(((1, 1), (2, 0)), (3, 1), 2) == (2, 3)
     with pytest.raises(TriangleError):
         _apply(((1, 1), (1, 0)), (3, 1), 2)
+
+
+@pytest.mark.parametrize("n,size", [(7, 12), (9, 12), (11, 20)])
+def test_relation_product_is_den_cubed_identity(n, size):
+    prod, den = relation_product(2, 3, n)
+    assert prod == tuple(tuple(den ** 3 if i == j else 0 for j in range(size))
+                         for i in range(size))
+    # the products are not taken up to sign: delta_p^2 = -1 gives -den^2 I
+    mp = _generator_matrices(2, 3, n)[0][0]
+    square = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*mp))
+                   for row in mp)
+    assert square == tuple(tuple(-den ** 2 if i == j else 0 for j in range(size))
+                           for i in range(size))
+
+
+def test_generator_matrices_are_cached():
+    assert _generator_matrices(2, 3, 7) is _generator_matrices(2, 3, 7)
 
 
 def test_svg_output(tmp_path):
