@@ -345,10 +345,11 @@ def main(argv=None) -> int:
     if opts.precision < MIN_PRECISION:
         parser.error(f"--precision must be at least {MIN_PRECISION}")
     if opts.data_dir is not None:
-        missing = [name for name in map(cmtables.data_file_name, (7, 9))
-                   if not os.path.isfile(os.path.join(opts.data_dir, name))]
-        if missing:
-            parser.error(f"--data-dir {opts.data_dir} has no {', '.join(missing)}")
+        for n in (7, 9):
+            try:
+                cmtables.load_table(n, opts.data_dir)
+            except (OSError, cmtables.CMTableError) as e:
+                parser.error(f"--data-dir {opts.data_dir}: {e}")
     if opts.svg is not None:
         svg_dir = os.path.dirname(opts.svg) or "."
         if not os.path.isdir(svg_dir):

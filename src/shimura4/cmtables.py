@@ -91,16 +91,34 @@ def _read_bytes(n: int, data_dir: Optional[str]) -> bytes:
 
 
 def load_table(n: int, data_dir: Optional[str] = None) -> CMTable:
+    """Read table n; a row that does not parse raises CMTableError naming
+    the file and line. Row values are judged by verify_table, not here."""
     raw = _read_bytes(n, data_dir)
     fname, base_p, base_e, modulus = _TABLE_PARAMS[n]
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = raw.count(b"\n", 0, e.start) + 1
+        raise CMTableError(f"{fname}:{lineno}: not UTF-8 ({e.reason})") from None
     rows = []
-    for lineno, line in enumerate(raw.decode("utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise CMTableError(f"{fname}:{lineno}: expected 3 columns")
-        rows.append(CMRow(*parts))
+        row = CMRow(*parts)
+        try:
+            FieldLabel.parse(row.field_label)
+            FieldLabel.parse(row.definition_field_label)
+        except CMTableError as e:
+            raise CMTableError(f"{fname}:{lineno}: {e}") from None
+        try:
+            row.factors()
+        except ValueError:
+            raise CMTableError(f"{fname}:{lineno}: malformed factorization "
+                               f"{row.disc_factorization!r}") from None
+        rows.append(row)
     return CMTable(f"x{n}", base_p, base_e, modulus, tuple(rows),
                    hashlib.sha256(raw).hexdigest())
 

@@ -8,9 +8,11 @@ This module recomputes, from scratch and exactly:
 
 - the t-discriminant of the hyperelliptic family, with its full integer
   factorization and the valuations at t = 0 and t = 1;
-- the semistable-reduction charts at t = 0, 1, infinity for both families,
-  as explicit substitution plans executed by a small engine that verifies
-  every declared division and valuation, then matches the reduced equation
+- the semistable-reduction charts at t = 0, 1, infinity for both families.
+  Each family is one equation, y^2 - f(x, t) = 0 or F(Y, W, t) = 0, and
+  each chart is an explicit plan of substitutions and declared exact
+  divisions. One small engine runs every plan: it verifies each declared
+  division and the final valuation, then matches the reduced equation
   against the expected curve (up to the allowed twist/scaling);
 - the splitting of the t = 1 hyperelliptic fiber into an elliptic piece
   (j-invariant and the exact quadratic twist constant) and a genus-3 piece;
@@ -23,10 +25,10 @@ engine never invents an expected value at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .intfactor import _int_nth_root, factor_integer
 from .multipoly import (
@@ -66,6 +68,14 @@ def c7_family() -> MultiPoly:
              + 108 * t ** 3 * x ** 3
              - 28 * t ** 4 * x)
     return t * inner
+
+
+@lru_cache(maxsize=None)
+def c7_equation() -> MultiPoly:
+    """E(x, y, t) = y^2 - c7_family(x, t): the hyperelliptic family as the one
+    equation its reduction plans transform."""
+    x, y, t = MultiPoly.generators("x", "y", "t")
+    return y ** 2 - c7_family().substitute({"x": x, "t": t})[0]
 
 
 @lru_cache(maxsize=None)
@@ -185,16 +195,15 @@ def is_smooth_fiber_c7(t0) -> bool:
 
 @dataclass(frozen=True)
 class SubstStep:
-    """One change of variables.
+    """One change of variables of the family's equation.
 
-    `assignments` maps each current variable to (numerator, denominator)
-    polynomials on `out_vars` (denominator None for a polynomial image).
-    For hyperelliptic plans `y_scale = (y_num, y_den)` declares
-    y_old = (y_num / y_den) * y_new.
+    `assignments` maps variables to (numerator, denominator) polynomials on
+    one new variable tuple (denominator None for a polynomial image); a
+    variable left out maps to itself. The engine keeps the numerator of the
+    substituted equation and logs the clearing factor it drops, a product of
+    the declared denominators: the equation is only defined up to it.
     """
-    out_vars: tuple
     assignments: tuple  # ((var, num, den|None), ...)
-    y_scale: Optional[tuple] = None  # (y_num, y_den)
 
 
 @dataclass(frozen=True)
@@ -219,13 +228,12 @@ class ReductionPlan:
     uniformizer: str
     steps: tuple
     # expected reduced equation and how to compare against it:
-    #   "twist":         hyperelliptic g(x) matched as g = c * target(lambda x)
+    #   "twist":         the reduced equation is solved for y^2 = g(x), and g
+    #                    is matched as g = c * target(lambda x)
     #   "proportional":  plane equation matched as lhs = r * target
     #   "display-gap":   known deviation; structured comparison, flagged
-    expected: Optional[MultiPoly]
+    expected: MultiPoly
     match_kind: str
-    # for plans ending in a y^2 = g(x) extraction from a plane equation
-    solve_square_var: Optional[str] = None
 
 
 @dataclass
@@ -233,17 +241,10 @@ class ReductionReport:
     plan_name: str
     base_point: str
     reduced: MultiPoly
-    match: Optional[tuple]          # ("twist", c, lam) | ("proportional", r)
+    match: tuple    # ("twist", c, lam) | ("proportional", r) | ("display-gap", scale, w_ratio)
     square_scalar: Optional[Fraction]
     flags: list
     log: list
-
-
-def _subst_pairs(step: SubstStep) -> dict:
-    out = {}
-    for name, num, den in step.assignments:
-        out[name] = (num, den)
-    return out
 
 
 def apply_reduction(plan: ReductionPlan) -> ReductionReport:
@@ -253,11 +254,9 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
     uniformizer does not fully cancel, or a non-flagged match fails.
     """
     if plan.family == "hyperelliptic":
-        num = c7_family()
-        den = MultiPoly.constant(1, num.variables)
+        eq = c7_equation()
     elif plan.family == "plane":
-        num = c9_family()
-        den = None
+        eq = c9_family()
     else:
         raise VerificationError(f"unknown family {plan.family!r}")
     u = plan.uniformizer
@@ -267,35 +266,19 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
 
     for step in plan.steps:
         if isinstance(step, SubstStep):
-            pairs = _subst_pairs(step)
-            new_num, clr_num = num.substitute(pairs)
-            if plan.family == "hyperelliptic":
-                new_den, clr_den = den.substitute(pairs)
-                y_num, y_den = step.y_scale if step.y_scale else (None, None)
-                one = MultiPoly.constant(1, step.out_vars)
-                y_num = y_num if y_num is not None else one
-                y_den = y_den if y_den is not None else one
-                num = new_num * clr_den * y_den ** 2
-                den = new_den * clr_num * y_num ** 2
-                log.append(f"substitution -> vars {step.out_vars}")
-            else:
-                # plane model: the equation is only defined up to the
-                # invertible clearing factor, which is dropped
-                num = new_num
-                log.append(f"substitution -> vars {step.out_vars} "
-                           f"(clearing {clr_num})")
+            eq, clearing = eq.substitute({v: (num, den)
+                                          for v, num, den in step.assignments})
+            log.append(f"substitution -> vars {eq.variables} (clearing {clearing})")
         elif isinstance(step, DivideStep):
-            if plan.family == "hyperelliptic":
-                raise VerificationError("explicit divisions are a plane-plan step")
-            val = num.valuation(step.var)
+            val = eq.valuation(step.var)
             if val < step.power:
                 raise VerificationError(
                     f"{plan.name}: declared division by {step.var}^{step.power} "
                     f"but valuation is {val}")
-            num = num.shift_down(step.var, step.power)
+            eq = eq.shift_down(step.var, step.power)
             log.append(f"divide by {step.var}^{step.power} (valuation was {val})")
         elif isinstance(step, SquareCheck):
-            fiber = num.evaluate({step.var: F(0)})
+            fiber = eq.evaluate({step.var: F(0)})
             if isinstance(fiber, F):
                 raise VerificationError(f"{plan.name}: fiber degenerated to a constant")
             sq = step.root * step.root
@@ -308,20 +291,18 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
         else:
             raise VerificationError(f"unknown step {step!r}")
 
-    if plan.family == "hyperelliptic":
-        num = num.exact_div(den)
-    val = num.valuation(u)
+    val = eq.valuation(u)
     if val != 0:
         raise VerificationError(
             f"{plan.name}: plan does not reduce, leftover {u}^{val}")
-    reduced = num.evaluate({u: F(0)})
+    reduced = eq.evaluate({u: F(0)})
     if isinstance(reduced, F):
         raise VerificationError(f"{plan.name}: reduction degenerated to a constant")
     reduced = restrict_vars(reduced, tuple(v for v in reduced.variables if v != u))
     log.append(f"reduced equation: {reduced}")
 
-    if plan.solve_square_var:
-        reduced = _solve_for_square(reduced, plan.solve_square_var)
+    if plan.match_kind == "twist":
+        reduced = _solve_for_square(reduced, "y")
         log.append(f"as y^2 = g: g = {reduced}")
 
     match = _match_reduced(plan, reduced, flags)
@@ -344,8 +325,6 @@ def _solve_for_square(p: MultiPoly, yvar: str) -> MultiPoly:
 
 
 def _match_reduced(plan: ReductionPlan, reduced: MultiPoly, flags: list):
-    if plan.expected is None:
-        return None
     if plan.match_kind == "twist":
         lhs = restrict_vars(reduced, plan.expected.variables)
         var = plan.expected.variables_used()[0]
@@ -549,23 +528,22 @@ def omega_contribution(d: OmegaLocalData) -> Fraction:
 def reduction_plans(n: int) -> tuple:
     """The three frozen reduction plans for the family labeled by n (7 or 9)."""
     if n == 7:
-        xu = ("x", "u")
-        x, u = MultiPoly.generators(*xu)
-        one_xu = MultiPoly.constant(1, xu)
-        xt2 = ("x", "t2")
-        x2, t2 = MultiPoly.generators(*xt2)
-        xs = ("x", "s")
-        xs_x, s = MultiPoly.generators(*xs)
+        xyu = ("x", "y", "u")
+        x, y, u = MultiPoly.generators(*xyu)
+        xyt2 = ("x", "y", "t2")
+        x2, y2, t2 = MultiPoly.generators(*xyt2)
+        xys = ("x", "y", "s")
+        xs_x, xs_y, s = MultiPoly.generators(*xys)
         tx, = MultiPoly.generators("x")
 
         plan0 = ReductionPlan(
             name="hyperelliptic-at-0",
             family="hyperelliptic", base_point="0", uniformizer="u",
             steps=(
-                SubstStep(out_vars=xu,
-                          assignments=(("x", u ** 2 * x, None),
-                                       ("t", u ** 4, None)),
-                          y_scale=(u ** 11, one_xu)),
+                SubstStep(assignments=(("x", u ** 2 * x, None),
+                                       ("y", u ** 11 * y, None),
+                                       ("t", u ** 4, None))),
+                DivideStep("u", 22),
             ),
             expected=(tx ** 9 + F(16, 3) * tx ** 7 + F(32, 3) * tx ** 5
                       - F(256, 21) * tx ** 3 + F(256, 81) * tx),
@@ -575,14 +553,13 @@ def reduction_plans(n: int) -> tuple:
             name="hyperelliptic-at-1",
             family="hyperelliptic", base_point="1", uniformizer="s",
             steps=(
-                SubstStep(out_vars=xt2,
-                          assignments=(("x", MultiPoly.constant(2, xt2), x2 - 1),
-                                       ("t", t2 + 1, None)),
-                          y_scale=(MultiPoly.constant(1, xt2), (x2 - 1) ** 5)),
-                SubstStep(out_vars=xs,
-                          assignments=(("x", s ** 2 * xs_x, None),
-                                       ("t2", s ** 7, None)),
-                          y_scale=(s ** 7, MultiPoly.constant(1, xs))),
+                SubstStep(assignments=(("x", MultiPoly.constant(2, xyt2), x2 - 1),
+                                       ("y", y2, (x2 - 1) ** 5),
+                                       ("t", t2 + 1, None))),
+                SubstStep(assignments=(("x", s ** 2 * xs_x, None),
+                                       ("y", s ** 7 * xs_y, None),
+                                       ("t2", s ** 7, None))),
+                DivideStep("s", 14),
             ),
             expected=tx ** 7 - 3,
             match_kind="twist",
@@ -591,10 +568,10 @@ def reduction_plans(n: int) -> tuple:
             name="hyperelliptic-at-infinity",
             family="hyperelliptic", base_point="inf", uniformizer="u",
             steps=(
-                SubstStep(out_vars=xu,
-                          assignments=(("x", x, u),
-                                       ("t", one_xu, u ** 3)),
-                          y_scale=(one_xu, u ** 8)),
+                SubstStep(assignments=(("x", x, u),
+                                       ("y", y, u ** 8),
+                                       ("t", MultiPoly.constant(1, xyu), u ** 3))),
+                DivideStep("u", 25),
             ),
             expected=tx ** 10 - 84 * tx ** 7 + 84 * tx ** 4 - 28 * tx,
             match_kind="twist",
@@ -617,14 +594,12 @@ def reduction_plans(n: int) -> tuple:
             name="plane-at-0",
             family="plane", base_point="0", uniformizer="v",
             steps=(
-                SubstStep(out_vars=yws,
-                          assignments=(("t", s1 ** 2, None),
+                SubstStep(assignments=(("t", s1 ** 2, None),
                                        ("Y", s1 * Y1, None),
                                        ("W", s1 ** 3 * (-W1 - Y1 / 3) - s1 ** 2, None))),
                 DivideStep("s", 8),
                 SquareCheck(var="s", root=Y1 ** 3 - W1),
-                SubstStep(out_vars=yyv,
-                          assignments=(("s", v2 ** 2, None),
+                SubstStep(assignments=(("s", v2 ** 2, None),
                                        ("Y", Y2, None),
                                        ("W", Y2 ** 3 - v2 * y2, None))),
                 DivideStep("v", 2),
@@ -632,14 +607,12 @@ def reduction_plans(n: int) -> tuple:
             expected=(tY ** 9 - 4 * tY ** 7 + 6 * tY ** 5
                       - F(44, 27) * tY ** 3 + tY),
             match_kind="twist",
-            solve_square_var="y",
         )
         plan1a = ReductionPlan(
             name="plane-at-1-first-component",
             family="plane", base_point="1", uniformizer="s",
             steps=(
-                SubstStep(out_vars=yws,
-                          assignments=(("t", s1 ** 3 + 1, None),
+                SubstStep(assignments=(("t", s1 ** 3 + 1, None),
                                        ("Y", Y1 - 1, None),
                                        ("W", s1 * W1, None))),
                 DivideStep("s", 3),
@@ -652,13 +625,11 @@ def reduction_plans(n: int) -> tuple:
             name="plane-at-1-second-component",
             family="plane", base_point="1", uniformizer="v",
             steps=(
-                SubstStep(out_vars=yws,
-                          assignments=(("t", s1 ** 3 + 1, None),
+                SubstStep(assignments=(("t", s1 ** 3 + 1, None),
                                        ("Y", Y1 - 1, None),
                                        ("W", s1 * W1, None))),
                 DivideStep("s", 3),
-                SubstStep(out_vars=ywv,
-                          assignments=(("s", v3 ** 3, None),
+                SubstStep(assignments=(("s", v3 ** 3, None),
                                        ("Y", v3 ** 3 * Y3, None),
                                        ("W", v3 ** 4 * W3, None))),
                 DivideStep("v", 12),
@@ -670,8 +641,7 @@ def reduction_plans(n: int) -> tuple:
             name="plane-at-infinity",
             family="plane", base_point="inf", uniformizer="u",
             steps=(
-                SubstStep(out_vars=ywu,
-                          assignments=(("t", MultiPoly.constant(1, ywu), u4 ** 3),
+                SubstStep(assignments=(("t", MultiPoly.constant(1, ywu), u4 ** 3),
                                        ("Y", Y4, u4),
                                        ("W", W4, u4 ** 5))),
                 DivideStep("u", 21),

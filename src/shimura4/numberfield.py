@@ -20,11 +20,13 @@ from itertools import zip_longest
 from math import lcm
 from typing import Sequence
 
+from .intfactor import factor_integer
 from .multipoly import (
     MultiPoly,
     _deriv,
     _trim,
     _uni_divmod,
+    _uni_gcd,
     dense_to_poly,
     poly_to_dense,
     squarefree_part,
@@ -199,7 +201,7 @@ class NumberField:
         roots = isolate_real_roots(dense)
         if len(roots) != len(dense) - 1:
             raise NumberFieldError("minimal polynomial is not totally real")
-        object.__setattr__(self, "_roots", roots)
+        object.__setattr__(self, "_roots", tuple(roots))
 
     @property
     def degree(self) -> int:
@@ -209,14 +211,6 @@ class NumberField:
     def real_embeddings(self) -> list:
         """Isolating intervals of the generator's images, increasing order."""
         return list(self._roots)
-
-    def refine_embedding(self, index: int, width: Fraction) -> tuple:
-        lo, hi = self._roots[index]
-        lo, hi = refine_interval(self._dense, lo, hi, width)
-        object.__setattr__(self, "_roots",
-                           [(lo, hi) if i == index else iv
-                            for i, iv in enumerate(self._roots)])
-        return lo, hi
 
     def gen(self) -> "NumberFieldElem":
         coords = [Fraction(0)] * self.degree
@@ -400,8 +394,8 @@ class NumberFieldElem:
             vlo, vhi = self._interval_eval(lo, hi)
             if vhi - vlo <= width:
                 return vlo, vhi
-            lo, hi = self.field.refine_embedding(index, (hi - lo) / 2 if hi > lo
-                                                 else Fraction(1))
+            lo, hi = refine_interval(self.field._dense, lo, hi,
+                                     (hi - lo) / 2 if hi > lo else Fraction(1))
             if lo == hi:
                 v = _eval(list(self.coords), lo)
                 return v, v
@@ -427,7 +421,7 @@ class NumberFieldElem:
                 return 1
             if vhi < 0:
                 return -1
-            lo, hi = self.field.refine_embedding(index, (hi - lo) / 2)
+            lo, hi = refine_interval(self.field._dense, lo, hi, (hi - lo) / 2)
 
     def float_at_embedding(self, index: int) -> float:
         lo, hi = self.embedding_interval(index, Fraction(1, 10 ** 20))
@@ -490,8 +484,9 @@ def minpoly_2cos(n: int, var: str = "x") -> MultiPoly:
 
     Built from the recursion V_{k+1} = x V_k - V_{k-1} (V_k(2 cos h) =
     2 cos k h): 2 cos(2 pi/n) is a root of V_n - 2, and the minimal
-    polynomial is the factor left after removing the squarefree parts
-    belonging to proper divisors. Degree phi(n)/2 for n >= 3.
+    polynomial is the factor of its squarefree part left after dividing
+    out, for each prime p | n, the common factor with V_{n/p} - 2.
+    Degree phi(n)/2 for n >= 3.
 
     Examples
     --------
@@ -506,19 +501,18 @@ def minpoly_2cos(n: int, var: str = "x") -> MultiPoly:
         return dense_to_poly([Fraction(-2), Fraction(1)], var)  # 2cos(2pi) = 2
     if n == 2:
         return dense_to_poly([Fraction(2), Fraction(1)], var)   # 2cos(pi) = -2
-    vn = _chebyshev_like(n)
-    vn2 = list(vn)
-    vn2[0] -= 2
-    f = squarefree_part(dense_to_poly(vn2, var), var)
-    # remove the roots 2cos(2 pi k/n) with gcd(k, n) > 1: they belong to
-    # minpoly_2cos(d) for the proper divisors d of n
-    f = f.exact_div(dense_to_poly([Fraction(-2), Fraction(1)], var))  # d = 1
-    if n % 2 == 0:
-        f = f.exact_div(dense_to_poly([Fraction(2), Fraction(1)], var))  # d = 2
-    for d in range(3, n):
-        if n % d == 0:
-            f = f.exact_div(minpoly_2cos(d, var))
-    return f  # monic: a monic squarefree part divided by monic factors
+
+    def v_minus_2(k: int) -> list:
+        v = _chebyshev_like(k)
+        v[0] -= 2
+        return v
+
+    f = poly_to_dense(squarefree_part(dense_to_poly(v_minus_2(n), var), var), var)
+    # the roots 2cos(2 pi k/n) with gcd(k, n) > 1 are, over the primes p | n,
+    # the roots of V_{n/p} - 2
+    for p in factor_integer(n)[0]:
+        f, _ = _uni_divmod(f, _uni_gcd(f, v_minus_2(n // p)))
+    return dense_to_poly(f, var)  # monic: a monic squarefree part over monic gcds
 
 
 def field_2cos(n: int, name: str = "v") -> NumberField:

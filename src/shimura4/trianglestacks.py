@@ -100,13 +100,9 @@ def canonical_degree(p: Entry, q: Entry, r: Entry) -> Fraction:
     return t.excess / 2
 
 
-def bezout_weights(p: int, q: int, a_even: bool = False) -> tuple:
+def bezout_weights(p: int, q: int) -> tuple:
     """The weight pair (a, b) with a*p = 1 (mod q) normalized to 1 <= a <= q,
-    and b = (a*p - 1) / q.
-
-    With a_even=True the pair is shifted to (a + q, b + p) so that a is even;
-    this requires q odd (otherwise a keeps its parity and the request fails).
-    gcd(p, q) = 1 is required.
+    and b = (a*p - 1) / q. gcd(p, q) = 1 is required.
     """
     if not (isinstance(p, int) and isinstance(q, int)) or p < 1 or q < 1:
         raise TriangleError("bezout_weights needs positive integers")
@@ -114,12 +110,6 @@ def bezout_weights(p: int, q: int, a_even: bool = False) -> tuple:
         raise TriangleError(f"gcd({p},{q}) != 1")
     a = pow(p, -1, q) if q > 1 else 1
     b = (a * p - 1) // q
-    if a_even and a % 2 == 1:
-        if q % 2 == 0:
-            raise TriangleError("cannot make a even: q is even")
-        a, b = a + q, b + p
-    if a_even and a % 2 == 1:
-        raise TriangleError("cannot make a even")
     return a, b
 
 

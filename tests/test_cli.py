@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -42,6 +43,20 @@ def test_json_is_deterministic(capsys):
     _, out1, _ = run(capsys, ["--json"])
     _, out2, _ = run(capsys, ["--json"])
     assert out1 == out2
+
+
+# sha256 of the default `verify --json` stdout
+VERIFY_JSON_SHA256 = "0641cf6411ddb050d23d868fce4283467486478965fa248ad0da65359058a84a"
+
+
+def test_json_output_is_pinned(capsys):
+    """The default `verify --json` stdout stays byte-identical.
+
+    A deliberate change to the output updates this pin, and CHANGES.md
+    records what changed and the new sha256.
+    """
+    _, out, _ = run(capsys, ["--json"])
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_JSON_SHA256
 
 
 def test_suite_selection(capsys):
@@ -127,20 +142,38 @@ def test_corrupted_data_dir_fails(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
-@pytest.mark.parametrize("which", ["only-x7", "missing-dir"])
+# malformed copies of the bundled tables: (file, text replaced, replacement)
+MALFORMED = {
+    "two-columns": ("cm_x7.tsv", "\t3.3.49.1\n", "\n"),
+    "bad-label": ("cm_x7.tsv", "8.0.7834003547041.1", "8.0.x.1"),
+    "bad-factorization": ("cm_x7.tsv", "7^4*239^4", "2^x"),
+    "not-utf8": ("cm_x9.tsv", "3^8*71^4", "3^8*71^4\udcff"),
+}
+
+
+@pytest.mark.parametrize("which", ["only-x7", "missing-dir", *MALFORMED])
 def test_bad_data_dir_is_usage_error(tmp_path, capsys, which):
     from shimura4.cmtables import data_file_name
     from importlib import resources
-    if which == "only-x7":
-        src = resources.files("shimura4").joinpath("data", data_file_name(7))
-        (tmp_path / data_file_name(7)).write_bytes(src.read_bytes())
-        data_dir = tmp_path
-    else:
-        data_dir = tmp_path / "no-such-dir"
+    names = [data_file_name(7)] if which == "only-x7" else \
+        [data_file_name(7), data_file_name(9)]
+    for name in names:
+        src = resources.files("shimura4").joinpath("data", name)
+        (tmp_path / name).write_bytes(src.read_bytes())
+    data_dir = tmp_path / "no-such-dir" if which == "missing-dir" else tmp_path
+    if which in MALFORMED:
+        name, old, new = MALFORMED[which]
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert old in text
+        (tmp_path / name).write_bytes(
+            text.replace(old, new, 1).encode("utf-8", "surrogateescape"))
     with pytest.raises(SystemExit) as exc:
         cli.main(["cm-tables", "--data-dir", str(data_dir)])
     assert exc.value.code == 2
-    assert "--data-dir" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--data-dir" in err
+    if which in MALFORMED:
+        assert f"{MALFORMED[which][0]}:" in err  # file and line
 
 
 @pytest.mark.parametrize("precision", ["0", "-5", "-40", "14"])

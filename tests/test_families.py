@@ -7,7 +7,6 @@ from shimura4.families import (
     DivideStep,
     OmegaLocalData,
     ReductionPlan,
-    SubstStep,
     VerificationError,
     apply_reduction,
     arakelov_check,
@@ -230,26 +229,32 @@ def test_c9_fiber_components_helper():
 # engine honesty: corrupted plans must fail loudly
 
 
-def test_engine_rejects_wrong_division():
-    good = reduction_plans(9)[3]
-    bad = ReductionPlan(
-        name=good.name, family=good.family, base_point=good.base_point,
-        uniformizer=good.uniformizer,
-        steps=(good.steps[0], DivideStep("u", 22)),
-        expected=good.expected, match_kind=good.match_kind)
-    with pytest.raises(VerificationError):
-        apply_reduction(bad)
+# (family n, plan index, exact power): one declared division per family
+DIVISIONS = pytest.mark.parametrize(
+    "n,index,power", [(9, 3, 21), (7, 0, 22)],
+    ids=["plane-at-infinity", "hyperelliptic-at-0"])
 
 
-def test_engine_rejects_under_division():
-    good = reduction_plans(9)[3]
-    bad = ReductionPlan(
+def _with_division(n, index, power):
+    good = reduction_plans(n)[index]
+    return ReductionPlan(
         name=good.name, family=good.family, base_point=good.base_point,
         uniformizer=good.uniformizer,
-        steps=(good.steps[0], DivideStep("u", 20)),
+        steps=(good.steps[0], DivideStep(good.uniformizer, power)),
         expected=good.expected, match_kind=good.match_kind)
-    with pytest.raises(VerificationError):
-        apply_reduction(bad)
+
+
+@DIVISIONS
+def test_engine_rejects_wrong_division(n, index, power):
+    assert apply_reduction(_with_division(n, index, power)).match
+    with pytest.raises(VerificationError, match="declared division"):
+        apply_reduction(_with_division(n, index, power + 1))
+
+
+@DIVISIONS
+def test_engine_rejects_under_division(n, index, power):
+    with pytest.raises(VerificationError, match="leftover"):
+        apply_reduction(_with_division(n, index, power - 1))
 
 
 def test_engine_rejects_wrong_expected():

@@ -61,7 +61,7 @@ def test_minpoly_2cos_small_n():
 
 def test_minpoly_2cos_has_the_right_root():
     import math
-    for n in (7, 9, 11, 13):
+    for n in range(3, 41):
         p = poly_to_dense(minpoly_2cos(n), "x")
         target = 2 * math.cos(2 * math.pi / n)
         eps = F(1, 10 ** 9)
@@ -170,6 +170,20 @@ def test_embedding_interval_width():
     vals = sorted(2 * math.cos(2 * math.pi * k / 9) for k in (1, 2, 4))
     x = vals[1]
     assert abs(float((lo + hi) / 2) - (x * x + x - 1)) < 1e-9
+
+
+def test_embedding_queries_leave_the_field_unchanged():
+    # an enclosure depends on the element and the width only, not on what
+    # earlier queries refined
+    K = NumberField(minpoly_2cos(7), "v")
+    v = K.gen()
+    roots = K.real_embeddings
+    lo, hi = (v * v).embedding_interval(0, F(1, 10 ** 6))
+    assert (v * v - 3).sign_at_embedding(0) == 1
+    assert (v * v).embedding_interval(0, F(1, 10 ** 20))
+    assert K.real_embeddings == roots
+    lo2, hi2 = (v * v).embedding_interval(0, F(1, 10 ** 6))
+    assert hi2 - lo2 == hi - lo
 
 
 def test_not_totally_real_rejected():

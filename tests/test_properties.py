@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 
 from shimura4.families import (
+    DivideStep,
     OmegaLocalData,
     ReductionPlan,
     SubstStep,
@@ -199,9 +200,7 @@ def test_trace_spectra_agree_on_random_long_words():
 def test_reduction_invariant_under_uniformizer_rescaling():
     base = reduction_plans(7)[0]
     rng = random.Random(707)
-    xu = ("x", "u")
-    x, u = MultiPoly.generators(*xu)
-    one = MultiPoly.constant(1, xu)
+    x, y, u = MultiPoly.generators("x", "y", "u")
     done = 0
     while done < 100:
         lam = rand_frac(rng, 6, 4)
@@ -211,10 +210,10 @@ def test_reduction_invariant_under_uniformizer_rescaling():
         plan = ReductionPlan(
             name=f"rescaled-{done}", family="hyperelliptic", base_point="0",
             uniformizer="u",
-            steps=(SubstStep(out_vars=xu,
-                             assignments=(("x", lu ** 2 * x, None),
-                                          ("t", lu ** 4, None)),
-                             y_scale=(lu ** 11, one)),),
+            steps=(SubstStep(assignments=(("x", lu ** 2 * x, None),
+                                          ("y", lu ** 11 * y, None),
+                                          ("t", lu ** 4, None))),
+                   DivideStep("u", 22)),
             expected=base.expected, match_kind="twist")
         rep = apply_reduction(plan)
         # the chart is weighted-homogeneous, so the reduced equation and
@@ -250,10 +249,6 @@ def test_bezout_weights_random_pairs():
             assert b % 2 == 1
             assert math.gcd(b, 2 * p) == 1
             even_done += 1
-        if q % 2 == 1:
-            a2, b2 = bezout_weights(p, q, a_even=True)
-            assert a2 % 2 == 0
-            assert a2 * p - b2 * q == 1
         done += 1
     assert even_done >= 20
 

@@ -78,14 +78,6 @@ def test_bezout_weights_basic():
     assert (a * 7 - 1) % 3 == 0 and 1 <= a <= 3
 
 
-def test_bezout_weights_even_shift():
-    a, b = bezout_weights(4, 7, a_even=True)
-    assert a % 2 == 0
-    assert (a * 4 - 1) % 7 == 0
-    with pytest.raises(TriangleError):
-        bezout_weights(3, 4, a_even=True)  # q even, parity cannot change
-
-
 def test_bezout_weights_requires_coprime():
     with pytest.raises(TriangleError):
         bezout_weights(6, 9)
