@@ -58,11 +58,22 @@ def suite_disc7(opts) -> Suite:
     return s
 
 
-def _plan_check(plan) -> Check:
+def _plan_checks(plan, square_scalar=None) -> list:
+    """The checks of one run of a reduction plan: `<name>-square-scalar`
+    first when a square scalar is expected, then the match."""
     try:
         rep = apply_reduction(plan)
     except VerificationError as e:
-        return Check(f"{plan.name}-match", "fail", "verified reduction", str(e))
+        square = Check(f"{plan.name}-square-scalar", "fail", str(square_scalar), str(e))
+        match = Check(f"{plan.name}-match", "fail", "verified reduction", str(e))
+    else:
+        square = Check.equal(f"{plan.name}-square-scalar", square_scalar,
+                             rep.square_scalar)
+        match = _match_check(plan, rep)
+    return [match] if square_scalar is None else [square, match]
+
+
+def _match_check(plan, rep) -> Check:
     kind = rep.match[0]
     if kind == "twist":
         _, c, lam = rep.match
@@ -89,7 +100,7 @@ def _plan_check(plan) -> Check:
 def suite_reductions7(opts) -> Suite:
     s = Suite("reductions7")
     for plan in reduction_plans(7):
-        s.add(_plan_check(plan))
+        s.add(*_plan_checks(plan))
     split = families.t1_fiber_split_c7()
     s.add(Check.equal("t1-multiplicity-structure", [1, 7],
                       sorted(m for _, m in split.multiplicities)))
@@ -102,15 +113,10 @@ def suite_reductions7(opts) -> Suite:
 
 def suite_reductions9(opts) -> Suite:
     s = Suite("reductions9")
-    plans = reduction_plans(9)
-    rep0 = None
-    try:
-        rep0 = apply_reduction(plans[0])
-        s.add(Check.equal("plane-at-0-square-scalar", F(-9), rep0.square_scalar))
-    except VerificationError as e:
-        s.add(Check("plane-at-0-square-scalar", "fail", "-9", str(e)))
+    plan0, *plans = reduction_plans(9)
+    s.add(*_plan_checks(plan0, square_scalar=F(-9)))
     for plan in plans:
-        s.add(_plan_check(plan))
+        s.add(*_plan_checks(plan))
     s.add(Check("ramification-degree-at-1", FLAGGED,
                 "7 (given)",
                 "9 (executed: two stacked degree-3 base changes)",
@@ -234,9 +240,7 @@ def suite_triangle(opts) -> Suite:
             f"{size}x{size}, den = {den}: "
             + ("holds exactly" if off == 0 else f"{off} entries differ")))
         depth = opts.depth
-        svg = None
-        if n == 7 and opts.svg:
-            svg = opts.svg
+        svg = opts.svg if n == 7 else None
         count = trianglestacks.tessellate(2, 3, n, depth=depth, svg_path=svg)
         s.add(Check.equal(f"tile-count-2-3-{n}-depth-{depth}",
                           TILE_COUNTS[(2, 3, n)][depth], count))
@@ -352,6 +356,10 @@ def main(argv=None) -> int:
                 parser.error(f"--data-dir {opts.data_dir}: {e}")
     if opts.svg is not None:
         svg_dir = os.path.dirname(opts.svg) or "."
+        if not opts.svg:
+            parser.error("--svg: empty path")
+        if os.path.isdir(opts.svg):
+            parser.error(f"--svg {opts.svg}: is a directory")
         if not os.path.isdir(svg_dir):
             parser.error(f"--svg {opts.svg}: no directory {svg_dir}")
 

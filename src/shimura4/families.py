@@ -11,9 +11,11 @@ This module recomputes, from scratch and exactly:
 - the semistable-reduction charts at t = 0, 1, infinity for both families.
   Each family is one equation, y^2 - f(x, t) = 0 or F(Y, W, t) = 0, and
   each chart is an explicit plan of substitutions and declared exact
-  divisions. One small engine runs every plan: it verifies each declared
-  division and the final valuation, then matches the reduced equation
-  against the expected curve (up to the allowed twist/scaling);
+  divisions. Every denominator in a plan is a monomial: a chart at infinity
+  inverts t, and the hyperelliptic chart at 1 inverts x (x -> 2/x) before it
+  translates (x -> s^2 x - 1). One small engine runs every plan: it verifies
+  each declared division and the final valuation, then matches the reduced
+  equation against the expected curve (up to the allowed twist/scaling);
 - the splitting of the t = 1 hyperelliptic fiber into an elliptic piece
   (j-invariant and the exact quadratic twist constant) and a genus-3 piece;
 - the local weights of the canonical section of the Hodge bundle and the
@@ -149,16 +151,12 @@ def c7_discriminant() -> DiscriminantReport:
     the usual normalization between the discriminant of the right-hand side
     and the discriminant of the hyperelliptic model (2^(4g) with g = 4).
     """
-    f = c7_family()
-    d = discriminant(f, "x")
-    dt = restrict_vars(d, ("t",))
+    dt = restrict_vars(discriminant(c7_family(), "x"), ("t",))
     a = dt.valuation("t")
-    dt_shift = dt.shift_down("t", a)
-    b = dt_shift.valuation_at("t", 1)
-    tpoly = MultiPoly.variable("t", ("t",))
-    rest = dt_shift
-    for _ in range(b):
-        rest = rest.exact_div(tpoly - 1)
+    # translated by t -> t + 1, the cofactor of t^a is c * t^b
+    shifted, _ = dt.shift_down("t", a).substitute({"t": MultiPoly.variable("t", ("t",)) + 1})
+    b = shifted.valuation("t")
+    rest = shifted.shift_down("t", b)
     ok = rest.is_constant()
     if not ok:
         raise VerificationError("discriminant does not factor as c*t^a*(t-1)^b")
@@ -201,7 +199,10 @@ class SubstStep:
     one new variable tuple (denominator None for a polynomial image); a
     variable left out maps to itself. The engine keeps the numerator of the
     substituted equation and logs the clearing factor it drops, a product of
-    the declared denominators: the equation is only defined up to it.
+    the declared denominators: the equation is only defined up to it. The
+    plans declare monomial denominators only, so the clearing factor is a
+    monomial too, and a DivideStep takes out any power of it that the
+    equation does not need.
     """
     assignments: tuple  # ((var, num, den|None), ...)
 
@@ -553,10 +554,11 @@ def reduction_plans(n: int) -> tuple:
             name="hyperelliptic-at-1",
             family="hyperelliptic", base_point="1", uniformizer="s",
             steps=(
-                SubstStep(assignments=(("x", MultiPoly.constant(2, xyt2), x2 - 1),
-                                       ("y", y2, (x2 - 1) ** 5),
+                SubstStep(assignments=(("x", MultiPoly.constant(2, xyt2), x2),
+                                       ("y", y2, x2 ** 5),
                                        ("t", t2 + 1, None))),
-                SubstStep(assignments=(("x", s ** 2 * xs_x, None),
+                DivideStep("x", 10),
+                SubstStep(assignments=(("x", s ** 2 * xs_x - 1, None),
                                        ("y", s ** 7 * xs_y, None),
                                        ("t2", s ** 7, None))),
                 DivideStep("s", 14),

@@ -23,8 +23,9 @@ remainder sequence over int.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import gcd as _int_gcd
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -40,6 +41,16 @@ def _as_fraction(c: Scalar) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise MultiPolyError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _mul_terms(a: Mapping, b: Mapping) -> dict:
+    """Product of two term dicts on one variable tuple (zero sums kept)."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return out
 
 
 class MultiPoly:
@@ -201,13 +212,7 @@ class MultiPoly:
             if c == 0:
                 return MultiPoly.zero(self.variables)
             return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
-        o = self._coerce(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.variables, out)
+        return MultiPoly(self.variables, _mul_terms(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -330,57 +335,50 @@ class MultiPoly:
             f(sigma(vars)) == numerator / clearing
 
         identically, where clearing = prod den_v ** degree_v(f). Only the
-        declared denominators are cleared; no gcd cancellation happens here.
+        declared denominators are cleared; no gcd cancellation happens here:
+
+        >>> x, y = MultiPoly.generators("x", "y")
+        >>> num, clearing = (x * y - 1).substitute({"x": (x, y)})
+        >>> print(num, "|", clearing)
+        x*y - y | y
         """
         if not assignments:
             raise MultiPolyError("empty substitution")
         pairs = {}
-        out_vars = None
+        out_vars = one = None
         for name, val in assignments.items():
             self._vidx(name)
-            if isinstance(val, MultiPoly):
-                num, den = val, None
-            else:
-                num, den = val
+            num, den = (val, None) if isinstance(val, MultiPoly) else val
             if out_vars is None:
                 out_vars = num.variables
-            if num.variables != out_vars:
-                raise MultiPolyError("substitution images disagree on variables")
+                one = MultiPoly.constant(1, out_vars)
             if den is None:
-                den = MultiPoly.constant(1, out_vars)
-            elif den.variables != out_vars:
+                den = one
+            if num.variables != out_vars or den.variables != out_vars:
                 raise MultiPolyError("substitution images disagree on variables")
             if den.is_zero():
                 raise MultiPolyError(f"zero denominator in image of {name!r}")
             pairs[name] = (num, den)
+        # per variable v of degree d, the row num^k * den^(d-k), k = 0..d; an
+        # unassigned variable maps to itself and must exist in the output ring
+        rows = []
+        clearing = one
         for v in self.variables:
-            if v not in pairs:
-                # untouched variable: identity, needs to live in the output ring
-                pairs[v] = (MultiPoly.variable(v, out_vars),
-                            MultiPoly.constant(1, out_vars))
-        degs = {v: max(0, self.degree(v)) for v in self.variables}
-        clearing = MultiPoly.constant(1, out_vars)
-        for v in self.variables:
-            den = pairs[v][1]
-            if not (den.is_constant() and den.constant_value() == 1):
-                clearing = clearing * den ** degs[v]
-        num_pows = {}
-        den_pows = {}
-        for v in self.variables:
-            n, d = pairs[v]
-            num_pows[v] = [MultiPoly.constant(1, out_vars)]
-            den_pows[v] = [MultiPoly.constant(1, out_vars)]
-            for _ in range(degs[v]):
-                num_pows[v].append(num_pows[v][-1] * n)
-                den_pows[v].append(den_pows[v][-1] * d)
-        result = MultiPoly.zero(out_vars)
+            num, den = pairs.get(v) or (MultiPoly.variable(v, out_vars), one)
+            d = max(0, self.degree(v))
+            nums = list(accumulate([num] * d, mul, initial=one))
+            dens = list(accumulate([den] * d, mul, initial=one))
+            clearing = clearing * dens[d]
+            rows.append([(a * b).terms for a, b in zip(nums, reversed(dens))])
+        unit = (0,) * len(out_vars)
+        out = {}
         for e, c in self.terms.items():
-            term = MultiPoly.constant(c, out_vars)
-            for i, v in enumerate(self.variables):
-                k = e[i]
-                term = term * num_pows[v][k] * den_pows[v][degs[v] - k]
-            result = result + term
-        return result, clearing
+            term = {unit: c}
+            for row, k in zip(rows, e):
+                term = _mul_terms(term, row[k])
+            for m, a in term.items():
+                out[m] = out[m] + a if m in out else a
+        return MultiPoly(out_vars, out), clearing
 
     # ------------------------------------------------------------------
     # exact division (lex order)
@@ -428,15 +426,6 @@ class MultiPoly:
             raise MultiPolyError("valuation of the zero polynomial")
         i = self._vidx(var)
         return min(e[i] for e in self.terms)
-
-    def valuation_at(self, var: str, point: Scalar) -> int:
-        """Order of vanishing at var = point (shift then valuation)."""
-        p = _as_fraction(point)
-        if p == 0:
-            return self.valuation(var)
-        xv = MultiPoly.variable(var, self.variables)
-        shifted, _ = self.substitute({var: (xv + p, None)})
-        return shifted.valuation(var)
 
     def shift_down(self, var: str, k: int) -> "MultiPoly":
         """Exact division by var**k (valuation must be >= k)."""

@@ -50,8 +50,8 @@ class Suite:
     name: str
     checks: List[Check] = field(default_factory=list)
 
-    def add(self, check: Check) -> None:
-        self.checks.append(check)
+    def add(self, *checks: Check) -> None:
+        self.checks.extend(checks)
 
     def counts(self) -> dict:
         out = {PASS: 0, FAIL: 0, FLAGGED: 0}

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from shimura4 import cli
+from shimura4.families import VerificationError, apply_reduction
 
 
 def run(capsys, args):
@@ -198,10 +199,34 @@ def test_precision_at_floor_passes(capsys):
 
 
 def test_svg_into_missing_directory_is_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["triangle", "--svg", str(tmp_path / "no-such-dir" / "x.svg")])
-    assert exc.value.code == 2
-    assert "--svg" in capsys.readouterr().err
+    # a missing directory, an existing directory, an empty path
+    for path in (str(tmp_path / "no-such-dir" / "x.svg"), str(tmp_path), ""):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["triangle", "--svg", path])
+        assert exc.value.code == 2
+        assert "--svg" in capsys.readouterr().err
+
+
+def test_full_run_applies_each_plan_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(plan):
+        calls.append(plan.name)
+        return apply_reduction(plan)
+    monkeypatch.setattr(cli, "apply_reduction", counting)
+    code, _, _ = run(capsys, ["--json"])
+    assert code == 0
+    assert len(calls) == 7 == len(set(calls))
+
+
+def test_failed_plan_fails_square_scalar_and_match(monkeypatch):
+    def failing(plan):
+        raise VerificationError("synthetic")
+    monkeypatch.setattr(cli, "apply_reduction", failing)
+    checks = cli.suite_reductions9(None).checks
+    assert [(c.id, c.status, c.actual) for c in checks[:2]] == [
+        ("plane-at-0-square-scalar", "fail", "synthetic"),
+        ("plane-at-0-match", "fail", "synthetic")]
 
 
 def test_cli_import_loads_no_mpmath():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from shimura4.families import (
     apply_reduction,
     arakelov_check,
     c7_discriminant,
+    c7_equation,
     c7_family,
     c9_family,
     c9_family_flat_form,
@@ -169,6 +171,20 @@ def test_reduction_7_at_1():
     x, = P("x")
     assert rep.reduced == -1152 * x ** 7 + 3456
     assert rep.match == ("twist", F(-1152), F(1))
+
+
+def test_reduction_7_at_1_inverts_before_translating():
+    # x -> 2/x, y -> y/x^5 clears x^20, of which the equation needs only x^10
+    plan = reduction_plans(7)[1]
+    inversion, divide, *rest = plan.steps
+    eq, clearing = c7_equation().substitute(
+        {v: (num, den) for v, num, den in inversion.assignments})
+    assert clearing == P("x", "y", "t2")[0] ** 20
+    assert eq.valuation("x") == 10
+    assert divide == DivideStep("x", 10)
+    over = replace(plan, steps=(inversion, DivideStep("x", 11), *rest))
+    with pytest.raises(VerificationError, match="declared division"):
+        apply_reduction(over)
 
 
 def test_reduction_7_at_infinity():

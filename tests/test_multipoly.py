@@ -94,6 +94,24 @@ def test_substitute_zero_denominator_rejected():
         x.substitute({"x": (u, MultiPoly.zero(("u",)))})
 
 
+def test_substitute_error_paths():
+    x, t = MultiPoly.generators("x", "t")
+    u, = MultiPoly.generators("u")
+    v, = MultiPoly.generators("v")
+    f = x * t
+    bad = [
+        {},                                                 # empty substitution
+        {"x": u, "t": v},                                   # images on two rings
+        {"x": (u, v)},                                      # denominator elsewhere
+        {"z": u},                                           # unknown variable
+        {"x": (u, MultiPoly.zero(("u",)))},                 # zero denominator
+        {"x": u},                                           # t not in the image ring
+    ]
+    for sigma in bad:
+        with pytest.raises(MultiPolyError):
+            f.substitute(sigma)
+
+
 def test_valuation_and_reduce():
     u, x = MultiPoly.generators("u", "x")
     f = u ** 3 * (x ** 2 + 1) + u ** 5 * x
@@ -101,14 +119,6 @@ def test_valuation_and_reduce():
     assert f.shift_down("u", 3) == x ** 2 + 1 + u ** 2 * x
     with pytest.raises(MultiPolyError):
         f.shift_down("u", 4)
-
-
-def test_valuation_at_shifted_point():
-    t, = MultiPoly.generators("t")
-    f = (t - 1) ** 2 * (t + 3)
-    assert f.valuation_at("t", 1) == 2
-    assert f.valuation_at("t", -3) == 1
-    assert f.valuation_at("t", 5) == 0
 
 
 def test_resultant_univariate_known():

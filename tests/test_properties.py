@@ -103,6 +103,14 @@ def test_substitution_is_a_ring_map():
             continue
         img = {"x": num_x.evaluate(pt) / dv, "t": num_t.evaluate(pt)}
         assert f.evaluate(img) * cf.evaluate(pt) == nf.evaluate(pt)
+        # a bare image, and x left out so that it maps to itself
+        tau = {"t": num_t}
+        nf, cf = f.substitute(tau)
+        ng, _ = g.substitute(tau)
+        assert (f * g).substitute(tau) == (nf * ng, cf)
+        assert cf == 1
+        img = {"x": pt["x"], "t": num_t.evaluate(pt)}
+        assert f.evaluate(img) == nf.evaluate(pt)
         done += 1
 
 
