@@ -16,8 +16,12 @@ Resultants go by evaluation and interpolation over the integers: each
 parameter is set to small integers, skipping the points where a leading
 coefficient in the eliminated variable vanishes, and the resultant is
 interpolated back through as many points as the Sylvester row bound on its
-degree requires, plus one. The univariate base case is a subresultant
-remainder sequence over int.
+degree requires, plus one. Once one parameter t is left, each operand is
+divided by its content (the primitive gcd in Z[t] of its coefficients) and
+only the resultant of the primitive parts is interpolated; the resultant is
+homogeneous of degree deg B in the coefficients of A and deg A in those of
+B, so multiplying back by content(A)^deg B * content(B)^deg A is exact. The
+univariate base case is a subresultant remainder sequence over int.
 """
 
 from __future__ import annotations
@@ -593,8 +597,13 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     entry, so the specialised resultant is the exact value there. The row
     bound deg_var(g) * deg_p(f) + deg_var(f) * deg_p(g) bounds deg_p of
     the resultant, and Newton interpolation through that many points plus
-    one gives it back. Once no parameter is left, a subresultant remainder
-    sequence over int does the work.
+    one gives it back. When one parameter t is left, each operand is first
+    divided by its content c, the primitive gcd in Z[t] of its
+    coefficients (checked exact), and res(cA*A, cB*B) =
+    cA^deg(B) * cB^deg(A) * res(A, B) multiplies it back. So a factor in t
+    shared by all coefficients, such as the t^2*(t-1)^2 of a discriminant
+    of the plane family, costs no interpolation points. Once no parameter
+    is left, a subresultant remainder sequence over int does the work.
 
     The result is a MultiPoly in the same ring with var-degree 0. It is
     zero when f and g share a factor of positive degree in var. An operand
@@ -645,6 +654,27 @@ def _res_params(A: list, B: list, k: int) -> dict:
     if k == 0:
         r = _res_int([c.get((), 0) for c in A], [c.get((), 0) for c in B])
         return {(): r} if r else {}
+    if k > 1:
+        return _res_interpolate(A, B, k)
+    # One parameter t is left: res(cA*A', cB*B') = cA^deg B * cB^deg A *
+    # res(A', B'), so only the resultant of the primitive parts A', B' is
+    # interpolated, through fewer points.
+    A, ca = _divide_content(A)
+    B, cb = _divide_content(B)
+    scale = {(0,): 1}
+    for c, n in ((ca, len(B) - 1), (cb, len(A) - 1)):
+        for _ in range(n):
+            scale = _mul_terms(scale, c)
+    out = _res_interpolate(A, B, 1)
+    if scale != {(0,): 1}:
+        out = {e: v for e, v in _mul_terms(out, scale).items() if v}
+    return out
+
+
+def _res_interpolate(A: list, B: list, k: int) -> dict:
+    """_res_params for k >= 1: interpolate in the last parameter through
+    the resultants at integer points where neither leading coefficient
+    vanishes."""
     bound = ((len(B) - 1) * max(e[-1] for c in A for e in c)
              + (len(A) - 1) * max(e[-1] for c in B for e in c))
     xs, values = [], []
@@ -662,6 +692,75 @@ def _res_params(A: list, B: list, k: int) -> dict:
             if c:
                 out[key + (d,)] = c
     return out
+
+
+def _divide_content(A: list) -> tuple:
+    """(A / c, c) for A a polynomial over Z[t], entries {(e,): int}, and c
+    its content: the primitive gcd in Z[t] of its nonzero coefficients, with
+    positive leading coefficient, in the same form as the entries."""
+    dense = [_dense_int(c) for c in A if c]
+    g = _primitive(min(dense, key=len))
+    for p in dense:
+        if len(g) == 1:
+            break
+        if _zt_divide(p, g) is None:
+            g = _zt_gcd(g, p)
+    if g == [1]:
+        return A, {(0,): 1}
+    out = []
+    for row in A:
+        q = _zt_divide(_dense_int(row), g) if row else []
+        if q is None:
+            raise MultiPolyError("internal: inexact division in resultant")  # pragma: no cover
+        out.append({(d,): v for d, v in enumerate(q) if v})
+    return out, {(d,): v for d, v in enumerate(g) if v}
+
+
+def _dense_int(c: dict) -> list:
+    """{(e,): int} as a dense int list, lowest coefficient first."""
+    p = [0] * (max(e for e, in c) + 1)
+    for (e,), v in c.items():
+        p[e] = v
+    return p
+
+
+def _primitive(p: list) -> list:
+    """Dense nonzero int p divided by the gcd of its coefficients, with the
+    sign that makes its leading coefficient positive."""
+    g = _int_gcd(*p)
+    if p[-1] < 0:
+        g = -g
+    return [v // g for v in p]
+
+
+def _zt_divide(a: list, b: list):
+    """a / b for dense int a and primitive b, or None when b does not divide
+    a in Z[t] (by Gauss's lemma, nor then in Q[t])."""
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * (len(r) - db)
+    for shift in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[shift + db], b[-1])
+        if rem:
+            return None
+        q[shift] = c
+        for j in range(db + 1):
+            r[shift + j] -= c * b[j]
+    return None if any(r) else q
+
+
+def _zt_gcd(a: list, b: list) -> list:
+    """Primitive gcd, positive leading coefficient, of dense nonzero int a
+    and b: the primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _uni_pseudo_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
 
 
 def _evaluate_last(c: dict, x: int) -> dict:

@@ -30,7 +30,12 @@ from shimura4.families import (
     specialize_c7,
     t1_fiber_split_c7,
 )
-from shimura4.multipoly import MultiPoly, MultiPolyError, discriminant
+from shimura4.multipoly import (
+    MultiPoly,
+    MultiPolyError,
+    discriminant,
+    squarefree_decomposition,
+)
 
 
 def P(*names):
@@ -98,6 +103,17 @@ def test_c7_discriminant_valuations_and_constant():
     assert rep.constant == F(2) ** 20 * F(3) ** 36 * F(7) ** 10
     assert rep.curve_constant_factors == {2: 36, 3: 36, 7: 10}
     assert rep.residual_is_constant
+
+
+def test_plane_family_eliminant():
+    # disc_Y(disc_W F) = C * t^100 * (t-1)^67 * c(t)^3, c a monic cubic
+    d = restrict_vars(discriminant(discriminant(c9_family(), "W"), "Y"), ("t",))
+    t, = P("t")
+    c = t ** 3 - F(237089, 6859) * t ** 2 - F(29727, 6859) * t - F(2187, 6859)
+    rest = d.exact_div(t ** 100 * (t - 1) ** 67)
+    assert squarefree_decomposition(rest, "t") == [(c, 3)]
+    assert rest.exact_div(c ** 3).is_constant()
+    assert rest.evaluate({"t": 0}) != 0 and rest.evaluate({"t": 1}) != 0
 
 
 def test_smoothness_predicate():

@@ -230,6 +230,31 @@ def _resultant_cases():
         G = (3 * W ** 3 + (tt - 1) * _random_poly(rng, vt3, (2, 1, 2), 6)
              + _random_poly(rng, vt3, (2, 0, 1), 3))
         cases.append((f"two-parameters-{k}", G, G.derivative("W"), "W"))
+    # planted content in t: the resultant of the primitive parts is scaled
+    # back by content^deg of the other operand
+    content = (3 * t + 2) * t ** 2 * (t - 1) ** 3  # leading coefficient 3
+    for k in range(2):
+        f = _random_poly(rng, vt, (3, 2), 5) + x ** 4
+        g = _random_poly(rng, vt, (2, 2), 4) + (t + 1) * x ** 3
+        cases.append((f"content-on-one-operand-{k}", content * f, g, "x"))
+        cases.append((f"content-on-both-operands-{k}", content * f,
+                      (t - 1) ** 2 * (2 * t - 3) * g, "x"))
+        cases.append((f"negative-leading-content-{k}", -(5 * t + 1) * t * f,
+                      -(t + 4) * g, "x"))
+        cases.append((f"content-with-fraction-coefficients-{k}",
+                      F(2, 3) * content * (_random_poly(rng, vt, (3, 2), 5, frac=True)
+                                           + F(1, 2) * x ** 3),
+                      F(5, 7) * t ** 3 * (_random_poly(rng, vt, (2, 1), 4, frac=True)
+                                          - x ** 2), "x"))
+    # Y is specialised first: the coefficients in W have no common factor,
+    # but at Y = 0 they share 2t and at Y = 1 they share 2t + 1
+    vt4 = ("t", "W", "Y")
+    t4, W4, Y4 = MultiPoly.generators(*vt4)
+    for k in range(2):
+        f = ((2 * t4 + Y4) * W4 ** 3 + (2 * t4 + Y4 ** 2) * W4 ** 2
+             + (2 * t4 + Y4 ** 3) * (W4 + Y4 + 1))
+        g = t4 * (t4 + 1) * W4 ** 2 + _random_poly(rng, vt4, (2, 1, 2), 4) + Y4
+        cases.append((f"content-after-specialising-{k}", f, g, "W"))
     return cases
 
 
@@ -268,6 +293,24 @@ def test_resultant_matches_sympy(name, f, g, var):
 
     want = sympy.resultant(to_sympy(f), to_sympy(g), syms[f.variables.index(var)])
     assert sympy.expand(to_sympy(resultant(f, g, var)) - want) == 0
+
+
+def test_planted_content_costs_no_interpolation_points(monkeypatch):
+    # t^20 is divided out before interpolating, so it adds no base-case
+    # resultant; it comes back as (t^20)^deg g
+    import shimura4.multipoly as multipoly
+    calls = []
+    base = multipoly._res_int
+    monkeypatch.setattr(multipoly, "_res_int",
+                        lambda A, B: calls.append(1) or base(A, B))
+    x, t = MultiPoly.generators("x", "t")
+    f = x ** 3 + (t + 2) * x ** 2 - 3 * t ** 2 * x + 5 * t - 1
+    g = 2 * x ** 2 + t * x - 7
+    plain = resultant(f, g, "x")
+    n = len(calls)
+    planted = resultant(t ** 20 * f, g, "x")
+    assert len(calls) - n <= n
+    assert planted == t ** (20 * g.degree("x")) * plain
 
 
 def test_resultant_of_two_constants_is_one():
