@@ -19,12 +19,11 @@ import sys
 from fractions import Fraction as F
 
 from . import __version__
-from . import cmtables, families, hypergeom, trianglestacks
-from .families import VerificationError, apply_reduction, reduction_plans
-from .intfactor import factorization_string
-from .numberfield import isolate_real_roots, minpoly_2cos, poly_to_dense, refine_interval
-from .quaternion import uniformizer_triple
+from . import trianglestacks
 from .report import Check, FLAGGED, GIVEN, PASS, RECOMPUTED, Suite, VerificationReport
+
+# Each suite imports the modules it runs on, so a command loads only what
+# its suites need: `triangle` never loads the families or the CM tables.
 
 # the matrix-trace checks print a certified enclosure of 2 cos(pi/n) that
 # is narrower than 10^-precision; below this many digits it would say less
@@ -39,6 +38,8 @@ TILE_COUNTS = {
 
 
 def suite_disc7(opts) -> Suite:
+    from . import families
+    from .intfactor import factorization_string
     s = Suite("disc7")
     rep = families.c7_discriminant()
     s.add(Check.equal("t-valuation", 54, rep.t_valuation))
@@ -61,9 +62,10 @@ def suite_disc7(opts) -> Suite:
 def _plan_checks(plan, square_scalar=None) -> list:
     """The checks of one run of a reduction plan: `<name>-square-scalar`
     first when a square scalar is expected, then the match."""
+    from . import families
     try:
-        rep = apply_reduction(plan)
-    except VerificationError as e:
+        rep = families.apply_reduction(plan)
+    except families.VerificationError as e:
         square = Check(f"{plan.name}-square-scalar", "fail", str(square_scalar), str(e))
         match = Check(f"{plan.name}-match", "fail", "verified reduction", str(e))
     else:
@@ -98,8 +100,9 @@ def _match_check(plan, rep) -> Check:
 
 
 def suite_reductions7(opts) -> Suite:
+    from . import families
     s = Suite("reductions7")
-    for plan in reduction_plans(7):
+    for plan in families.reduction_plans(7):
         s.add(*_plan_checks(plan))
     split = families.t1_fiber_split_c7()
     s.add(Check.equal("t1-multiplicity-structure", [1, 7],
@@ -112,6 +115,7 @@ def suite_reductions7(opts) -> Suite:
 
 
 def suite_reductions9(opts) -> Suite:
+    from .families import reduction_plans
     s = Suite("reductions9")
     plan0, *plans = reduction_plans(9)
     s.add(*_plan_checks(plan0, square_scalar=F(-9)))
@@ -130,6 +134,7 @@ def suite_reductions9(opts) -> Suite:
 
 
 def suite_arakelov(opts) -> Suite:
+    from . import families
     s = Suite("arakelov")
     expected = {
         7: {"hyperelliptic-at-0": F(-6), "hyperelliptic-at-1": F(-9, 7),
@@ -161,6 +166,7 @@ def _trace_check(trip, precision: int) -> Check:
     sigma_0(trd delta_r), and that is 2 cos(pi/n), the largest root of g =
     minpoly_2cos(2n), when trd(delta_r) = -v, g(-v) = 0 in K, and
     sigma_0(-v) lies above g's second-largest root."""
+    from .numberfield import isolate_real_roots, minpoly_2cos, poly_to_dense, refine_interval
     n = trip.n
     K = trip.algebra.field
     minus_v = -K.gen()
@@ -191,6 +197,7 @@ def _trace_check(trip, precision: int) -> Check:
 
 
 def suite_quaternion(opts) -> Suite:
+    from .quaternion import uniformizer_triple
     s = Suite("quaternion")
     for n in (7, 9):
         trip = uniformizer_triple(n)
@@ -252,6 +259,7 @@ def suite_triangle(opts) -> Suite:
 
 
 def suite_hypergeometric(opts) -> Suite:
+    from . import hypergeom
     s = Suite("hypergeometric")
     exp = {7: (13, 29, 43, 83), 9: (5, 13, 19, 35)}
     counts = {7: {0: 8, 1: 8, 2: 8}, 9: {0: 4, 1: 4, 2: 4}}
@@ -278,6 +286,7 @@ BUNDLED_SHA = {
 
 
 def suite_cm_tables(opts) -> Suite:
+    from . import cmtables
     s = Suite("cm-tables")
     for n in (7, 9):
         rep = cmtables.verify_table(n, data_dir=opts.data_dir)
@@ -349,6 +358,7 @@ def main(argv=None) -> int:
     if opts.precision < MIN_PRECISION:
         parser.error(f"--precision must be at least {MIN_PRECISION}")
     if opts.data_dir is not None:
+        from . import cmtables
         for n in (7, 9):
             try:
                 cmtables.load_table(n, opts.data_dir)

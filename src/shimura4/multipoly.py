@@ -168,11 +168,6 @@ class MultiPoly:
             raise MultiPolyError("zero polynomial has no leading coefficient")
         return self.coefficient(var, d)
 
-    def as_univariate(self, var: str) -> list:
-        """Dense coefficient list [c0, c1, ...] in var, entries MultiPoly."""
-        d = self.degree(var)
-        return [self.coefficient(var, k) for k in range(d + 1)] if d >= 0 else []
-
     def variables_used(self) -> tuple:
         used = set()
         for e in self.terms:
@@ -528,16 +523,6 @@ def _uni_gcd(a: list, b: list) -> list:
     while b:
         a, b = b, _monic(_uni_divmod(a, b)[1])
     return a
-
-
-def gcd_poly(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Monic gcd over Q of f and g, both univariate in var (zero when both
-    are zero). Raises MultiPolyError when a variable other than var occurs.
-    """
-    if f.variables != g.variables:
-        raise MultiPolyError("gcd operands must share a variable tuple")
-    a = _uni_gcd(poly_to_dense(f, var), poly_to_dense(g, var))
-    return _from_dense(a, f.variables, var)
 
 
 def squarefree_part(f: MultiPoly, var: str) -> MultiPoly:

@@ -207,11 +207,6 @@ class NumberField:
     def degree(self) -> int:
         return len(self._dense) - 1
 
-    @property
-    def real_embeddings(self) -> list:
-        """Isolating intervals of the generator's images, increasing order."""
-        return list(self._roots)
-
     def gen(self) -> "NumberFieldElem":
         coords = [Fraction(0)] * self.degree
         if self.degree == 1:
@@ -340,6 +335,12 @@ class NumberFieldElem:
         return result
 
     def __eq__(self, other):
+        if (isinstance(other, NumberFieldElem) and other.field is not self.field
+                and other.field != self.field):
+            # across fields only equal rationals are equal, as they are to
+            # their common value (arithmetic across fields still raises)
+            return (self.is_rational() and other.is_rational()
+                    and self.coords[0] == other.coords[0])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -356,11 +357,6 @@ class NumberFieldElem:
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise NumberFieldError("element is not rational")
-        return self.coords[0]
 
     def __repr__(self):
         name = self.field.name
@@ -422,10 +418,6 @@ class NumberFieldElem:
             if vhi < 0:
                 return -1
             lo, hi = refine_interval(self.field._dense, lo, hi, (hi - lo) / 2)
-
-    def float_at_embedding(self, index: int) -> float:
-        lo, hi = self.embedding_interval(index, Fraction(1, 10 ** 20))
-        return float((lo + hi) / 2)
 
 
 # ----------------------------------------------------------------------

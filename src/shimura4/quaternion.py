@@ -197,6 +197,12 @@ class Quaternion:
         return result
 
     def __eq__(self, other):
+        if (isinstance(other, Quaternion) and other.algebra is not self.algebra
+                and other.algebra != self.algebra):
+            # across algebras only equal scalars are equal, as they are to
+            # their common scalar (arithmetic across algebras still raises)
+            return (self.is_scalar() and other.is_scalar()
+                    and self.coords[0] == other.coords[0])
         o = self._coerce(other)
         if o is None:
             return NotImplemented

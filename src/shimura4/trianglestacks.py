@@ -6,8 +6,10 @@ Bezout-type weight pairs used in the local cyclic-quotient bookkeeping, and
 the tile counts of the (2, 3, n) tessellations. A count is a breadth-first
 search over words in the quaternion triple of `quaternion.uniformizer_triple`:
 each word is an integer coordinate vector, each step an integer
-matrix-vector product with an exact division, and tiles are told apart by
-hashing vectors up to sign. No float decides whether two tiles are equal.
+matrix-vector product over the nonzero matrix entries with an exact
+division, and tiles are told apart by hashing vectors up to sign. Steps
+whose word is provably found already (delta_p^-1, and the step back to a
+tile's parent) are skipped. No float decides whether two tiles are equal.
 
 The relation delta_r delta_q delta_p = 1 is checked exactly, on the same
 integer matrices the search runs on (`relation_product`).
@@ -196,6 +198,12 @@ def rotation_generators(p: int, q: int, r: int) -> tuple:
     return gp, gq, gr
 
 
+def _sparse_rows(matrix: tuple) -> tuple:
+    """Each row of an integer matrix as its nonzero entries, (column, value)
+    pairs: the form `_apply` multiplies."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in matrix)
+
+
 @lru_cache(maxsize=None)
 def _generator_matrices(p: int, q: int, r: int) -> tuple:
     """Integer left-multiplication matrices of the quaternion triple.
@@ -204,8 +212,13 @@ def _generator_matrices(p: int, q: int, r: int) -> tuple:
     inverses (in the order of the float generators used for drawing), the
     matrix of x -> g x over Q in the basis v^k e_s (v generates the field,
     e_s = 1, i, j, k), as rows, times the common denominator `den` of all
-    six. Returns (matrices, den); cached, so the relation check and every
+    six. Returns (matrices, den, sparse), sparse holding each matrix's rows
+    in the form of `_sparse_rows`; cached, so the relation check and every
     search share one set.
+
+    The search never applies delta_p^-1 (see `_tile_tree`), since
+    delta_p^2 = -1 makes it -delta_p; that is checked here, exactly, on the
+    matrices themselves.
     """
     if p != 2 or q != 3 or not isinstance(r, int) or r < 7 or r % 2 == 0:
         raise TriangleError(f"exact tessellation covers (2,3,n) with n odd and "
@@ -224,7 +237,10 @@ def _generator_matrices(p: int, q: int, r: int) -> tuple:
     den = math.lcm(*(c.denominator for m in cols for col in m for c in col))
     mats = tuple(tuple(tuple(c.numerator * (den // c.denominator) for c in row)
                        for row in zip(*m)) for m in cols)
-    return mats, den
+    if mats[1] != tuple(tuple(-c for c in row) for row in mats[0]):
+        raise TriangleError("M(delta_p^-1) != -M(delta_p): the search may not "
+                            "skip delta_p^-1")
+    return mats, den, tuple(_sparse_rows(m) for m in mats)
 
 
 def relation_product(p: int, q: int, r: int) -> tuple:
@@ -232,7 +248,7 @@ def relation_product(p: int, q: int, r: int) -> tuple:
     `_generator_matrices`: the product is den^3 times the matrix of
     x -> delta_r delta_q delta_p x, so the relation holds exactly when it
     equals den^3 I."""
-    mats, den = _generator_matrices(p, q, r)
+    mats, den, _ = _generator_matrices(p, q, r)
     prod = mats[0]
     for m in (mats[2], mats[4]):
         prod = tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*prod))
@@ -241,10 +257,14 @@ def relation_product(p: int, q: int, r: int) -> tuple:
 
 
 def _apply(rows: tuple, u: tuple, den: int) -> tuple:
-    """rows . u / den, exactly: a remainder means a word left the lattice."""
+    """rows . u / den, exactly, for rows in the form of `_sparse_rows`: a
+    remainder means a word left the lattice."""
     out = []
     for row in rows:
-        c, rem = divmod(sum(map(operator.mul, row, u)), den)
+        s = 0
+        for j, c in row:
+            s += c * u[j]
+        c, rem = divmod(s, den)
         if rem:
             raise TriangleError("word coordinates left the lattice 1/den Z")
         out.append(c)
@@ -260,22 +280,32 @@ def _tile_tree(p: int, q: int, r: int, max_len: int) -> list:
     nonzero entry is positive. Entry i is (parent, generator, word length):
     tile i is generator `generator` times tile `parent`; the base tile is
     (-1, -1, 0).
+
+    Two kinds of step are skipped, because their word is already in `seen`
+    when they would run: delta_p^-1 (generator 1), which is -delta_p (checked
+    in `_generator_matrices`) and so gives the word generator 0 gave the
+    step before; and, from a tile reached by generator g, the step back to
+    its parent: g^-1, or delta_p again when g is delta_p (delta_p^2 = -1).
+    Each step multiplies only the nonzero entries of the generator's rows.
     """
-    mats, den = _generator_matrices(p, q, r)
-    start = (den,) + (0,) * (len(mats[0]) - 1)
+    _, den, sparse = _generator_matrices(p, q, r)
+    start = (den,) + (0,) * (len(sparse[0]) - 1)
     seen = {start}
     tiles = [(-1, -1, 0)]
-    frontier = [(0, start)]
+    frontier = [(0, -1, start)]
     for length in range(1, max_len + 1):
         new_frontier = []
-        for parent, u in frontier:
-            for gi, rows in enumerate(mats):
+        for parent, g, u in frontier:
+            back = 0 if g == 0 else g ^ 1
+            for gi, rows in enumerate(sparse):
+                if gi == 1 or gi == back:
+                    continue
                 w = _apply(rows, u, den)
                 if next(c for c in w if c) < 0:
                     w = tuple(-c for c in w)
                 if w not in seen:
                     seen.add(w)
-                    new_frontier.append((len(tiles), w))
+                    new_frontier.append((len(tiles), gi, w))
                     tiles.append((parent, gi, length))
         frontier = new_frontier
     return tiles

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from shimura4 import cli
+from shimura4 import cli, families
 from shimura4.families import VerificationError, apply_reduction
 
 
@@ -213,7 +213,7 @@ def test_full_run_applies_each_plan_once(monkeypatch, capsys):
     def counting(plan):
         calls.append(plan.name)
         return apply_reduction(plan)
-    monkeypatch.setattr(cli, "apply_reduction", counting)
+    monkeypatch.setattr(families, "apply_reduction", counting)
     code, _, _ = run(capsys, ["--json"])
     assert code == 0
     assert len(calls) == 7 == len(set(calls))
@@ -222,7 +222,7 @@ def test_full_run_applies_each_plan_once(monkeypatch, capsys):
 def test_failed_plan_fails_square_scalar_and_match(monkeypatch):
     def failing(plan):
         raise VerificationError("synthetic")
-    monkeypatch.setattr(cli, "apply_reduction", failing)
+    monkeypatch.setattr(families, "apply_reduction", failing)
     checks = cli.suite_reductions9(None).checks
     assert [(c.id, c.status, c.actual) for c in checks[:2]] == [
         ("plane-at-0-square-scalar", "fail", "synthetic"),
@@ -237,6 +237,32 @@ def test_cli_import_loads_no_mpmath():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_cli_loads_only_the_modules_its_suites_run():
+    # importing the cli loads no computation module; the triangle suite
+    # loads the quaternion triple and what it rests on, not the families,
+    # the CM tables or the hypergeometric data
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import shimura4.cli\n"
+        "after_import = sorted(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = shimura4.cli.main(['triangle', '--json'])\n"
+        "print(json.dumps([code, after_import, sorted(sys.modules)]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    code, after_import, after_triangle = json.loads(out.stdout)
+    assert code == 0
+    for name in ("families", "cmtables", "hypergeom", "multipoly",
+                 "numberfield", "quaternion"):
+        assert f"shimura4.{name}" not in after_import
+    for name in ("families", "cmtables", "hypergeom"):
+        assert f"shimura4.{name}" not in after_triangle
+    assert "shimura4.quaternion" in after_triangle
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

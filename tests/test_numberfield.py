@@ -130,9 +130,27 @@ def test_hash_agrees_with_eq():
     assert len({v, field_2cos(7).gen(), v * 1}) == 1
 
 
+def test_equality_across_fields():
+    # elements of different fields are unequal, except equal rationals,
+    # which equal their common value and hash like it
+    K7, K9 = field_2cos(7), field_2cos(9)
+    assert K7.one() == K9.one() and K7.one() == 1 == K9.one()
+    assert len({K7.one(), K9.one()}) == 1
+    assert K7.element([F(-3, 2)]) == K9.element([F(-3, 2)])
+    assert K7.element([2]) != K9.element([3])
+    assert K7.gen() != K9.gen() and K7.gen() not in [K9.gen()]
+    assert K7.gen() != K9.one() and K7.one() != K9.gen()
+    assert len({K7.gen(), K9.gen(), K7.zero(), K9.zero()}) == 3
+    # arithmetic across fields still raises
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a - b,
+               lambda a, b: a / b):
+        with pytest.raises(NumberFieldError):
+            op(K7.one(), K9.one())
+
+
 def test_real_embeddings_ordered():
     K = field_2cos(7)
-    ivs = K.real_embeddings
+    ivs = [K.gen().embedding_interval(i, F(1, 10 ** 6)) for i in range(K.degree)]
     assert len(ivs) == 3
     mids = [float((lo + hi) / 2) for lo, hi in ivs]
     assert mids == sorted(mids)
@@ -177,11 +195,11 @@ def test_embedding_queries_leave_the_field_unchanged():
     # earlier queries refined
     K = NumberField(minpoly_2cos(7), "v")
     v = K.gen()
-    roots = K.real_embeddings
+    roots = K._roots
     lo, hi = (v * v).embedding_interval(0, F(1, 10 ** 6))
     assert (v * v - 3).sign_at_embedding(0) == 1
     assert (v * v).embedding_interval(0, F(1, 10 ** 20))
-    assert K.real_embeddings == roots
+    assert K._roots == roots
     lo2, hi2 = (v * v).embedding_interval(0, F(1, 10 ** 6))
     assert hi2 - lo2 == hi - lo
 
@@ -201,8 +219,8 @@ def test_non_monic_rejected():
 def test_degree_one_field_is_rational():
     K = NumberField(dense_to_poly([F(1), F(1)], "x"), "r")  # x + 1
     g = K.gen()
-    assert g.is_rational() and g.rational_value() == -1
-    assert (g * g).rational_value() == 1
+    assert g.is_rational() and g == -1
+    assert (g * g).is_rational() and g * g == 1
 
 
 def test_sturm_chain_endpoints():

@@ -36,6 +36,12 @@ from shimura4.trianglestacks import (
 )
 
 
+def float_at_embedding(el, index):
+    """The image of el at a real embedding, from an exact enclosure."""
+    lo, hi = el.embedding_interval(index, F(1, 10 ** 20))
+    return float((lo + hi) / 2)
+
+
 def rand_frac(rng, num=9, den=5):
     return F(rng.randint(-num, num), rng.randint(1, den))
 
@@ -140,7 +146,7 @@ def test_exact_signs_agree_with_floats():
         while comparisons < 60 * (1 if n == 7 else 2):
             el = K.element([rand_frac(rng, 4, 3) for _ in range(K.degree)])
             for i in range(K.degree):
-                approx = el.float_at_embedding(i)
+                approx = float_at_embedding(el, i)
                 if abs(approx) < 1e-6:
                     continue
                 exact = el.sign_at_embedding(i)
@@ -183,7 +189,7 @@ def _word_traces(n, seqs):
             g = mat_mul(g, geo[s])
             w = w * quat[s]
         tg = abs((g[0][0] + g[1][1]).real)
-        tq = abs(w.reduced_trace().float_at_embedding(0))
+        tq = abs(float_at_embedding(w.reduced_trace(), 0))
         out.append((tg, tq))
     return out
 

@@ -47,16 +47,16 @@ def test_norm_trace_conjugate():
     n = x.reduced_norm()
     # x0^2 - a x1^2 - b x2^2 + ab x3^2
     want = F(1) - 2 * F(1, 4) - 3 * F(4) + 6 * F(9, 16)
-    assert n.rational_value() == want
-    assert x.reduced_trace().rational_value() == 2
-    assert (x * x.conjugate()).coords[0].rational_value() == want
+    assert n == want
+    assert x.reduced_trace() == 2
+    assert (x * x.conjugate()).coords[0] == want
     assert x + x.conjugate() == alg.element(2)
 
 
 def test_inverse():
     alg = _rational_algebra(-1, 5)
     x = alg.element(1, 1, 1, 1)  # norm 1 + 1 - 5 - 5 = -8
-    assert x.reduced_norm().rational_value() == -8
+    assert x.reduced_norm() == -8
     assert x * x.inverse() == alg.one()
     assert x.inverse() * x == alg.one()
     with pytest.raises(QuaternionError):
@@ -108,7 +108,7 @@ def test_split_place_is_most_negative_root(subtests=None):
     for n in (7, 9, 11):
         tri = uniformizer_triple(n)
         K = tri.algebra.field
-        lo, hi = K.real_embeddings[0]
+        lo, hi = K.gen().embedding_interval(0, F(1, 100))
         mid = float((lo + hi) / 2)
         roots = sorted(2 * math.cos(2 * math.pi * k / n)
                        for k in range(1, n // 2 + 1) if math.gcd(k, n) == 1)
@@ -194,6 +194,28 @@ def test_hash_agrees_with_eq():
     v = t1.algebra.field.gen()
     scalar = t1.algebra.element(v)
     assert scalar == v and hash(scalar) == hash(v)
+
+
+def test_equality_across_algebras():
+    # elements of different algebras are unequal, except equal scalars,
+    # which equal their common scalar and hash like it
+    A7, A9 = uniformizer_triple(7).algebra, uniformizer_triple(9).algebra
+    assert A7.one() == A9.one() and len({A7.one(), A9.one()}) == 1
+    assert A7.element(F(-1, 2)) == A9.element(F(-1, 2))
+    assert A7.element(2) != A9.element(3)
+    i7, i9 = A7.basis()[1], A9.basis()[1]
+    assert i7 != i9 and i7 not in [i9]
+    assert A7.one() != i9 and i7 != A9.one()
+    # a scalar that is not rational lies in one field only
+    assert A7.element(A7.field.gen()) != A9.element(A9.field.gen())
+    assert len({A7.zero(), A9.zero(), i7, i9}) == 3
+    # on the same field, scalars are equal across algebras
+    Q = _rational_algebra(-1, -1)
+    assert _rational_algebra(2, 3).element(5) == Q.element(5)
+    # arithmetic across algebras still raises
+    for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a - b):
+        with pytest.raises(QuaternionError):
+            op(A7.one(), A9.one())
 
 
 def test_norm_multiplicative_spot():

@@ -1,5 +1,8 @@
 """Triangle classification, degrees, weights, and disk tessellation."""
 
+import dataclasses
+import hashlib
+import json
 import math
 import os
 from fractions import Fraction
@@ -13,6 +16,8 @@ from shimura4.trianglestacks import (
     TriangleError,
     _apply,
     _generator_matrices,
+    _sparse_rows,
+    _tile_tree,
     bezout_weights,
     canonical_degree,
     classify,
@@ -183,9 +188,69 @@ def test_tessellate_needs_a_quaternion_triple(pqr):
 
 
 def test_bfs_step_raises_on_remainder():
-    assert _apply(((1, 1), (2, 0)), (3, 1), 2) == (2, 3)
+    assert _sparse_rows(((1, 1), (2, 0))) == (((0, 1), (1, 1)), ((0, 2),))
+    assert _apply(_sparse_rows(((1, 1), (2, 0))), (3, 1), 2) == (2, 3)
     with pytest.raises(TriangleError):
-        _apply(((1, 1), (1, 0)), (3, 1), 2)
+        _apply(_sparse_rows(((1, 1), (1, 0))), (3, 1), 2)
+
+
+def _full_tile_tree(p, q, r, max_len):
+    """The tile tree by a breadth-first search that applies all six dense
+    generator matrices to every tile and skips nothing."""
+    mats, den, _ = _generator_matrices(p, q, r)
+    start = (den,) + (0,) * (len(mats[0]) - 1)
+    seen, tiles, frontier = {start}, [(-1, -1, 0)], [(0, start)]
+    for length in range(1, max_len + 1):
+        new_frontier = []
+        for parent, u in frontier:
+            for gi, rows in enumerate(mats):
+                w = []
+                for row in rows:
+                    c, rem = divmod(sum(a * b for a, b in zip(row, u)), den)
+                    assert rem == 0
+                    w.append(c)
+                if next(c for c in w if c) < 0:
+                    w = [-c for c in w]
+                w = tuple(w)
+                if w not in seen:
+                    seen.add(w)
+                    new_frontier.append((len(tiles), w))
+                    tiles.append((parent, gi, length))
+        frontier = new_frontier
+    return tiles
+
+
+@pytest.mark.parametrize("n", [7, 9, 11])
+def test_pruned_sparse_search_matches_the_full_search(n):
+    assert _tile_tree(2, 3, n, 8) == _full_tile_tree(2, 3, n, 8)
+
+
+@pytest.mark.parametrize("n,count,sha", [
+    (7, 1190, "e187865dd5db3f1db6acdf80158df3b55b4c726cad38b638402d606c58fd29c7"),
+    (9, 3091, "2728a5c467918954050e4bd04061a0515886f90c70f6482329ac1c411a982c04"),
+])
+def test_tile_tree_is_frozen_at_max_depth(n, count, sha):
+    tiles = _tile_tree(2, 3, n, MAX_DEPTH)
+    assert len(tiles) == count
+    assert hashlib.sha256(json.dumps(tiles).encode()).hexdigest() == sha
+
+
+def test_generator_matrices_refuse_a_delta_p_of_order_other_than_4(monkeypatch):
+    # with delta_q (order 6 in the algebra) in place of delta_p, the skipped
+    # inverse would not be -delta_p: the set-up must refuse to search
+    from shimura4 import quaternion
+    original = quaternion.uniformizer_triple
+
+    def swapped(n):
+        trip = original(n)
+        return dataclasses.replace(trip, delta_p=trip.delta_q)
+    monkeypatch.setattr(quaternion, "uniformizer_triple", swapped)
+    _generator_matrices.cache_clear()
+    try:
+        with pytest.raises(TriangleError, match="delta_p"):
+            _generator_matrices(2, 3, 7)
+    finally:
+        _generator_matrices.cache_clear()
 
 
 @pytest.mark.parametrize("n,size", [(7, 12), (9, 12), (11, 20)])
