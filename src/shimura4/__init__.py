@@ -11,6 +11,7 @@ Subpackages of interest:
 - hypergeom: local exponents and eigenvector line counts for the associated
   cyclic covers
 - cli / report: the `verify` command line tool and its JSON report
+- record: the immutable base class of every record type above
 """
 
 __version__ = "0.1.0"

@@ -18,19 +18,18 @@ convention. Everything checkable offline is checked:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from importlib import resources
+import pkgutil
 from typing import Optional, Tuple
 
 from .intfactor import factor_integer, parse_factorization, recompose
+from .record import Record
 
 
 class CMTableError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FieldLabel:
+class FieldLabel(Record):
     degree: int
     real_places: int
     abs_disc: int
@@ -52,8 +51,7 @@ class FieldLabel:
         return FieldLabel(d, r, disc, idx)
 
 
-@dataclass(frozen=True)
-class CMRow:
+class CMRow(Record):
     field_label: str
     disc_factorization: str
     definition_field_label: str
@@ -62,8 +60,7 @@ class CMRow:
         return parse_factorization(self.disc_factorization)
 
 
-@dataclass(frozen=True)
-class CMTable:
+class CMTable(Record):
     name: str
     base_prime: int
     base_exponent: int
@@ -87,7 +84,10 @@ def _read_bytes(n: int, data_dir: Optional[str]) -> bytes:
     if data_dir is not None:
         with open(f"{data_dir}/{fname}", "rb") as fh:
             return fh.read()
-    return resources.files("shimura4").joinpath("data", fname).read_bytes()
+    # pkgutil reads through the package's loader, as importlib.resources
+    # does, without loading `inspect` (which importlib.resources does from
+    # Python 3.12)
+    return pkgutil.get_data("shimura4", f"data/{fname}")
 
 
 def load_table(n: int, data_dir: Optional[str] = None) -> CMTable:
@@ -123,8 +123,7 @@ def load_table(n: int, data_dir: Optional[str] = None) -> CMTable:
                    hashlib.sha256(raw).hexdigest())
 
 
-@dataclass(frozen=True)
-class RowFinding:
+class RowFinding(Record):
     row: str
     check: str
     ok: bool
@@ -165,8 +164,7 @@ def verify_row(row: CMRow, table: CMTable) -> Tuple[RowFinding, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(Record):
     name: str
     row_count: int
     expected_row_count: int

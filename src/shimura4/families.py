@@ -27,7 +27,6 @@ engine never invents an expected value at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -39,6 +38,7 @@ from .multipoly import (
     discriminant,
     squarefree_decomposition,
 )
+from .record import Record
 from .trianglestacks import canonical_degree
 
 F = Fraction
@@ -132,8 +132,7 @@ def restrict_vars(p: MultiPoly, variables: Sequence[str]) -> MultiPoly:
 # discriminant of the hyperelliptic family
 
 
-@dataclass(frozen=True)
-class DiscriminantReport:
+class DiscriminantReport(Record):
     t_valuation: int
     t1_valuation: int
     constant: Fraction              # polynomial-level constant
@@ -191,8 +190,7 @@ def is_smooth_fiber_c7(t0) -> bool:
 # reduction engine
 
 
-@dataclass(frozen=True)
-class SubstStep:
+class SubstStep(Record):
     """One change of variables of the family's equation.
 
     `assignments` maps variables to (numerator, denominator) polynomials on
@@ -207,22 +205,19 @@ class SubstStep:
     assignments: tuple  # ((var, num, den|None), ...)
 
 
-@dataclass(frozen=True)
-class DivideStep:
+class DivideStep(Record):
     """Declared exact division of the equation by var**power."""
     var: str
     power: int
 
 
-@dataclass(frozen=True)
-class SquareCheck:
+class SquareCheck(Record):
     """Assert the fiber at var = 0 is const * root**2; record const."""
     var: str
     root: MultiPoly
 
 
-@dataclass(frozen=True)
-class ReductionPlan:
+class ReductionPlan(Record):
     name: str
     family: str          # "hyperelliptic" | "plane"
     base_point: str      # "0" | "1" | "inf"
@@ -237,8 +232,7 @@ class ReductionPlan:
     match_kind: str
 
 
-@dataclass
-class ReductionReport:
+class ReductionReport(Record):
     plan_name: str
     base_point: str
     reduced: MultiPoly
@@ -475,8 +469,7 @@ def match_proportional(lhs: MultiPoly, target: MultiPoly) -> Optional[Fraction]:
 # differential weights
 
 
-@dataclass(frozen=True)
-class OmegaLocalData:
+class OmegaLocalData(Record):
     """Local data for the canonical section at one degenerate fiber.
 
     kind selects the weight formula; (i, j, k) are the monomial rescaling
@@ -686,8 +679,7 @@ def omega_table(n: int) -> tuple:
     raise VerificationError("omega table is defined for n = 7 and n = 9")
 
 
-@dataclass(frozen=True)
-class ArakelovReport:
+class ArakelovReport(Record):
     n: int
     contributions: tuple        # ((name, Fraction), ...)
     total: Fraction
@@ -714,8 +706,7 @@ def arakelov_check(n: int) -> ArakelovReport:
 # the t = 1 fiber of the hyperelliptic family
 
 
-@dataclass(frozen=True)
-class EllipticPiece:
+class EllipticPiece(Record):
     quartic: MultiPoly          # y^2 = quartic(x), root at x = 0
     cubic_p: Fraction           # depressed cubic y^2 = x^3 + p x + q
     cubic_q: Fraction
@@ -726,8 +717,7 @@ class EllipticPiece:
     twist: Fraction             # d with p = d^2 target_p, q = d^3 target_q
 
 
-@dataclass(frozen=True)
-class T1Split:
+class T1Split(Record):
     multiplicities: tuple       # ((factor-string, multiplicity), ...)
     elliptic: EllipticPiece
 
@@ -802,11 +792,3 @@ def t1_fiber_split_c7() -> T1Split:
                                 "elliptic piece to its expected model")
     piece = EllipticPiece(quartic, p, q, j, T1_TARGET_P, T1_TARGET_Q, tj, d)
     return T1Split(mults, piece)
-
-
-def c9_fiber_components_t1() -> tuple:
-    """Reduction reports for both components of the second family at t = 1."""
-    plans = reduction_plans(9)
-    a = apply_reduction(plans[1])
-    b = apply_reduction(plans[2])
-    return a, b

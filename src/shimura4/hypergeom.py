@@ -15,10 +15,11 @@ module recomputes from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Tuple
+
+from .record import Record
 
 F = Fraction
 
@@ -27,8 +28,7 @@ class HypergeomError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HypergeometricData:
+class HypergeometricData(Record):
     level: int                 # N
     exponents: Tuple[int, ...]  # (a1, a2, a3, a4), a4 derived, each in 1..N-1
 

@@ -14,7 +14,6 @@ from there. The public surface speaks MultiPoly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
@@ -31,6 +30,7 @@ from .multipoly import (
     poly_to_dense,
     squarefree_part,
 )
+from .record import Record
 
 
 class NumberFieldError(ValueError):
@@ -166,8 +166,7 @@ def refine_interval(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
 # fields and elements
 
 
-@dataclass(frozen=True)
-class NumberField:
+class NumberField(Record):
     """Q[x]/(m) for m monic irreducible, all roots real.
 
     `min_poly` is the monic minimal polynomial as a univariate MultiPoly;
@@ -382,19 +381,6 @@ class NumberFieldElem:
             cands = (plo * lo, plo * hi, phi * lo, phi * hi)
             plo, phi = min(cands) + c, max(cands) + c
         return plo, phi
-
-    def embedding_interval(self, index: int, width: Fraction) -> tuple:
-        """Exact enclosure of the image at one real embedding, <= width wide."""
-        lo, hi = self.field._roots[index]
-        while True:
-            vlo, vhi = self._interval_eval(lo, hi)
-            if vhi - vlo <= width:
-                return vlo, vhi
-            lo, hi = refine_interval(self.field._dense, lo, hi,
-                                     (hi - lo) / 2 if hi > lo else Fraction(1))
-            if lo == hi:
-                v = _eval(list(self.coords), lo)
-                return v, v
 
     def sign_at_embedding(self, index: int) -> int:
         """Sign (-1, 0, +1) of the image under the index-th real embedding.

@@ -16,12 +16,12 @@ K = Q(2 cos(2 pi / n)), delta_r = delta_p^-1 delta_q^-1, inside the algebra
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
 from .numberfield import NumberField, NumberFieldElem, _int_rows, _mul_fold, field_2cos
+from .record import Record
 
 Coord = Union[int, Fraction, NumberFieldElem]
 
@@ -30,8 +30,7 @@ class QuaternionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
+class QuaternionAlgebra(Record):
     """(a, b / K): i^2 = a, j^2 = b, k = ij = -ji, k^2 = -a b."""
     field: NumberField
     a: NumberFieldElem
@@ -247,8 +246,7 @@ class Quaternion:
 # the (2, 3, n) triples
 
 
-@dataclass(frozen=True)
-class UniformizerTriple:
+class UniformizerTriple(Record):
     """delta_p, delta_q, delta_r of projective orders 2, 3, n with
     delta_r delta_q delta_p = 1, inside (-1, v^2-3 / Q(2 cos 2pi/n))."""
     n: int

@@ -4,13 +4,18 @@ A Check compares an expected value against a recomputed one. Status
 "flagged" marks items that are correct-with-caveat or recorded-but-not-
 recomputed; they are surfaced prominently but do not fail a run. The JSON
 form is deterministic: fixed key order, fixed separators, no timestamps.
+
+Checks, suites and reports are records (`shimura4.record`): no field is
+ever reassigned. A suite's list of checks and a report's list of suites
+are its own, and grow through `add` and `add_suite`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
+
+from .record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -21,8 +26,7 @@ RECOMPUTED = "recomputed here"      # derived independently by this package
 GIVEN = "given value, not recomputed"  # recorded input, cross-checked only
 
 
-@dataclass
-class Check:
+class Check(Record):
     id: str
     status: str
     expected: str
@@ -45,10 +49,13 @@ class Check:
         return Check(check_id, PASS if ok else FAIL, expected, actual, citation)
 
 
-@dataclass
-class Suite:
+class Suite(Record):
     name: str
-    checks: List[Check] = field(default_factory=list)
+    checks: List[Check]
+
+    def __init__(self, name: str, checks: Optional[List[Check]] = None):
+        # a fresh list per suite, which add() appends to
+        super().__init__(name, [] if checks is None else checks)
 
     def add(self, *checks: Check) -> None:
         self.checks.extend(checks)
@@ -60,10 +67,13 @@ class Suite:
         return out
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     version: str
-    suites: List[Suite] = field(default_factory=list)
+    suites: List[Suite]
+
+    def __init__(self, version: str, suites: Optional[List[Suite]] = None):
+        # a fresh list per report, which add_suite() appends to
+        super().__init__(version, [] if suites is None else suites)
 
     def add_suite(self, suite: Suite) -> None:
         self.suites.append(suite)

@@ -24,10 +24,11 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence, Union
+
+from .record import Record
 
 INFINITY = math.inf
 
@@ -53,8 +54,7 @@ def _inv(e: Entry) -> Fraction:
     return Fraction(0) if _is_inf(e) else Fraction(1, e)
 
 
-@dataclass(frozen=True)
-class TriangleType:
+class TriangleType(Record):
     p: Entry
     q: Entry
     r: Entry

@@ -16,7 +16,6 @@ from shimura4.families import (
     arakelov_check,
     c7_discriminant,
     c7_family,
-    c9_fiber_components_t1,
     reduction_plans,
     t1_fiber_split_c7,
 )
@@ -30,6 +29,12 @@ from shimura4.hypergeom import (
 )
 from shimura4.multipoly import discriminant
 from shimura4.quaternion import uniformizer_triple
+
+
+def c9_fiber_components_t1():
+    """Reduction reports for both components of the second family at t = 1."""
+    plans = reduction_plans(9)
+    return apply_reduction(plans[1]), apply_reduction(plans[2])
 
 
 def _announce(capsys, label, body):

@@ -242,27 +242,35 @@ def test_cli_import_loads_no_mpmath():
 def test_cli_loads_only_the_modules_its_suites_run():
     # importing the cli loads no computation module; the triangle suite
     # loads the quaternion triple and what it rests on, not the families,
-    # the CM tables or the hypergeometric data
+    # the CM tables or the hypergeometric data; and no run loads the
+    # code-generating dataclasses module or the inspect module it pulls in
     src = Path(cli.__file__).resolve().parents[1]
     code = (
         "import contextlib, io, json, sys\n"
         "import shimura4.cli\n"
         "after_import = sorted(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = shimura4.cli.main(['triangle', '--json'])\n"
-        "print(json.dumps([code, after_import, sorted(sys.modules)]))\n")
+        "    codes = [shimura4.cli.main(['triangle', '--json'])]\n"
+        "after_triangle = sorted(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes.append(shimura4.cli.main(['--json']))\n"
+        "print(json.dumps([codes, after_import, after_triangle,\n"
+        "                  sorted(sys.modules)]))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
-    code, after_import, after_triangle = json.loads(out.stdout)
-    assert code == 0
+    codes, after_import, after_triangle, after_all = json.loads(out.stdout)
+    assert codes == [0, 0]
     for name in ("families", "cmtables", "hypergeom", "multipoly",
                  "numberfield", "quaternion"):
         assert f"shimura4.{name}" not in after_import
     for name in ("families", "cmtables", "hypergeom"):
         assert f"shimura4.{name}" not in after_triangle
     assert "shimura4.quaternion" in after_triangle
+    assert "shimura4.families" in after_all
+    assert "dataclasses" not in after_all
+    assert "inspect" not in after_all
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

@@ -1,7 +1,8 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from test_acceptance import c9_fiber_components_t1
+from test_record import with_fields
 
 from shimura4.families import (
     ArakelovReport,
@@ -16,7 +17,6 @@ from shimura4.families import (
     c7_family,
     c9_family,
     c9_family_flat_form,
-    c9_fiber_components_t1,
     is_smooth_fiber_c7,
     j_invariant_depressed,
     match_hyperelliptic_up_to_twist,
@@ -198,7 +198,7 @@ def test_reduction_7_at_1_inverts_before_translating():
     assert clearing == P("x", "y", "t2")[0] ** 20
     assert eq.valuation("x") == 10
     assert divide == DivideStep("x", 10)
-    over = replace(plan, steps=(inversion, DivideStep("x", 11), *rest))
+    over = with_fields(plan, steps=(inversion, DivideStep("x", 11), *rest))
     with pytest.raises(VerificationError, match="declared division"):
         apply_reduction(over)
 

@@ -6,6 +6,8 @@ import math
 import random
 from fractions import Fraction as F
 
+from test_numberfield import embedding_interval
+
 from shimura4.families import (
     DivideStep,
     OmegaLocalData,
@@ -38,7 +40,7 @@ from shimura4.trianglestacks import (
 
 def float_at_embedding(el, index):
     """The image of el at a real embedding, from an exact enclosure."""
-    lo, hi = el.embedding_interval(index, F(1, 10 ** 20))
+    lo, hi = embedding_interval(el, index, F(1, 10 ** 20))
     return float((lo + hi) / 2)
 
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_numberfield import embedding_interval
 
 from shimura4.numberfield import (
     NumberField,
@@ -108,7 +109,7 @@ def test_split_place_is_most_negative_root(subtests=None):
     for n in (7, 9, 11):
         tri = uniformizer_triple(n)
         K = tri.algebra.field
-        lo, hi = K.gen().embedding_interval(0, F(1, 100))
+        lo, hi = embedding_interval(K.gen(), 0, F(1, 100))
         mid = float((lo + hi) / 2)
         roots = sorted(2 * math.cos(2 * math.pi * k / n)
                        for k in range(1, n // 2 + 1) if math.gcd(k, n) == 1)

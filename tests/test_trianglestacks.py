@@ -1,6 +1,5 @@
 """Triangle classification, degrees, weights, and disk tessellation."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +7,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from test_record import with_fields
 
 from shimura4.trianglestacks import (
     IDENTITY,
@@ -243,7 +243,7 @@ def test_generator_matrices_refuse_a_delta_p_of_order_other_than_4(monkeypatch):
 
     def swapped(n):
         trip = original(n)
-        return dataclasses.replace(trip, delta_p=trip.delta_q)
+        return with_fields(trip, delta_p=trip.delta_q)
     monkeypatch.setattr(quaternion, "uniformizer_triple", swapped)
     _generator_matrices.cache_clear()
     try:
