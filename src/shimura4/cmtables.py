@@ -18,7 +18,7 @@ convention. Everything checkable offline is checked:
 from __future__ import annotations
 
 import hashlib
-import pkgutil
+import os
 from typing import Optional, Tuple
 
 from .intfactor import factor_integer, parse_factorization, recompose
@@ -80,14 +80,13 @@ def data_file_name(n: int) -> str:
 
 
 def _read_bytes(n: int, data_dir: Optional[str]) -> bytes:
-    fname = data_file_name(n)
-    if data_dir is not None:
-        with open(f"{data_dir}/{fname}", "rb") as fh:
-            return fh.read()
-    # pkgutil reads through the package's loader, as importlib.resources
-    # does, without loading `inspect` (which importlib.resources does from
-    # Python 3.12)
-    return pkgutil.get_data("shimura4", f"data/{fname}")
+    # the bundled tables are files next to this module; reading them by
+    # path imports nothing (importlib.resources loads `inspect` from
+    # Python 3.12 on)
+    if data_dir is None:
+        data_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+    with open(f"{data_dir}/{data_file_name(n)}", "rb") as fh:
+        return fh.read()
 
 
 def load_table(n: int, data_dir: Optional[str] = None) -> CMTable:
