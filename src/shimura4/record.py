@@ -39,15 +39,7 @@ class Record:
         cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            self.__dict__.update(self._bind(args, kwargs))
-        else:
-            self.__dict__.update(zip(self._fields, args))
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> dict:
-        """Field values from constructor arguments, defaults filled in."""
+        cls = type(self)
         fields = cls._fields
         if len(args) > len(fields):
             raise TypeError(f"{cls.__name__} takes {len(fields)} fields, "
@@ -64,7 +56,8 @@ class Record:
                 if name not in cls._defaults:
                     raise TypeError(f"{cls.__name__} is missing field {name!r}")
                 values[name] = cls._defaults[name]
-        return values
+        self.__dict__.update(values)
+        self.__post_init__()
 
     def __post_init__(self):
         pass

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction as F
 
 import test_properties as props
+from _helpers import c9_fiber_components_t1
 
 from shimura4.cmtables import load_table, verify_table
 from shimura4.families import (
@@ -29,12 +30,6 @@ from shimura4.hypergeom import (
 )
 from shimura4.multipoly import discriminant
 from shimura4.quaternion import uniformizer_triple
-
-
-def c9_fiber_components_t1():
-    """Reduction reports for both components of the second family at t = 1."""
-    plans = reduction_plans(9)
-    return apply_reduction(plans[1]), apply_reduction(plans[2])
 
 
 def _announce(capsys, label, body):

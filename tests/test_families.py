@@ -1,8 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from test_acceptance import c9_fiber_components_t1
-from test_record import with_fields
+from _helpers import c9_fiber_components_t1, with_fields
 
 from shimura4.families import (
     ArakelovReport,

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from _helpers import embedding_interval
 
 from shimura4.multipoly import MultiPoly
 from shimura4.numberfield import (
     NumberField,
     NumberFieldError,
-    _eval,
     count_real_roots,
     dense_to_poly,
     field_2cos,
@@ -20,22 +20,6 @@ from shimura4.numberfield import (
 )
 
 F = Fraction
-
-
-def embedding_interval(el, index, width):
-    """Exact enclosure of el at the index-th real embedding, at most width
-    wide: the field's isolating interval of that root, bisected until the
-    interval image of el is narrow enough."""
-    K = el.field
-    lo, hi = K._roots[index]
-    while True:
-        vlo, vhi = el._interval_eval(lo, hi)
-        if vhi - vlo <= width:
-            return vlo, vhi
-        lo, hi = refine_interval(K._dense, lo, hi, (hi - lo) / 2 if hi > lo else F(1))
-        if lo == hi:
-            v = _eval(list(el.coords), lo)
-            return v, v
 
 
 def test_sturm_count_simple():

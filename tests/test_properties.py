@@ -6,7 +6,7 @@ import math
 import random
 from fractions import Fraction as F
 
-from test_numberfield import embedding_interval
+from _helpers import embedding_interval
 
 from shimura4.families import (
     DivideStep,

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_numberfield import embedding_interval
+from _helpers import embedding_interval
 
 from shimura4.numberfield import (
     NumberField,

@@ -11,13 +11,6 @@ from shimura4.record import Record
 from shimura4.report import PASS, RECOMPUTED, Check, Suite, VerificationReport
 
 
-def with_fields(record, **changes):
-    """A record of the same type with some fields changed, built from the
-    fields of the given one."""
-    values = {name: getattr(record, name) for name in record._fields}
-    return type(record)(**{**values, **changes})
-
-
 class Pair(Record):
     left: int
     right: int = 0

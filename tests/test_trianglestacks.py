@@ -7,7 +7,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from test_record import with_fields
+from _helpers import with_fields
 
 from shimura4.trianglestacks import (
     IDENTITY,
