@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Optional, Tuple
 
 from .intfactor import factor_integer, parse_factorization, recompose
 from .record import Record
@@ -65,7 +64,7 @@ class CMTable(Record):
     base_prime: int
     base_exponent: int
     modulus: int
-    rows: Tuple[CMRow, ...]
+    rows: tuple[CMRow, ...]
     checksum: str
 
 
@@ -79,7 +78,7 @@ def data_file_name(n: int) -> str:
     return _TABLE_PARAMS[n][0]
 
 
-def _read_bytes(n: int, data_dir: Optional[str]) -> bytes:
+def _read_bytes(n: int, data_dir: str | None) -> bytes:
     # the bundled tables are files next to this module; reading them by
     # path imports nothing (importlib.resources loads `inspect` from
     # Python 3.12 on)
@@ -89,7 +88,7 @@ def _read_bytes(n: int, data_dir: Optional[str]) -> bytes:
         return fh.read()
 
 
-def load_table(n: int, data_dir: Optional[str] = None) -> CMTable:
+def load_table(n: int, data_dir: str | None = None) -> CMTable:
     """Read table n; a row that does not parse raises CMTableError naming
     the file and line. Row values are judged by verify_table, not here."""
     raw = _read_bytes(n, data_dir)
@@ -129,7 +128,7 @@ class RowFinding(Record):
     detail: str
 
 
-def verify_row(row: CMRow, table: CMTable) -> Tuple[RowFinding, ...]:
+def verify_row(row: CMRow, table: CMTable) -> tuple[RowFinding, ...]:
     out = []
     lab = FieldLabel.parse(row.field_label)
     out.append(RowFinding(row.field_label, "octic-totally-imaginary",
@@ -167,8 +166,8 @@ class TableReport(Record):
     name: str
     row_count: int
     expected_row_count: int
-    duplicates: Tuple[str, ...]
-    findings: Tuple[RowFinding, ...]
+    duplicates: tuple[str, ...]
+    findings: tuple[RowFinding, ...]
     checksum: str
 
     @property
@@ -178,7 +177,7 @@ class TableReport(Record):
                 and all(f.ok for f in self.findings))
 
 
-def verify_table(n: int, data_dir: Optional[str] = None) -> TableReport:
+def verify_table(n: int, data_dir: str | None = None) -> TableReport:
     table = load_table(n, data_dir)
     seen = set()
     dups = []

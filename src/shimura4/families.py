@@ -18,8 +18,9 @@ This module recomputes, from scratch and exactly:
   equation against the expected curve (up to the allowed twist/scaling);
 - the splitting of the t = 1 hyperelliptic fiber into an elliptic piece
   (j-invariant and the exact quadratic twist constant) and a genus-3 piece;
-- the local weights of the canonical section of the Hodge bundle and the
-  resulting degree identity against the triangle-stack degree.
+- the local weights of the canonical section of the Hodge bundle, read off
+  the same reduction plans without running them, and the resulting degree
+  identity against the triangle-stack degree.
 
 Plans carry expected values that were derived independently and frozen; the
 engine never invents an expected value at run time.
@@ -27,9 +28,10 @@ engine never invents an expected value at run time.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from math import prod
 
 from .intfactor import _int_nth_root, factor_integer
 from .multipoly import (
@@ -237,8 +239,7 @@ class ReductionReport(Record):
     base_point: str
     reduced: MultiPoly
     match: tuple    # ("twist", c, lam) | ("proportional", r) | ("display-gap", scale, w_ratio)
-    square_scalar: Optional[Fraction]
-    flags: list
+    square_scalar: Fraction | None
     log: list
 
 
@@ -256,7 +257,6 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
         raise VerificationError(f"unknown family {plan.family!r}")
     u = plan.uniformizer
     log = []
-    flags = []
     square_scalar = None
 
     for step in plan.steps:
@@ -300,9 +300,9 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
         reduced = _solve_for_square(reduced, "y")
         log.append(f"as y^2 = g: g = {reduced}")
 
-    match = _match_reduced(plan, reduced, flags)
+    match = _match_reduced(plan, reduced)
     return ReductionReport(plan.name, plan.base_point, reduced, match,
-                           square_scalar, flags, log)
+                           square_scalar, log)
 
 
 def _solve_for_square(p: MultiPoly, yvar: str) -> MultiPoly:
@@ -319,7 +319,7 @@ def _solve_for_square(p: MultiPoly, yvar: str) -> MultiPoly:
     return restrict_vars(g, tuple(v for v in g.variables if v != yvar))
 
 
-def _match_reduced(plan: ReductionPlan, reduced: MultiPoly, flags: list):
+def _match_reduced(plan: ReductionPlan, reduced: MultiPoly):
     if plan.match_kind == "twist":
         lhs = restrict_vars(reduced, plan.expected.variables)
         var = plan.expected.variables_used()[0]
@@ -336,11 +336,11 @@ def _match_reduced(plan: ReductionPlan, reduced: MultiPoly, flags: list):
                                     f"proportional to the expected one")
         return ("proportional", r)
     if plan.match_kind == "display-gap":
-        return _match_display_gap(plan, reduced, flags)
+        return _match_display_gap(plan, reduced)
     raise VerificationError(f"unknown match kind {plan.match_kind!r}")
 
 
-def _match_display_gap(plan: ReductionPlan, reduced: MultiPoly, flags: list):
+def _match_display_gap(plan: ReductionPlan, reduced: MultiPoly):
     """Structured comparison for the one chart whose published display does
     not equal the computed equation under any rational rescaling.
 
@@ -372,11 +372,6 @@ def _match_display_gap(plan: ReductionPlan, reduced: MultiPoly, flags: list):
     if w_ratio == scale:
         # would be a clean proportional match after all
         return ("proportional", scale)
-    flags.append(
-        f"{plan.name}: computed equation is {lhs}; the published display "
-        f"matches the W-free part exactly (scale {scale}) but its W^3 "
-        f"coefficient differs by {w_ratio}/{scale} = {w_ratio / scale}, "
-        f"which has no rational cube root; same curve over the closure")
     return ("display-gap", scale, w_ratio)
 
 
@@ -384,7 +379,7 @@ def _match_display_gap(plan: ReductionPlan, reduced: MultiPoly, flags: list):
 # matching helpers
 
 
-def _fraction_nth_root(x: Fraction, n: int) -> Optional[Fraction]:
+def _fraction_nth_root(x: Fraction, n: int) -> Fraction | None:
     """Exact rational n-th root, or None. For even n the positive root."""
     if n <= 0:
         raise ValueError("n must be positive")
@@ -398,7 +393,7 @@ def _fraction_nth_root(x: Fraction, n: int) -> Optional[Fraction]:
 
 
 def match_hyperelliptic_up_to_twist(lhs: MultiPoly, target: MultiPoly,
-                                    var: str) -> Optional[tuple]:
+                                    var: str) -> tuple | None:
     """Solve lhs(x) = c * target(lambda x) for rational c, lambda.
 
     Returns (c, lambda) or None. When both (c, lambda) and the mirrored
@@ -421,7 +416,7 @@ def match_hyperelliptic_up_to_twist(lhs: MultiPoly, target: MultiPoly,
         return None
     k0 = support[0]
 
-    def check(lam: Fraction) -> Optional[tuple]:
+    def check(lam: Fraction) -> tuple | None:
         if lam == 0:
             return None
         c = lc[k0].constant_value() / (tc[k0].constant_value() * lam ** k0)
@@ -447,7 +442,7 @@ def match_hyperelliptic_up_to_twist(lhs: MultiPoly, target: MultiPoly,
     return sols[0]
 
 
-def match_proportional(lhs: MultiPoly, target: MultiPoly) -> Optional[Fraction]:
+def match_proportional(lhs: MultiPoly, target: MultiPoly) -> Fraction | None:
     """The rational r with lhs = r * target, or None."""
     if lhs.variables != target.variables:
         raise MultiPolyError("matcher operands must share a variable tuple")
@@ -463,55 +458,6 @@ def match_proportional(lhs: MultiPoly, target: MultiPoly) -> Optional[Fraction]:
         elif r != q:
             return None
     return r
-
-
-# ----------------------------------------------------------------------
-# differential weights
-
-
-class OmegaLocalData(Record):
-    """Local data for the canonical section at one degenerate fiber.
-
-    kind selects the weight formula; (i, j, k) are the monomial rescaling
-    exponents of the chart, m its ramification degree, sign +1 for charts at
-    finite points and -1 at infinity. `pre` corrections enter the numerator
-    before dividing by m; `post` corrections add on afterwards.
-    """
-    kind: str   # "hyperelliptic-g4" | "hyperelliptic-g3" | "plane-g4"
-    i: int
-    j: int
-    k: int = 0
-    m: int = 1
-    sign: int = 1
-    pre: tuple = ()
-    post: tuple = ()
-
-
-def omega_weight(d: OmegaLocalData) -> int:
-    """The monomial-rescaling weight for the given model kind.
-
-    Genus-4 hyperelliptic: 10 i - 4 j (from g(g+1)/2 = 10 and g = 4);
-    genus-3 hyperelliptic: 6 i - 3 j; plane genus-4 model: 7 i + 5 j - 4 k
-    (the equation rescaling k enters opposite to the coordinate weights).
-    Additive in (i, j, k) by construction.
-    """
-    if d.kind == "hyperelliptic-g4":
-        return 10 * d.i - 4 * d.j
-    if d.kind == "hyperelliptic-g3":
-        return 6 * d.i - 3 * d.j
-    if d.kind == "plane-g4":
-        return 7 * d.i + 5 * d.j - 4 * d.k
-    raise VerificationError(f"unknown omega kind {d.kind!r}")
-
-
-def omega_contribution(d: OmegaLocalData) -> Fraction:
-    w = F(omega_weight(d))
-    for p in d.pre:
-        w += F(p)
-    out = F(d.sign) * w / d.m
-    for p in d.post:
-        out += F(p)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -650,33 +596,73 @@ def reduction_plans(n: int) -> tuple:
     raise VerificationError("plans are defined for n = 7 and n = 9")
 
 
-def omega_table(n: int) -> tuple:
-    """(plan-name, OmegaLocalData) for the degenerate fibers of family n.
+# ----------------------------------------------------------------------
+# local weights of the canonical forms, read off the plans
 
-    The t = 1 fiber of the second family carries its correction terms as
-    min(0, .)-type contributions already evaluated to (-5/9, -1/9, -2/9, 0).
+# the canonical forms of each family, as exponents of its two coordinates:
+# x^a dx/y for a < 4, and {1, Y, Y^2, W} dY/F_W
+CANONICAL_BASIS = {"hyperelliptic": ((0, 0), (1, 0), (2, 0), (3, 0)),
+                   "plane": ((0, 0), (1, 0), (2, 0), (0, 1))}
+
+
+def _laurent_exponents(num: MultiPoly, den: MultiPoly) -> list:
+    """The exponent tuples of num / den, for a monomial den."""
+    (d,) = den.terms
+    return [tuple(a - b for a, b in zip(e, d)) for e in num.terms]
+
+
+def chart_orders(plan: ReductionPlan, skip: int = 0) -> tuple[list[int], int]:
+    """The orders of the canonical forms in a plan's last uniformizer, and m,
+    the order of t - t0 in it (negative at infinity), read off the steps.
+
+    Each variable tuple lists two coordinates, then the parameter. A
+    SubstStep into a parameter w rescales the orders by m_w, the w-order of
+    the image of t - t0 (of the last parameter after the first step), and
+    adds ord_w(b) + i + j + c to the form b dx/E_y or b dY/F_W: i and j are
+    the w-orders of the derivatives of the coordinates' images by the new
+    coordinates (the first image must not involve the second coordinate),
+    c is the w-exponent of the cleared denominators, prod den_v ** deg_v of
+    the family's equation (only a first step has w in a denominator), and
+    ord_w(b) is the order of b's image at the first monomial that no earlier
+    form's image led with. A DivideStep by w^k subtracts k. Steps before
+    `skip` only set m.
     """
-    if n == 7:
-        return (
-            ("hyperelliptic-at-0",
-             OmegaLocalData("hyperelliptic-g4", i=2, j=11, m=4, sign=1)),
-            ("hyperelliptic-at-1",
-             OmegaLocalData("hyperelliptic-g3", i=2, j=7, m=7, sign=1)),
-            ("hyperelliptic-at-infinity",
-             OmegaLocalData("hyperelliptic-g4", i=1, j=8, m=3, sign=-1)),
-        )
-    if n == 9:
-        return (
-            ("plane-at-0",
-             OmegaLocalData("plane-g4", i=2, j=6, k=16, m=4, sign=1,
-                            pre=(F(-4),))),
-            ("plane-at-1",
-             OmegaLocalData("plane-g4", i=0, j=1, k=3, m=3, sign=1,
-                            post=(F(-5, 9), F(-1, 9), F(-2, 9), F(0)))),
-            ("plane-at-infinity",
-             OmegaLocalData("plane-g4", i=1, j=5, k=15, m=3, sign=-1)),
-        )
-    raise VerificationError("omega table is defined for n = 7 and n = 9")
+    eq = c7_equation() if plan.family == "hyperelliptic" else c9_family()
+    basis = CANONICAL_BASIS[plan.family]
+    old = eq.variables
+    t0 = 1 if plan.base_point == "1" else 0
+    orders, m, w = [0] * len(basis), 1, None
+    for at, step in enumerate(plan.steps):
+        if isinstance(step, DivideStep) and step.var == w and at >= skip:
+            orders = [o - step.power for o in orders]
+        if not isinstance(step, SubstStep):
+            continue
+        new = step.assignments[0][1].variables
+        w = new[2]
+        one = MultiPoly.constant(1, new)
+        images = {v: (num, one if den is None else den) for v, num, den in step.assignments}
+        images.update({v: (MultiPoly.variable(v, new), one) for v in old if v not in images})
+        cleared = sum(eq.degree(v) * den.degree(w) for v, (_, den) in images.items()
+                      if den.degree(w))
+        num, den = images[old[2]]
+        m_w = min(e[2] for e in _laurent_exponents(num - t0 * den, den))
+        first, second = (_laurent_exponents(*images[v]) for v in old[:2])
+        i = min(e[2] for e in first if e[0])
+        j = min(e[2] for e in second if e[1])
+        used, gains = set(), []
+        for b in basis:
+            factors = [images[v] for v, p in zip(old, b) for _ in range(p)]
+            num = prod((n for n, _ in factors), start=one)
+            den = prod((d for _, d in factors), start=one)
+            order, lead = min((e[2], e[:2]) for e in _laurent_exponents(num, den)
+                              if e[:2] not in used)
+            used.add(lead)
+            gains.append(order + i + j + cleared)
+        if at >= skip:
+            orders = [o * m_w + g for o, g in zip(orders, gains)]
+        m *= m_w
+        old, t0 = new, 0
+    return orders, m
 
 
 class ArakelovReport(Record):
@@ -692,8 +678,25 @@ class ArakelovReport(Record):
 
 def arakelov_check(n: int) -> ArakelovReport:
     """Compare twice the computed Hodge-bundle degree with four times the
-    triangle-stack canonical degree; equality is the expected identity."""
-    contribs = tuple((name, omega_contribution(d)) for name, d in omega_table(n))
+    triangle-stack canonical degree; equality is the expected identity.
+
+    A degenerate fiber's weight is that of its first plan's chart plus, for
+    each further component, that of the steps its plan runs after the first
+    plan's, which it must start with.
+    """
+    weights, firsts = {}, {}
+    for plan in reduction_plans(n):
+        first = firsts.setdefault(plan.base_point, plan)
+        shared = 0 if first is plan else len(first.steps)
+        if plan.steps[:shared] != first.steps[:shared]:
+            raise VerificationError(f"{plan.name} does not continue {first.name}")
+        point = "infinity" if plan.base_point == "inf" else plan.base_point
+        name = f"{plan.family}-at-{point}"
+        orders, m = chart_orders(plan, shared)
+        # min(0, .) over the forms at a finite point, max(0, .) at infinity
+        weight = F(sum(min(0, o) if m > 0 else max(0, o) for o in orders), abs(m))
+        weights[name] = weights.get(name, 0) + weight
+    contribs = tuple(weights.items())
     total = sum((c for _, c in contribs), F(0))
     degree = total / 2
     stack = canonical_degree(2, 3, n)
@@ -742,7 +745,7 @@ def _cubic_to_depressed(a3: Fraction, a2: Fraction, a1: Fraction,
 
 
 def quadratic_twist_factor(p: Fraction, q: Fraction, pt: Fraction,
-                           qt: Fraction) -> Optional[Fraction]:
+                           qt: Fraction) -> Fraction | None:
     """d with (p, q) = (d^2 pt, d^3 qt), if a rational one exists."""
     if pt == 0 or qt == 0 or p == 0 or q == 0:
         # not needed for curves with extra automorphisms here

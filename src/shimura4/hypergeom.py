@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Tuple
 
 from .record import Record
 
@@ -30,7 +29,7 @@ class HypergeomError(ValueError):
 
 class HypergeometricData(Record):
     level: int                 # N
-    exponents: Tuple[int, ...]  # (a1, a2, a3, a4), a4 derived, each in 1..N-1
+    exponents: tuple[int, ...]  # (a1, a2, a3, a4), a4 derived, each in 1..N-1
 
     def __post_init__(self):
         N = self.level
@@ -45,7 +44,7 @@ class HypergeometricData(Record):
             raise HypergeomError("exponents do not sum to 0 mod level")
 
 
-def from_mu_triple(mu: Tuple[Fraction, Fraction, Fraction]) -> HypergeometricData:
+def from_mu_triple(mu: tuple[Fraction, Fraction, Fraction]) -> HypergeometricData:
     """Clear denominators of the three exponents and derive the fourth."""
     mu = tuple(F(m) for m in mu)
     if len(mu) != 3:
@@ -62,7 +61,7 @@ def from_mu_triple(mu: Tuple[Fraction, Fraction, Fraction]) -> HypergeometricDat
     return HypergeometricData(N, a + (a4,))
 
 
-def mu_triple(n: int) -> Tuple[Fraction, Fraction, Fraction]:
+def mu_triple(n: int) -> tuple[Fraction, Fraction, Fraction]:
     """The exponent triple of the family labeled by n (7 or 9), ascending."""
     if n == 7:
         return (F(13, 84), F(29, 84), F(43, 84))
@@ -91,19 +90,19 @@ def line_invariant(data: HypergeometricData, i: int) -> int:
     return int(total)
 
 
-def units(N: int) -> Tuple[int, ...]:
+def units(N: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, N) if gcd(i, N) == 1)
 
 
-def invariant_table(data: HypergeometricData, units_only: bool = True) -> Dict[int, int]:
+def invariant_table(data: HypergeometricData, units_only: bool = True) -> dict[int, int]:
     N = data.level
     idx = units(N) if units_only else tuple(range(1, N))
     return {i: line_invariant(data, i) for i in idx}
 
 
-def invariant_counts(data: HypergeometricData) -> Dict[int, int]:
+def invariant_counts(data: HypergeometricData) -> dict[int, int]:
     """How often each value of d_i occurs over the units mod N."""
-    out: Dict[int, int] = {}
+    out: dict[int, int] = {}
     for v in invariant_table(data).values():
         out[v] = out.get(v, 0) + 1
     return dict(sorted(out.items()))
@@ -115,7 +114,7 @@ def duality_holds(data: HypergeometricData) -> bool:
     return all(t[data.level - i] == 2 - v for i, v in t.items())
 
 
-def stabilizer(data: HypergeometricData) -> Tuple[int, ...]:
+def stabilizer(data: HypergeometricData) -> tuple[int, ...]:
     """Units u with u * {a_j} = {a_j} as multisets mod N."""
     N = data.level
     base = sorted(a % N for a in data.exponents)

@@ -26,13 +26,13 @@ univariate base case is a subresultant remainder sequence over int.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import gcd as _int_gcd
 from operator import mul
-from typing import Iterable, Mapping, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class MultiPolyError(ValueError):
@@ -293,7 +293,7 @@ class MultiPoly:
                 out[e2] = out.get(e2, Fraction(0)) + c * e[i]
         return MultiPoly(self.variables, out)
 
-    def evaluate(self, values: Mapping[str, Scalar]) -> Union["MultiPoly", Fraction]:
+    def evaluate(self, values: Mapping[str, Scalar]) -> MultiPoly | Fraction:
         """Plug in rational values for some or all variables.
 
         Returns a Fraction when every variable that actually occurs is

@@ -14,10 +14,10 @@ from there. The public surface speaks MultiPoly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
-from typing import Sequence
 
 from .intfactor import factor_integer
 from .multipoly import (

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
 from .numberfield import NumberField, NumberFieldElem, _int_rows, _mul_fold, field_2cos
 from .record import Record
 
-Coord = Union[int, Fraction, NumberFieldElem]
+Coord = int | Fraction | NumberFieldElem
 
 
 class QuaternionError(ValueError):

@@ -13,7 +13,6 @@ are its own, and grow through `add` and `add_suite`.
 from __future__ import annotations
 
 import json
-from typing import List, Optional
 
 from .record import Record
 
@@ -51,9 +50,9 @@ class Check(Record):
 
 class Suite(Record):
     name: str
-    checks: List[Check]
+    checks: list[Check]
 
-    def __init__(self, name: str, checks: Optional[List[Check]] = None):
+    def __init__(self, name: str, checks: list[Check] | None = None):
         # a fresh list per suite, which add() appends to
         super().__init__(name, [] if checks is None else checks)
 
@@ -69,9 +68,9 @@ class Suite(Record):
 
 class VerificationReport(Record):
     version: str
-    suites: List[Suite]
+    suites: list[Suite]
 
-    def __init__(self, version: str, suites: Optional[List[Suite]] = None):
+    def __init__(self, version: str, suites: list[Suite] | None = None):
         # a fresh list per report, which add_suite() appends to
         super().__init__(version, [] if suites is None else suites)
 

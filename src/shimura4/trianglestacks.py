@@ -24,15 +24,15 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
 
 from .record import Record
 
 INFINITY = math.inf
 
-Entry = Union[int, float]
+Entry = int | float
 
 
 class TriangleError(ValueError):
@@ -315,7 +315,7 @@ MAX_DEPTH = 12  # cli.TILE_COUNTS freezes the counts through this depth
 
 
 def tessellate(p: int, q: int, r: int, depth: int = 4,
-               svg_path: Optional[str] = None) -> int:
+               svg_path: str | None = None) -> int:
     """Number of distinct triangle tiles within BFS depth of the base tile.
 
     Tiles are images of the base triangle under words in the rotation

@@ -3,6 +3,7 @@ pytest collects nothing here; the test modules import it by name."""
 
 from fractions import Fraction as F
 
+from shimura4 import families
 from shimura4.families import apply_reduction, reduction_plans
 from shimura4.numberfield import _eval, refine_interval
 
@@ -28,6 +29,15 @@ def embedding_interval(el, index, width):
         if lo == hi:
             v = _eval(list(el.coords), lo)
             return v, v
+
+
+def arakelov_with(monkeypatch, n, replaced):
+    """arakelov_check(n) with the plan of family n named like `replaced`
+    swapped for it."""
+    plans = tuple(replaced if plan.name == replaced.name else plan
+                  for plan in reduction_plans(n))
+    monkeypatch.setattr(families, "reduction_plans", lambda _: plans)
+    return families.arakelov_check(n)
 
 
 def c9_fiber_components_t1():

@@ -86,7 +86,6 @@ def test_criterion_2_all_six_reductions(capsys):
         # term off by 3/7, so the equations agree after rescaling the
         # degree-3 variable by a real cube root of 3/7
         assert first.match == ("display-gap", F(7), F(3))
-        assert first.flags
         assert second.match == ("proportional", F(1))
 
     _announce(capsys, "2. all six degenerate fibers match the expected "

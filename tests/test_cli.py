@@ -243,7 +243,9 @@ def test_cli_loads_only_the_modules_its_suites_run():
     # importing the cli loads no computation module; the triangle suite
     # loads the quaternion triple and what it rests on, not the families,
     # the CM tables or the hypergeometric data; and no run loads the
-    # code-generating dataclasses module or the inspect module it pulls in
+    # code-generating dataclasses module, the inspect module it pulls in,
+    # or typing. -S keeps site out, since a .pth file it reads may load
+    # typing before the package does
     src = Path(cli.__file__).resolve().parents[1]
     code = (
         "import contextlib, io, json, sys\n"
@@ -256,7 +258,7 @@ def test_cli_loads_only_the_modules_its_suites_run():
         "    codes.append(shimura4.cli.main(['--json']))\n"
         "print(json.dumps([codes, after_import, after_triangle,\n"
         "                  sorted(sys.modules)]))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
@@ -271,6 +273,7 @@ def test_cli_loads_only_the_modules_its_suites_run():
     assert "shimura4.families" in after_all
     assert "dataclasses" not in after_all
     assert "inspect" not in after_all
+    assert "typing" not in after_all
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

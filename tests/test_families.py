@@ -1,13 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
-from _helpers import c9_fiber_components_t1, with_fields
+from _helpers import arakelov_with, c9_fiber_components_t1, with_fields
 
 from shimura4.families import (
     ArakelovReport,
     DivideStep,
-    OmegaLocalData,
     ReductionPlan,
+    SubstStep,
     VerificationError,
     apply_reduction,
     arakelov_check,
@@ -16,13 +16,11 @@ from shimura4.families import (
     c7_family,
     c9_family,
     c9_family_flat_form,
+    chart_orders,
     is_smooth_fiber_c7,
     j_invariant_depressed,
     match_hyperelliptic_up_to_twist,
     match_proportional,
-    omega_contribution,
-    omega_table,
-    omega_weight,
     quadratic_twist_factor,
     reduction_plans,
     restrict_vars,
@@ -177,7 +175,6 @@ def test_reduction_7_at_0():
     assert rep.reduced == (-F(567, 64) * x ** 9 - F(189, 4) * x ** 7
                            - F(189, 2) * x ** 5 + 108 * x ** 3 - 28 * x)
     assert rep.match == ("twist", F(-567, 64), F(1))
-    assert rep.flags == []
 
 
 def test_reduction_7_at_1():
@@ -231,8 +228,6 @@ def test_reduction_9_at_1_first_component_flagged():
     assert restrict_vars(rep.reduced, ("Y", "W")) == \
         3 * W ** 3 + 7 * Y ** 6 - 20 * Y ** 5 + 16 * Y ** 4
     assert rep.match == ("display-gap", F(7), F(3))
-    assert len(rep.flags) == 1
-    assert "no rational cube root" in rep.flags[0]
 
 
 def test_reduction_9_at_1_second_component():
@@ -252,7 +247,7 @@ def test_reduction_9_at_infinity():
 
 def test_c9_fiber_components_helper():
     a, b = c9_fiber_components_t1()
-    assert a.flags and not b.flags
+    assert a.match == ("display-gap", F(7), F(3))
     assert b.match == ("proportional", F(1))
 
 
@@ -301,25 +296,63 @@ def test_engine_rejects_wrong_expected():
 
 
 # ----------------------------------------------------------------------
-# omega weights and the degree identity
+# local weights read off the plans, and the degree identity
 
 
-def test_omega_weight_formulas():
-    assert omega_weight(OmegaLocalData("hyperelliptic-g4", i=2, j=11)) == -24
-    assert omega_weight(OmegaLocalData("hyperelliptic-g3", i=2, j=7)) == -9
-    assert omega_weight(OmegaLocalData("plane-g4", i=2, j=6, k=16)) == -20
-    with pytest.raises(VerificationError):
-        omega_weight(OmegaLocalData("nope", i=0, j=0))
+@pytest.mark.parametrize("n,index,skip,orders,m", [
+    (7, 0, 0, [-9, -7, -5, -3], 4),
+    (7, 1, 0, [-5, -3, -1, 1], 7),
+    (7, 2, 0, [7, 6, 5, 4], -3),
+    (9, 0, 0, [-9, -7, -5, -3], 4),
+    (9, 1, 0, [-2, -2, -2, -1], 3),
+    (9, 2, 0, [-11, -8, -5, -4], 9),
+    (9, 2, 2, [-5, -2, 1, -1], 9),
+    (9, 3, 0, [9, 8, 7, 4], -3),
+], ids=["hyperelliptic-at-0", "hyperelliptic-at-1", "hyperelliptic-at-infinity",
+        "plane-at-0", "plane-at-1-first", "plane-at-1-second",
+        "plane-at-1-second-after-first", "plane-at-infinity"])
+def test_chart_orders(n, index, skip, orders, m):
+    # per canonical form, its order in the last uniformizer; m is the order
+    # of t - t0 there. At t = 1 the second plane component counts only the
+    # steps after the two it shares with the first
+    assert chart_orders(reduction_plans(n)[index], skip) == (orders, m)
+
+
+def _mistyped_at_0(y_power=11, divide=22):
+    x, y, u = P("x", "y", "u")
+    return with_fields(reduction_plans(7)[0], steps=(
+        SubstStep(assignments=(("x", u ** 2 * x, None),
+                               ("y", u ** y_power * y, None),
+                               ("t", u ** 4, None))),
+        DivideStep("u", divide)))
+
+
+@pytest.mark.parametrize("plan,weight", [
+    (_mistyped_at_0(y_power=12), F(-5)),
+    (_mistyped_at_0(divide=23), F(-7)),
+], ids=["y-power-12", "divide-23"])
+def test_mistyped_chart_fails_the_weight_check(monkeypatch, plan, weight):
+    assert _mistyped_at_0() == reduction_plans(7)[0]
+    rep = arakelov_with(monkeypatch, 7, plan)
+    assert rep.contributions[0] == ("hyperelliptic-at-0", weight)
+    assert not rep.equal
 
 
 def test_omega_contributions_7():
-    vals = [omega_contribution(d) for _, d in omega_table(7)]
+    vals = [c for _, c in arakelov_check(7).contributions]
     assert vals == [F(-6), F(-9, 7), F(22, 3)]
 
 
 def test_omega_contributions_9():
-    vals = [omega_contribution(d) for _, d in omega_table(9)]
+    vals = [c for _, c in arakelov_check(9).contributions]
     assert vals == [F(-6), F(-29, 9), F(28, 3)]
+
+
+def test_second_component_must_continue_the_first(monkeypatch):
+    second = reduction_plans(9)[2]
+    moved = with_fields(second, steps=second.steps[2:])
+    with pytest.raises(VerificationError, match="does not continue"):
+        arakelov_with(monkeypatch, 9, moved)
 
 
 def test_arakelov_identity_7():

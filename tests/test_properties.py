@@ -6,16 +6,15 @@ import math
 import random
 from fractions import Fraction as F
 
-from _helpers import embedding_interval
+from _helpers import arakelov_with, embedding_interval, with_fields
 
 from shimura4.families import (
     DivideStep,
-    OmegaLocalData,
     ReductionPlan,
     SubstStep,
     apply_reduction,
     c7_discriminant,
-    omega_weight,
+    chart_orders,
     reduction_plans,
     specialize_c7,
 )
@@ -213,7 +212,7 @@ def test_trace_spectra_agree_on_random_long_words():
             assert abs(tg - tq) < 1e-6
 
 
-def test_reduction_invariant_under_uniformizer_rescaling():
+def test_reduction_invariant_under_uniformizer_rescaling(monkeypatch):
     base = reduction_plans(7)[0]
     rng = random.Random(707)
     x, y, u = MultiPoly.generators("x", "y", "u")
@@ -224,7 +223,7 @@ def test_reduction_invariant_under_uniformizer_rescaling():
             continue
         lu = lam * u
         plan = ReductionPlan(
-            name=f"rescaled-{done}", family="hyperelliptic", base_point="0",
+            name=base.name, family="hyperelliptic", base_point="0",
             uniformizer="u",
             steps=(SubstStep(assignments=(("x", lu ** 2 * x, None),
                                           ("y", lu ** 11 * y, None),
@@ -235,19 +234,32 @@ def test_reduction_invariant_under_uniformizer_rescaling():
         # the chart is weighted-homogeneous, so the reduced equation and
         # hence the match data do not depend on the rescaling
         assert rep.match == ("twist", F(-567, 64), F(1))
+        # nor does the weight, which reads only the exponents
+        rescaled = arakelov_with(monkeypatch, 7, plan).contributions[0]
+        assert rescaled == ("hyperelliptic-at-0", F(-6))
         done += 1
 
 
-def test_omega_weight_is_additive():
+def test_weights_of_random_monomial_charts(monkeypatch):
+    # x -> u^i x, y -> u^j y, t -> u^m at t = 0, with the equation divided
+    # by u^k once the denominators that negative i, j put in are cleared
+    # (deg_x = 10, deg_y = 2): the form x^a dx/y has order (a+1) i + j - k
     rng = random.Random(808)
-    kinds = ("hyperelliptic-g4", "hyperelliptic-g3", "plane-g4")
+    base = reduction_plans(7)[0]
+    x, y, u = MultiPoly.generators("x", "y", "u")
     for _ in range(100):
-        kind = kinds[rng.randint(0, 2)]
-        i1, j1, k1, i2, j2, k2 = (rng.randint(-20, 20) for _ in range(6))
-        w1 = omega_weight(OmegaLocalData(kind, i=i1, j=j1, k=k1))
-        w2 = omega_weight(OmegaLocalData(kind, i=i2, j=j2, k=k2))
-        w = omega_weight(OmegaLocalData(kind, i=i1 + i2, j=j1 + j2, k=k1 + k2))
-        assert w == w1 + w2
+        i, j = rng.randint(-6, 12), rng.randint(-6, 12)
+        m, k = rng.randint(1, 8), rng.randint(0, 30)
+        images = tuple((name, v * u ** e, None) if e >= 0 else (name, v, u ** -e)
+                       for name, v, e in (("x", x, i), ("y", y, j)))
+        cleared = 10 * max(0, -i) + 2 * max(0, -j)
+        plan = with_fields(base, steps=(
+            SubstStep(assignments=images + (("t", u ** m, None),)),
+            DivideStep("u", k + cleared)))
+        orders = [(a + 1) * i + j - k for a in range(4)]
+        assert chart_orders(plan) == (orders, m)
+        weight = F(sum(min(0, o) for o in orders), m)
+        assert arakelov_with(monkeypatch, 7, plan).contributions[0][1] == weight
 
 
 def test_bezout_weights_random_pairs():
