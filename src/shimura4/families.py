@@ -33,7 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from .intfactor import _int_nth_root, factor_integer
 from .multipoly import (
     MultiPoly,
     MultiPolyError,
@@ -41,7 +40,6 @@ from .multipoly import (
     squarefree_decomposition,
 )
 from .record import Record
-from .trianglestacks import canonical_degree
 
 F = Fraction
 
@@ -152,6 +150,7 @@ def c7_discriminant() -> DiscriminantReport:
     the usual normalization between the discriminant of the right-hand side
     and the discriminant of the hyperelliptic model (2^(4g) with g = 4).
     """
+    from .intfactor import factor_integer
     dt = restrict_vars(discriminant(c7_family(), "x"), ("t",))
     a = dt.valuation("t")
     # translated by t -> t + 1, the cofactor of t^a is c * t^b
@@ -235,8 +234,6 @@ class ReductionPlan(Record):
 
 
 class ReductionReport(Record):
-    plan_name: str
-    base_point: str
     reduced: MultiPoly
     match: tuple    # ("twist", c, lam) | ("proportional", r) | ("display-gap", scale, w_ratio)
     square_scalar: Fraction | None
@@ -301,8 +298,7 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
         log.append(f"as y^2 = g: g = {reduced}")
 
     match = _match_reduced(plan, reduced)
-    return ReductionReport(plan.name, plan.base_point, reduced, match,
-                           square_scalar, log)
+    return ReductionReport(reduced, match, square_scalar, log)
 
 
 def _solve_for_square(p: MultiPoly, yvar: str) -> MultiPoly:
@@ -385,6 +381,7 @@ def _fraction_nth_root(x: Fraction, n: int) -> Fraction | None:
         raise ValueError("n must be positive")
     if x < 0 and n % 2 == 0:
         return None
+    from .intfactor import _int_nth_root
     ax = abs(x)
     r = F(_int_nth_root(ax.numerator, n), _int_nth_root(ax.denominator, n))
     if r ** n != ax:
@@ -684,6 +681,7 @@ def arakelov_check(n: int) -> ArakelovReport:
     each further component, that of the steps its plan runs after the first
     plan's, which it must start with.
     """
+    from .trianglestacks import canonical_degree
     weights, firsts = {}, {}
     for plan in reduction_plans(n):
         first = firsts.setdefault(plan.base_point, plan)

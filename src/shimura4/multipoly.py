@@ -15,20 +15,26 @@ Euclidean division over Q in the package.
 Resultants go by evaluation and interpolation over the integers: each
 parameter is set to small integers, skipping the points where a leading
 coefficient in the eliminated variable vanishes, and the resultant is
-interpolated back through as many points as the Sylvester row bound on its
-degree requires, plus one. Once one parameter t is left, each operand is
-divided by its content (the primitive gcd in Z[t] of its coefficients) and
-only the resultant of the primitive parts is interpolated; the resultant is
-homogeneous of degree deg B in the coefficients of A and deg A in those of
-B, so multiplying back by content(A)^deg B * content(B)^deg A is exact. The
-univariate base case is a subresultant remainder sequence over int.
+interpolated back through one point more than a bound on its degree. The
+bound comes from the Newton polygon of the coefficient degrees: the
+resultant is quasi-homogeneous, res(f(lambda*Y), g(lambda*Y)) =
+lambda^(mn) * res(f, g), so scaling Y by a power of t bounds its degree in
+t (`_degree_bound` has the proof). Without the scaling the bound is the
+Sylvester row bound, so it is never above that. Once one parameter t is
+left, each operand is divided by its content (the primitive gcd in Z[t] of
+its coefficients) and only the resultant of the primitive parts is
+interpolated; the resultant is homogeneous of degree deg B in the
+coefficients of A and deg A in those of B, so multiplying back by
+content(A)^deg B * content(B)^deg A is exact. The univariate base case
+is a subresultant remainder sequence over int.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from functools import reduce
+from itertools import accumulate, combinations, zip_longest
 from math import gcd as _int_gcd
 from operator import mul
 
@@ -389,32 +395,41 @@ class MultiPoly:
         exactness certificate: when f = q*g the lex-leading monomial of f is
         the product of those of q and g, so each step strictly decreases the
         leading monomial and terminates with remainder 0 exactly when the
-        division is exact.
+        division is exact. It divides the primitive integer parts, f and g
+        over their contents: by Gauss's lemma an exact quotient of those is
+        again an integer polynomial, so a quotient term that is not an
+        integer also proves the division inexact. The ratio of the contents
+        is put back once at the end.
         """
         g = self._coerce(divisor)
         if g.is_zero():
             raise MultiPolyError("division by zero polynomial")
         if g.is_constant():
             return self / g.constant_value()
-        lead_g = max(g.terms)  # lex order on exponent tuples
-        cg = g.terms[lead_g]
-        rem = dict(self.terms)
+        if not self.terms:
+            return self
+        cf, cg = self.content(), g.content()
+        rem = {e: (c / cf).numerator for e, c in self.terms.items()}
+        gi = {e: (c / cg).numerator for e, c in g.terms.items()}
+        lead_g = max(gi)  # lex order on exponent tuples
+        lg = gi[lead_g]
         quo = {}
         while rem:
             lead_r = max(rem)
             diff = tuple(a - b for a, b in zip(lead_r, lead_g))
-            if any(d < 0 for d in diff):
+            q, r = divmod(rem[lead_r], lg)
+            if r or any(d < 0 for d in diff):
                 raise MultiPolyError("division is not exact")
-            c = rem[lead_r] / cg
-            quo[diff] = quo.get(diff, Fraction(0)) + c
-            for e, cc in g.terms.items():
+            quo[diff] = q
+            for e, c in gi.items():
                 key = tuple(a + b for a, b in zip(diff, e))
-                val = rem.get(key, Fraction(0)) - c * cc
-                if val == 0:
-                    rem.pop(key, None)
-                else:
+                val = rem.get(key, 0) - q * c
+                if val:
                     rem[key] = val
-        return MultiPoly(self.variables, quo)
+                else:
+                    del rem[key]
+        scale = cf / cg
+        return MultiPoly(self.variables, {e: q * scale for e, q in quo.items()})
 
     # ------------------------------------------------------------------
     # valuations
@@ -579,16 +594,26 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     that at the end. One parameter p at a time is set to the integers
     0, 1, -1, 2, ...; a point where lc(f) or lc(g) in var vanishes is
     skipped. At every other point the Sylvester matrix specialises entry by
-    entry, so the specialised resultant is the exact value there. The row
-    bound deg_var(g) * deg_p(f) + deg_var(f) * deg_p(g) bounds deg_p of
-    the resultant, and Newton interpolation through that many points plus
-    one gives it back. When one parameter t is left, each operand is first
-    divided by its content c, the primitive gcd in Z[t] of its
-    coefficients (checked exact), and res(cA*A, cB*B) =
-    cA^deg(B) * cB^deg(A) * res(A, B) multiplies it back. So a factor in t
-    shared by all coefficients, such as the t^2*(t-1)^2 of a discriminant
-    of the plane family, costs no interpolation points. Once no parameter
-    is left, a subresultant remainder sequence over int does the work.
+    entry, so the specialised resultant is the exact value there. Newton
+    interpolation through one point more than a bound on deg_p of the
+    resultant gives it back. With f_i and g_j the coefficients of var^i in
+    f and var^j in g, m = deg_var(f) and n = deg_var(g), the bound is the
+    least over beta of
+
+        n * max_i(deg_p f_i - beta*i) + m * max_j(deg_p g_j - beta*j) + beta*m*n
+
+    (the Newton polygon bound): after var -> p^-beta * var and division by
+    p to the two maxima, every coefficient is a polynomial in 1/p, and
+    scaling var by lambda scales the resultant by lambda^(mn). At beta = 0
+    it is the Sylvester row bound n * deg_p(f) + m * deg_p(g).
+
+    When one parameter t is left, each operand is first divided by its
+    content c, the primitive gcd in Z[t] of its coefficients (checked
+    exact), and res(cA*A, cB*B) = cA^deg(B) * cB^deg(A) * res(A, B)
+    multiplies it back. So a factor in t shared by all coefficients, such
+    as the t^2*(t-1)^2 of a discriminant of the plane family, costs no
+    interpolation points. Once no parameter is left, a subresultant
+    remainder sequence over int does the work.
 
     The result is a MultiPoly in the same ring with var-degree 0. It is
     zero when f and g share a factor of positive degree in var. An operand
@@ -646,22 +671,21 @@ def _res_params(A: list, B: list, k: int) -> dict:
     # interpolated, through fewer points.
     A, ca = _divide_content(A)
     B, cb = _divide_content(B)
-    scale = {(0,): 1}
-    for c, n in ((ca, len(B) - 1), (cb, len(A) - 1)):
-        for _ in range(n):
-            scale = _mul_terms(scale, c)
     out = _res_interpolate(A, B, 1)
-    if scale != {(0,): 1}:
-        out = {e: v for e, v in _mul_terms(out, scale).items() if v}
+    scale = reduce(_zt_mul, [ca] * (len(B) - 1) + [cb] * (len(A) - 1))
+    if out and scale != [1]:
+        out = {(d,): v for d, v in enumerate(_zt_mul(_dense_int(out), scale)) if v}
     return out
 
 
 def _res_interpolate(A: list, B: list, k: int) -> dict:
     """_res_params for k >= 1: interpolate in the last parameter through
     the resultants at integer points where neither leading coefficient
-    vanishes."""
-    bound = ((len(B) - 1) * max(e[-1] for c in A for e in c)
-             + (len(A) - 1) * max(e[-1] for c in B for e in c))
+    vanishes, one point more than `_degree_bound` allows for."""
+    A = [_group_last(c) for c in A]
+    B = [_group_last(c) for c in B]
+    bound = _degree_bound(*([max(map(len, c.values()), default=0) - 1 for c in P]
+                            for P in (A, B)))
     xs, values = [], []
     x = 0
     while len(xs) <= bound:
@@ -679,10 +703,39 @@ def _res_interpolate(A: list, B: list, k: int) -> dict:
     return out
 
 
+def _degree_bound(da: list, db: list) -> int:
+    """A bound on deg_t res(A, B) from the Newton polygon of the
+    coefficient degrees: da[i] is deg_t of the coefficient of Y^i in A, -1
+    when it is zero, and db[j] likewise for B; m = deg A, n = deg B.
+
+    The bound is the floor of the least, over beta, of
+
+        n * max_i(da[i] - beta*i) + m * max_j(db[j] - beta*j) + beta*m*n.
+
+    Proof: with alpha and alpha' the two maxima, the coefficients of
+    t^-alpha * A(t^-beta * Y) and of t^-alpha' * B(t^-beta * Y) have order
+    >= 0 at t = oo, so their resultant does too; by
+    res(f(lambda*Y), g(lambda*Y)) = lambda^(mn) * res(f, g) it is
+    t^-(n*alpha + m*alpha' + beta*m*n) * res(A, B). The expression is
+    convex and piecewise linear in beta, with its corners at the slopes
+    between two points (i, da[i]) of one operand, so its least value is
+    at one of them or at beta = 0, where it is the Sylvester row bound.
+    """
+    m, n = len(da) - 1, len(db) - 1
+    pa = [(i, d) for i, d in enumerate(da) if d >= 0]
+    pb = [(j, e) for j, e in enumerate(db) if e >= 0]
+    # beta = p / q with q > 0, and q times the expression
+    slopes = {(0, 1)} | {(d2 - d1, i2 - i1) for pts in (pa, pb)
+                         for (i1, d1), (i2, d2) in combinations(pts, 2)}
+    return min((n * max(q * d - p * i for i, d in pa)
+                + m * max(q * e - p * j for j, e in pb) + p * m * n) // q
+               for p, q in slopes)
+
+
 def _divide_content(A: list) -> tuple:
     """(A / c, c) for A a polynomial over Z[t], entries {(e,): int}, and c
     its content: the primitive gcd in Z[t] of its nonzero coefficients, with
-    positive leading coefficient, in the same form as the entries."""
+    positive leading coefficient, as a dense int list."""
     dense = [_dense_int(c) for c in A if c]
     g = _primitive(min(dense, key=len))
     for p in dense:
@@ -691,14 +744,14 @@ def _divide_content(A: list) -> tuple:
         if _zt_divide(p, g) is None:
             g = _zt_gcd(g, p)
     if g == [1]:
-        return A, {(0,): 1}
+        return A, g
     out = []
     for row in A:
         q = _zt_divide(_dense_int(row), g) if row else []
         if q is None:
             raise MultiPolyError("internal: inexact division in resultant")  # pragma: no cover
         out.append({(d,): v for d, v in enumerate(q) if v})
-    return out, {(d,): v for d, v in enumerate(g) if v}
+    return out, g
 
 
 def _dense_int(c: dict) -> list:
@@ -716,6 +769,15 @@ def _primitive(p: list) -> list:
     if p[-1] < 0:
         g = -g
     return [v // g for v in p]
+
+
+def _zt_mul(a: list, b: list) -> list:
+    """Product of dense nonzero int polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
 
 
 def _zt_divide(a: list, b: list):
@@ -748,13 +810,28 @@ def _zt_gcd(a: list, b: list) -> list:
     return [1]
 
 
-def _evaluate_last(c: dict, x: int) -> dict:
-    """Set the last parameter of c to x."""
+def _group_last(c: dict) -> dict:
+    """c as {exponents of the other parameters: dense int list in the last
+    parameter, lowest coefficient first}."""
     out = {}
     for e, v in c.items():
-        key = e[:-1]
-        out[key] = out.get(key, 0) + v * x ** e[-1]
-    return {e: v for e, v in out.items() if v}
+        p = out.setdefault(e[:-1], [])
+        p.extend([0] * (e[-1] + 1 - len(p)))
+        p[e[-1]] = v
+    return out
+
+
+def _evaluate_last(c: dict, x: int) -> dict:
+    """Set the last parameter of c, grouped by `_group_last`, to x by
+    Horner's rule."""
+    out = {}
+    for key, p in c.items():
+        v = 0
+        for a in reversed(p):
+            v = v * x + a
+        if v:
+            out[key] = v
+    return out
 
 
 def _interpolate(xs: list, ys: list) -> list:
@@ -768,7 +845,9 @@ def _interpolate(xs: list, ys: list) -> list:
     c = list(ys)
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
-            c[i] = _exact(c[i] - c[i - 1], xs[i] - xs[i - j])
+            c[i], rem = divmod(c[i] - c[i - 1], xs[i] - xs[i - j])
+            if rem:
+                raise MultiPolyError("internal: inexact division in resultant")  # pragma: no cover
     p = [c[-1]]
     for i in range(len(xs) - 2, -1, -1):
         # p <- p * (x - xs[i]) + c[i]
@@ -796,7 +875,12 @@ def _res_int(A: list, B: list) -> int:
             # common factor of positive degree
             return 0
         denom = g * h ** delta
-        A, B = B, [_exact(c, denom) for c in R]
+        A, B = B, []
+        for c in R:
+            q, rem = divmod(c, denom)
+            if rem:
+                raise MultiPolyError("internal: inexact division in resultant")  # pragma: no cover
+            B.append(q)
         g = A[-1]
         if delta:
             h = _exact(g ** delta, h ** (delta - 1))
@@ -819,10 +903,8 @@ def _uni_pseudo_rem(A: list, B: list) -> list:
     left = len(r) - dB
     while len(r) > dB:
         lead = r.pop()
-        shift = len(r) - dB
-        r = [c * lb for c in r]
-        for j in range(dB):
-            r[shift + j] -= lead * B[j]
+        # r <- lb * r - lead * B * Y^shift, B's leading term dropped
+        r = [c * lb - lead * b for c, b in zip(r, [0] * (len(r) - dB) + B)]
         _trim(r)
         left -= 1
     if r and left > 0:

@@ -223,8 +223,9 @@ def _generator_matrices(p: int, q: int, r: int) -> tuple:
     if p != 2 or q != 3 or not isinstance(r, int) or r < 7 or r % 2 == 0:
         raise TriangleError(f"exact tessellation covers (2,3,n) with n odd and "
                             f">= 7, got ({p},{q},{r})")
-    # imported here: families imports this module for canonical_degree
-    # alone, and should not load the number field and quaternion modules
+    # imported here: the arakelov check in families imports this module for
+    # canonical_degree alone, and should not load the number field and
+    # quaternion modules
     from .quaternion import uniformizer_triple
     trip = uniformizer_triple(r)
     field = trip.algebra.field

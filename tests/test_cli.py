@@ -274,6 +274,16 @@ def test_cli_loads_only_the_modules_its_suites_run():
     assert "dataclasses" not in after_all
     assert "inspect" not in after_all
     assert "typing" not in after_all
+    # importing the families, as the plane elimination does, loads neither
+    # the triangle stacks nor the integer factoring, which only some of the
+    # families' checks call
+    out = subprocess.run([sys.executable, "-S", "-c",
+                          "import sys, shimura4.families; print(sorted(sys.modules))"],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    assert "shimura4.trianglestacks" not in out.stdout
+    assert "shimura4.intfactor" not in out.stdout
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

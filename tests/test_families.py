@@ -113,6 +113,24 @@ def test_plane_family_eliminant():
     assert rest.evaluate({"t": 0}) != 0 and rest.evaluate({"t": 1}) != 0
 
 
+def test_eliminations_interpolate_through_the_newton_polygon_bound(monkeypatch):
+    # the degree bound of each interpolation is the true degree, so the
+    # plane elimination makes 119 + 91 base-case resultants and the c7
+    # discriminant 50, where the Sylvester row bound made 452 + 127 and 77
+    import shimura4.multipoly as multipoly
+    calls = []
+    base = multipoly._res_int
+    monkeypatch.setattr(multipoly, "_res_int",
+                        lambda A, B: calls.append(1) or base(A, B))
+    disc_w = discriminant(c9_family(), "W")
+    assert len(calls) == 119
+    discriminant(disc_w, "Y")
+    assert len(calls) == 119 + 91
+    calls.clear()
+    c7_discriminant.__wrapped__()  # past the cache
+    assert len(calls) == 50
+
+
 def test_smoothness_predicate():
     assert not is_smooth_fiber_c7(0)
     assert not is_smooth_fiber_c7(1)

@@ -8,6 +8,7 @@ import pytest
 from shimura4.multipoly import (
     MultiPoly,
     MultiPolyError,
+    _degree_bound,
     _uni_gcd,
     discriminant,
     poly_to_dense,
@@ -66,6 +67,25 @@ def test_exact_div_roundtrip():
     assert f.exact_div(x ** 2 + y + 1) == x * y - 3
     with pytest.raises(MultiPolyError):
         (f + 1).exact_div(x * y - 3)
+
+
+def test_exact_div_with_rational_contents():
+    # the primitive integer parts are divided and the ratio of the contents,
+    # 3/7 over 5/2, put back once; the divisor's leading coefficient is
+    # negative
+    x, y = MultiPoly.generators("x", "y")
+    q = F(3, 7) * (2 * x ** 2 * y - 5 * y + 3)
+    g = F(5, 2) * (-4 * x * y ** 2 + 6 * x - 9)
+    assert (q * g).exact_div(g) == q
+    assert (q * g).exact_div(-g) == -q
+    assert (q * g).exact_div(q) == g
+    with pytest.raises(MultiPolyError):
+        (q * g + F(1, 3) * x).exact_div(g)
+    with pytest.raises(MultiPolyError):
+        # the second quotient term, -1/2, is not an integer, which proves
+        # the division inexact
+        (2 * x ** 2 + 1).exact_div(2 * x + 1)
+    assert MultiPoly.zero(("x", "y")).exact_div(g).is_zero()
 
 
 def test_substitute_identity_of_clearing():
@@ -312,6 +332,41 @@ def test_planted_content_costs_no_interpolation_points(monkeypatch):
     planted = resultant(t ** 20 * f, g, "x")
     assert len(calls) - n <= n
     assert planted == t ** (20 * g.degree("x")) * plain
+
+
+def _sloped_poly(rng, vt, m, slope):
+    """A polynomial of degree m in vt[0] whose coefficient of vt[0]^i has
+    degree about 3 + slope*i in the last variable, and up to 1 in the
+    others."""
+    terms = {}
+    for i in range(m + 1):
+        d = max(0, 3 + slope * i + rng.randint(-1, 1))
+        for k in range(rng.randint(1, 3)):
+            top = d if k == 0 else rng.randint(0, d)
+            rest = tuple(rng.randint(0, 1) for _ in vt[1:-1])
+            terms[(i,) + rest + (top,)] = F(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return MultiPoly(vt, terms)
+
+
+def test_degree_bound_lies_between_true_degree_and_row_bound():
+    # coefficient degrees that grow or shrink linearly in the x-degree are
+    # where the Newton polygon bound falls below the Sylvester row bound
+    rng = random.Random(20261019)
+    below = 0
+    for vt in (("x", "t"), ("x", "s", "t")):
+        for slope in (-2, -1, 0, 1, 2):
+            for _ in range(2):
+                f = _sloped_poly(rng, vt, rng.randint(2, 4), slope)
+                g = _sloped_poly(rng, vt, rng.randint(1, 3), rng.choice([slope, -slope]))
+                r = resultant(f, g, "x")
+                assert r == _sylvester_det(f, g, "x")
+                da = [f.coefficient("x", i).degree("t") for i in range(f.degree("x") + 1)]
+                db = [g.coefficient("x", j).degree("t") for j in range(g.degree("x") + 1)]
+                bound = _degree_bound(da, db)
+                row_bound = g.degree("x") * max(da) + f.degree("x") * max(db)
+                assert r.degree("t") <= bound <= row_bound
+                below += bound < row_bound
+    assert below >= 10
 
 
 def test_resultant_of_two_constants_is_one():
