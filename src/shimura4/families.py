@@ -197,8 +197,8 @@ class SubstStep(Record):
     `assignments` maps variables to (numerator, denominator) polynomials on
     one new variable tuple (denominator None for a polynomial image); a
     variable left out maps to itself. The engine keeps the numerator of the
-    substituted equation and logs the clearing factor it drops, a product of
-    the declared denominators: the equation is only defined up to it. The
+    substituted equation and drops the clearing factor, a product of the
+    declared denominators: the equation is only defined up to it. The
     plans declare monomial denominators only, so the clearing factor is a
     monomial too, and a DivideStep takes out any power of it that the
     equation does not need.
@@ -237,7 +237,6 @@ class ReductionReport(Record):
     reduced: MultiPoly
     match: tuple    # ("twist", c, lam) | ("proportional", r) | ("display-gap", scale, w_ratio)
     square_scalar: Fraction | None
-    log: list
 
 
 def apply_reduction(plan: ReductionPlan) -> ReductionReport:
@@ -253,14 +252,11 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
     else:
         raise VerificationError(f"unknown family {plan.family!r}")
     u = plan.uniformizer
-    log = []
     square_scalar = None
 
     for step in plan.steps:
         if isinstance(step, SubstStep):
-            eq, clearing = eq.substitute({v: (num, den)
-                                          for v, num, den in step.assignments})
-            log.append(f"substitution -> vars {eq.variables} (clearing {clearing})")
+            eq, _ = eq.substitute({v: (num, den) for v, num, den in step.assignments})
         elif isinstance(step, DivideStep):
             val = eq.valuation(step.var)
             if val < step.power:
@@ -268,7 +264,6 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
                     f"{plan.name}: declared division by {step.var}^{step.power} "
                     f"but valuation is {val}")
             eq = eq.shift_down(step.var, step.power)
-            log.append(f"divide by {step.var}^{step.power} (valuation was {val})")
         elif isinstance(step, SquareCheck):
             fiber = eq.evaluate({step.var: F(0)})
             if isinstance(fiber, F):
@@ -279,7 +274,6 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
                 raise VerificationError(f"{plan.name}: fiber is not a scalar "
                                         f"multiple of the declared square")
             square_scalar = ratio.constant_value()
-            log.append(f"fiber at {step.var}=0 is ({square_scalar}) * ({step.root})^2")
         else:
             raise VerificationError(f"unknown step {step!r}")
 
@@ -291,14 +285,9 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
     if isinstance(reduced, F):
         raise VerificationError(f"{plan.name}: reduction degenerated to a constant")
     reduced = restrict_vars(reduced, tuple(v for v in reduced.variables if v != u))
-    log.append(f"reduced equation: {reduced}")
-
     if plan.match_kind == "twist":
         reduced = _solve_for_square(reduced, "y")
-        log.append(f"as y^2 = g: g = {reduced}")
-
-    match = _match_reduced(plan, reduced)
-    return ReductionReport(reduced, match, square_scalar, log)
+    return ReductionReport(reduced, _match_reduced(plan, reduced), square_scalar)
 
 
 def _solve_for_square(p: MultiPoly, yvar: str) -> MultiPoly:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import cycle
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -106,13 +107,13 @@ def factor_integer(n: int) -> tuple[dict, bool]:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    # wheel over 11, 13, ... up to a small bound
-    d = 11
+    # trial division below a bound over the wheel of numbers prime to 30
+    d, steps = 11, cycle((2, 4, 2, 4, 6, 2, 6, 4))
     while d * d <= n and d < 100_000:
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
-        d += 2
+        d += next(steps)
     if n == 1:
         return factors, certified
     rng = random.Random(0xC0FFEE)

@@ -2,15 +2,18 @@
 
 Everything here is exact: coefficients are `fractions.Fraction`, terms are
 kept in a dict mapping exponent tuples to nonzero coefficients, and the
-variable order is fixed per polynomial. This is deliberately a small core --
-just what the verification pipeline needs: ring arithmetic, exact division,
+variable order is fixed per polynomial. Products and substitution run on
+integer numerators over one common denominator and make one Fraction per
+coefficient of the result. This is deliberately a small core -- just what
+the verification pipeline needs: ring arithmetic, exact division,
 resultants and discriminants, gcd / squarefree parts, rational substitution
 with denominator clearing, and valuation bookkeeping.
 
-gcds and squarefree parts are univariate over Q: they run Euclid's
-algorithm, each remainder made monic, on dense coefficient lists
+gcds and squarefree decompositions are univariate over Q: they run
+Euclid's algorithm, each remainder made monic, on dense coefficient lists
 (`poly_to_dense` / `dense_to_poly`), and `_uni_divmod` is the one
-Euclidean division over Q in the package.
+Euclidean division over Q in the package. A squarefree part is taken on
+integers, with the primitive remainder sequence the resultants use.
 
 Resultants go by evaluation and interpolation over the integers: each
 parameter is set to small integers, skipping the points where a leading
@@ -31,12 +34,12 @@ is a subresultant remainder sequence over int.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, zip_longest
-from math import gcd as _int_gcd
-from operator import mul
+from math import gcd as _int_gcd, lcm, prod
+from operator import add
 
 Scalar = int | Fraction
 
@@ -53,14 +56,36 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise MultiPolyError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-def _mul_terms(a: Mapping, b: Mapping) -> dict:
-    """Product of two term dicts on one variable tuple (zero sums kept)."""
+def _int_dense(p: Sequence) -> tuple:
+    """(numerators, den): the Fractions p as integers over their least
+    positive common denominator."""
+    den = lcm(*(c.denominator for c in p))
+    return [c.numerator * (den // c.denominator) for c in p], den
+
+
+def _int_terms(terms: Mapping) -> tuple:
+    """`_int_dense` of a term dict, as a dict."""
+    nums, den = _int_dense(terms.values())
+    return dict(zip(terms, nums)), den
+
+
+def _mul_int(a: Mapping, b: Mapping) -> dict:
+    """Product of integer term dicts on one variable tuple, zero sums kept."""
     out = {}
+    get = out.get
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
     return out
+
+
+def _from_int(variables: tuple, terms: Mapping, den: int) -> "MultiPoly":
+    """MultiPoly of integer terms over den > 0, zero sums dropped, unchecked."""
+    p = object.__new__(MultiPoly)
+    object.__setattr__(p, "variables", variables)
+    object.__setattr__(p, "terms", {e: Fraction(c, den) for e, c in terms.items() if c})
+    return p
 
 
 class MultiPoly:
@@ -217,7 +242,8 @@ class MultiPoly:
             if c == 0:
                 return MultiPoly.zero(self.variables)
             return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
-        return MultiPoly(self.variables, _mul_terms(self.terms, self._coerce(other).terms))
+        (a, da), (b, db) = _int_terms(self.terms), _int_terms(self._coerce(other).terms)
+        return _from_int(self.variables, _mul_int(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -305,22 +331,21 @@ class MultiPoly:
         Returns a Fraction when every variable that actually occurs is
         assigned, else a MultiPoly on the same variable tuple.
         """
-        vals = {k: _as_fraction(v) for k, v in values.items()}
-        for k in vals:
-            self._vidx(k)
+        vals = {self._vidx(k): _as_fraction(v) for k, v in values.items()}
+        terms, den = _int_terms(self.terms)
+        # on integers: (n/d)^k is n^k * d^(deg - k) over d^deg
+        degs = {i: max((e[i] for e in terms), default=0) for i in vals}
         out = {}
-        for e, c in self.terms.items():
-            factor = c
-            e2 = list(e)
-            for name, val in vals.items():
-                i = self.variables.index(name)
-                if e[i]:
-                    factor *= val ** e[i]
-                e2[i] = 0
-            key = tuple(e2)
-            out[key] = out.get(key, Fraction(0)) + factor
-        res = MultiPoly(self.variables, out)
-        if set(self.variables_used()) <= set(vals):
+        for e, c in terms.items():
+            key = list(e)
+            for i, v in vals.items():
+                c *= v.numerator ** e[i] * v.denominator ** (degs[i] - e[i])
+                key[i] = 0
+            key = tuple(key)
+            out[key] = out.get(key, 0) + c
+        den *= prod(v.denominator ** degs[i] for i, v in vals.items())
+        res = _from_int(self.variables, out, den)
+        if set(self.variables_used()) <= set(values):
             return res.constant_value()
         return res
 
@@ -364,26 +389,33 @@ class MultiPoly:
             if den.is_zero():
                 raise MultiPolyError(f"zero denominator in image of {name!r}")
             pairs[name] = (num, den)
-        # per variable v of degree d, the row num^k * den^(d-k), k = 0..d; an
-        # unassigned variable maps to itself and must exist in the output ring
-        rows = []
-        clearing = one
+        # per variable v of degree d, the row num^k * den^(d-k), k = 0..d, as
+        # integer terms over (dn * dd)^d: with num = N / dn and den = D / dd,
+        # entry k is (dd * N)^k * (dn * D)^(d-k). An unassigned variable maps
+        # to itself and must exist in the output ring.
+        unit = (0,) * len(out_vars)
+        rows, row_den, clearing = [], 1, one
         for v in self.variables:
             num, den = pairs.get(v) or (MultiPoly.variable(v, out_vars), one)
             d = max(0, self.degree(v))
-            nums = list(accumulate([num] * d, mul, initial=one))
-            dens = list(accumulate([den] * d, mul, initial=one))
-            clearing = clearing * dens[d]
-            rows.append([(a * b).terms for a, b in zip(nums, reversed(dens))])
-        unit = (0,) * len(out_vars)
+            clearing = clearing * den ** d
+            (nt, dn), (dt, dd) = _int_terms(num.terms), _int_terms(den.terms)
+            nums = accumulate([{e: dd * c for e, c in nt.items()}] * d, _mul_int,
+                              initial={unit: 1})
+            dens = list(accumulate([{e: dn * c for e, c in dt.items()}] * d, _mul_int,
+                                   initial={unit: 1}))
+            rows.append([_mul_int(a, b) for a, b in zip(nums, reversed(dens))])
+            row_den *= (dn * dd) ** d
+        terms, den = _int_terms(self.terms)
         out = {}
-        for e, c in self.terms.items():
+        get = out.get
+        for e, c in terms.items():
             term = {unit: c}
             for row, k in zip(rows, e):
-                term = _mul_terms(term, row[k])
+                term = _mul_int(term, row[k])
             for m, a in term.items():
-                out[m] = out[m] + a if m in out else a
-        return MultiPoly(out_vars, out), clearing
+                out[m] = get(m, 0) + a
+        return _from_int(out_vars, out, den * row_den), clearing
 
     # ------------------------------------------------------------------
     # exact division (lex order)
@@ -457,23 +489,17 @@ class MultiPoly:
 
     def content(self) -> Fraction:
         """gcd of the coefficients as positive rational (0 for the zero poly)."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _int_gcd(num, abs(c.numerator))
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        return Fraction(num, den)
+        terms, den = _int_terms(self.terms)
+        return Fraction(_int_gcd(*terms.values()), den)
 
 
 # ----------------------------------------------------------------------
 # dense univariate polynomials over Q
 #
 # A dense polynomial is a list of Fractions, lowest coefficient first, with
-# no trailing zeros; [] is the zero polynomial. gcds, squarefree parts and
-# (in numberfield) Sturm chains and field inverses all divide through
-# _uni_divmod.
+# no trailing zeros; [] is the zero polynomial. `_int_dense` clears its
+# denominators for the integer routines; gcds and Yun's decomposition
+# divide through _uni_divmod.
 
 
 def _trim(p: list) -> list:
@@ -546,8 +572,8 @@ def squarefree_part(f: MultiPoly, var: str) -> MultiPoly:
     p = poly_to_dense(f, var)
     if len(p) < 2:
         raise MultiPolyError("squarefree part needs positive degree")
-    q, _ = _uni_divmod(p, _uni_gcd(p, _deriv(p)))
-    return _from_dense(_monic(q), f.variables, var)
+    q = _zt_squarefree(_int_dense(p)[0])
+    return _from_dense([Fraction(c, q[-1]) for c in q], f.variables, var)
 
 
 def squarefree_decomposition(f: MultiPoly, var: str) -> list:
@@ -808,6 +834,12 @@ def _zt_gcd(a: list, b: list) -> list:
             return b
         a, b = b, _primitive(r)
     return [1]
+
+
+def _zt_squarefree(p: list) -> list:
+    """p / gcd(p, p') for dense int p of positive degree, exact in Z[t]
+    (Gauss's lemma): the same roots, each once."""
+    return _zt_divide(p, _zt_gcd(p, _deriv(p)))
 
 
 def _group_last(c: dict) -> dict:

@@ -6,10 +6,11 @@ represented by exact isolating intervals from a Sturm chain. Element signs
 under an embedding are decided exactly by interval refinement -- no floating
 point is involved anywhere in a sign decision.
 
-Dense univariate polynomials are plain Fraction lists [c0, c1, ...], in the
-format of multipoly's dense section: Sturm chains and inverses divide with
-its `_uni_divmod`, and `poly_to_dense` / `dense_to_poly` are re-exported
-from there. The public surface speaks MultiPoly.
+Dense univariate polynomials are lists [c0, c1, ...], as in multipoly's
+dense section (`poly_to_dense` / `dense_to_poly` are re-exported). The work
+runs on integers: elements are integer rows over one denominator, Sturm
+chains are integer pseudo-remainder sequences, and Fractions appear only
+where a value leaves the API. The public surface speaks MultiPoly.
 """
 
 from __future__ import annotations
@@ -17,18 +18,20 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
 from .intfactor import factor_integer
 from .multipoly import (
     MultiPoly,
     _deriv,
+    _int_dense,
     _trim,
-    _uni_divmod,
-    _uni_gcd,
+    _uni_pseudo_rem,
+    _zt_divide,
+    _zt_gcd,
+    _zt_squarefree,
     dense_to_poly,
     poly_to_dense,
-    squarefree_part,
 )
 from .record import Record
 
@@ -38,128 +41,88 @@ class NumberFieldError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# dense univariate helpers (coefficients ascending)
+# Sturm chains, on integers: scaling by a positive constant keeps signs
 
 
-def _eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _sign_at(p: list, n: int, d: int) -> int:
+    """Sign of the integer polynomial p at n/d, d > 0: the sign of
+    sum p_i n^i d^(deg p - i), by Horner's rule."""
+    acc, s = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
-
-
-# ----------------------------------------------------------------------
-# Sturm chains
+        acc = acc * n + c * s
+        s *= d
+    return (acc > 0) - (acc < 0)
 
 
 def sturm_chain(p: Sequence[Fraction]) -> list:
-    """Sturm sequence p, p', -rem(...), ... for a squarefree p."""
-    chain = [_trim(list(p)), _deriv(list(p))]
-    while chain[-1]:
-        r = _uni_divmod(chain[-2], chain[-1])[1]
+    """Sturm sequence p, p', -rem(...), ... for a squarefree p, each term a
+    positive multiple in Z[x]: -rem is the pseudo-remainder over minus the
+    gcd of its coefficients, the sign flipped when lc^(deg + 1) < 0."""
+    p = _int_dense(_trim(list(p)))[0]
+    chain = [p, _deriv(p)]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        r = _uni_pseudo_rem(a, b)
         if not r:
             break
-        chain.append([-c for c in r])
+        g = gcd(*r)
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            g = -g
+        chain.append([c // g for c in r])
     return chain
 
 
 def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+    n, d = x.numerator, x.denominator
+    signs = [s for s in (_sign_at(p, n, d) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of squarefree p in (lo, hi]."""
-    chain = sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def cauchy_bound(p: Sequence[Fraction]) -> Fraction:
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p) / lead
 
 
 def isolate_real_roots(p: Sequence[Fraction]) -> list:
     """Disjoint exact isolating intervals for the real roots of squarefree p.
 
-    Returns a list of (lo, hi) Fractions, sorted increasingly, one interval
-    per real root with lo < root <= hi; a root found exactly is returned as
-    the degenerate interval (r, r).
-    """
-    p = _trim(list(p))
+    Returns (lo, hi) Fractions, one per real root, lo < root < hi, sorted
+    increasingly: bisection from the Cauchy bound, a midpoint that is a
+    root moved towards hi until it is not."""
+    chain = sturm_chain(p)
+    p = chain[0]
     if len(p) <= 1:
         raise NumberFieldError("cannot isolate roots of a constant")
-    chain = sturm_chain(p)
-    bound = cauchy_bound(p)
-
-    def var(x):
-        return _sign_variations(chain, x)
-
+    bound = 1 + Fraction(max(map(abs, p)), abs(p[-1]))
     out = []
 
     def split(lo, hi, vlo, vhi):
-        n = vlo - vhi
-        if n == 0:
-            return
-        if n == 1:
+        if vlo - vhi == 1:
             out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        if _eval(p, mid) == 0:
-            # exact root at the split point: shrink a symmetric gap around it
-            # until it contains no other root and has nonroot endpoints
-            eps = (hi - lo) / 4
-            while (_eval(p, mid + eps) == 0 or _eval(p, mid - eps) == 0
-                   or count_real_roots(p, mid - eps, mid + eps) != 1):
-                eps /= 2
-            out.append((mid, mid))
-            vl = var(mid - eps)
-            vr = var(mid + eps)
-            split(lo, mid - eps, vlo, vl)
-            split(mid + eps, hi, vr, vhi)
-            return
-        vm = var(mid)
-        split(lo, mid, vlo, vm)
-        split(mid, hi, vm, vhi)
+        elif vlo > vhi:
+            mid = (lo + hi) / 2
+            while _sign_at(p, mid.numerator, mid.denominator) == 0:
+                mid = (mid + hi) / 2
+            vm = _sign_variations(chain, mid)
+            split(lo, mid, vlo, vm)
+            split(mid, hi, vm, vhi)
 
-    split(-bound, bound, var(-bound), var(bound))
-    out.sort(key=lambda iv: iv[0])
+    split(-bound, bound, _sign_variations(chain, -bound), _sign_variations(chain, bound))
     return out
 
 
 def refine_interval(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
                     width: Fraction) -> tuple:
-    """Bisect an isolating interval of squarefree p down to the given width."""
-    if lo == hi:
-        return lo, hi
-    slo = _eval(p, lo)
+    """Bisect an isolating interval of squarefree p down to the given width,
+    its ends integers a, b over one denominator d that each step doubles."""
+    p = _int_dense(p)[0]
+    (a, b), d = _int_dense((lo, hi))
+    slo = _sign_at(p, a, d)
     if slo == 0:
         return lo, lo
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        v = _eval(p, mid)
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd > wn * d:
+        m, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        v = _sign_at(p, m, d)
         if v == 0:
-            return mid, mid
-        if (v > 0) == (slo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+            return Fraction(m, d), Fraction(m, d)
+        a, b = (m, b) if v == slo else (a, m)
+    return Fraction(a, d), Fraction(b, d)
 
 
 # ----------------------------------------------------------------------
@@ -186,6 +149,7 @@ class NumberField(Record):
         if len(dense) < 2:
             raise NumberFieldError("minimal polynomial must be non-constant")
         object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "degree", len(dense) - 1)
         # x^k mod m for d <= k <= 2d - 2, scaled to integers by one common
         # denominator: the rows that fold a product of two reduced elements
         # back below degree d
@@ -201,10 +165,6 @@ class NumberField(Record):
         if len(roots) != len(dense) - 1:
             raise NumberFieldError("minimal polynomial is not totally real")
         object.__setattr__(self, "_roots", tuple(roots))
-
-    @property
-    def degree(self) -> int:
-        return len(self._dense) - 1
 
     def gen(self) -> "NumberFieldElem":
         coords = [Fraction(0)] * self.degree
@@ -233,19 +193,26 @@ class NumberField(Record):
 
 
 class NumberFieldElem:
-    """Element of a NumberField in power-basis coordinates.
-
-    Supports field arithmetic and exact sign / approximation queries at any
-    real embedding.
+    """Element of a NumberField in power-basis coordinates, held as an
+    integer row over one positive denominator in lowest terms (`coords` is
+    the Fraction view). Field arithmetic and exact embedding signs.
     """
 
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "_num", "_den")
 
     def __init__(self, field: NumberField, coords: tuple):
-        self.field = field
-        self.coords = tuple(coords)
-        if len(self.coords) != field.degree:
+        cs = tuple(coords)
+        if len(cs) != field.degree:
             raise NumberFieldError("coordinate length mismatch")
+        # lowest terms already: each prime's full power in the lcm comes
+        # from a coordinate whose numerator it does not divide
+        num, self._den = _int_dense(cs)
+        self.field, self._num = field, tuple(num)
+
+    @property
+    def coords(self) -> tuple:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     def _coerce(self, other):
         if isinstance(other, NumberFieldElem):
@@ -253,20 +220,22 @@ class NumberFieldElem:
                 raise NumberFieldError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.element([Fraction(other)])
+            return _elem(self.field, [other.numerator] + [0] * (self.field.degree - 1),
+                         other.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NumberFieldElem(self.field,
-                               tuple(a + b for a, b in zip(self.coords, o.coords)))
+        dx, dy = self._den, o._den
+        return _elem(self.field, [a * dy + b * dx for a, b in zip(self._num, o._num)],
+                     dx * dy)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElem(self.field, tuple(-a for a in self.coords))
+        return _elem(self.field, [-a for a in self._num], self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -282,32 +251,28 @@ class NumberFieldElem:
         if o is None:
             return NotImplemented
         field = self.field
-        (xs,), dx = _int_rows((self,))
-        (ys,), dy = _int_rows((o,))
-        den = field._fold_den * dx * dy
-        return NumberFieldElem(field, tuple(Fraction(c, den)
-                                            for c in _mul_fold(field, ((xs, ys),))))
+        return _elem(field, _mul_fold(field, ((self._num, o._num),)),
+                     field._fold_den * self._den * o._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NumberFieldElem":
-        """Extended Euclid against the minimal polynomial."""
+        """Faddeev-LeVerrier on the integer multiplication matrix A of self
+        (column k is self * v^k over fold_den * den): M_k = A M_(k-1) + c I,
+        then c = -tr(A M_k) / k, exact in Z; A M_d = -c I at k = d."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # invariants: r0 = s0*m + t0*self_poly (mod juggling implicit)
-        r0, r1 = list(self.field._dense), _trim(list(self.coords))
-        t0, t1 = [], [Fraction(1)]
-        while len(r1) - 1 > 0:
-            q, r = _uni_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _trim([a - b for a, b in
-                                zip_longest(t0, _mul(q, t1), fillvalue=0)])
-        if not r1:
+        field, d = self.field, self.field.degree
+        a = list(zip(*_mul_matrix(field, self._num)))
+        m, c = [[0] * d for _ in range(d)], 1
+        for k in range(1, d + 1):
+            m = [[sum(x * y for x, y in zip(row, col)) + (c if i == j else 0)
+                  for j, col in enumerate(zip(*m))] for i, row in enumerate(a)]
+            c = -sum(x * y for i, row in enumerate(a) for x, y in zip(row, (r[i] for r in m))) // k
+        if c == 0:
             raise NumberFieldError("element not invertible (reducible modulus?)")
-        c = r1[0]
-        inv = [t / c for t in t1]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return NumberFieldElem(self.field, tuple(inv[:self.field.degree]))
+        scale = -field._fold_den * self._den if c > 0 else field._fold_den * self._den
+        return _elem(field, [scale * row[0] for row in m], abs(c))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -339,23 +304,23 @@ class NumberFieldElem:
             # across fields only equal rationals are equal, as they are to
             # their common value (arithmetic across fields still raises)
             return (self.is_rational() and other.is_rational()
-                    and self.coords[0] == other.coords[0])
+                    and self._num[0] == other._num[0] and self._den == other._den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self._den == o._den and self._num == o._num
 
     def __hash__(self):
         # a rational element equals its value, so it hashes like it
         if self.is_rational():
-            return hash(self.coords[0])
-        return hash(self.coords)
+            return hash(Fraction(self._num[0], self._den))
+        return hash((self._num, self._den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self._num[1:])
 
     def __repr__(self):
         name = self.field.name
@@ -374,36 +339,42 @@ class NumberFieldElem:
     # ------------------------------------------------------------------
     # real-embedding queries
 
-    def _interval_eval(self, lo: Fraction, hi: Fraction) -> tuple:
-        """Interval Horner: encloses p(alpha) for alpha in [lo, hi]."""
-        plo, phi = Fraction(0), Fraction(0)
-        for c in reversed(self.coords):
-            cands = (plo * lo, plo * hi, phi * lo, phi * hi)
-            plo, phi = min(cands) + c, max(cands) + c
-        return plo, phi
-
     def sign_at_embedding(self, index: int) -> int:
         """Sign (-1, 0, +1) of the image under the index-th real embedding.
 
-        Terminates: a nonzero element has p(alpha) != 0 (deg p < deg m and m
-        irreducible), so interval refinement eventually separates the
-        enclosure from 0; the zero element short-circuits.
+        Interval Horner over the root's isolating interval, in integers,
+        bisected until the enclosure excludes 0. Terminates: a nonzero
+        element has p(alpha) != 0 (deg p < deg m and m irreducible).
         """
         if self.is_zero():
             return 0
         if self.is_rational():
-            v = self.coords[0]
-            return 1 if v > 0 else -1
+            return 1 if self._num[0] > 0 else -1
         lo, hi = self.field._roots[index]
-        if lo == hi:
-            raise NumberFieldError("rational root of an irreducible modulus?")
         while True:
-            vlo, vhi = self._interval_eval(lo, hi)
+            (a, b), d = _int_dense((lo, hi))
+            vlo, vhi, s = 0, 0, 1
+            for c in reversed(self._num):
+                cands = (vlo * a, vlo * b, vhi * a, vhi * b)
+                vlo, vhi = min(cands) + c * s, max(cands) + c * s
+                s *= d
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
             lo, hi = refine_interval(self.field._dense, lo, hi, (hi - lo) / 2)
+
+
+def _elem(field: NumberField, num: list, den: int) -> NumberFieldElem:
+    """The element num / den of field, for an integer row num and den > 0,
+    in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    x = object.__new__(NumberFieldElem)
+    x.field, x._num, x._den = field, tuple(num), den
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -413,8 +384,8 @@ class NumberFieldElem:
 def _int_rows(elems) -> tuple:
     """(rows, den): the coordinates of each element as an integer row, all
     over one common denominator."""
-    den = lcm(*(c.denominator for x in elems for c in x.coords))
-    return [[c.numerator * (den // c.denominator) for c in x.coords]
+    den = lcm(*(x._den for x in elems))
+    return [list(x._num) if x._den == den else [c * (den // x._den) for c in x._num]
             for x in elems], den
 
 
@@ -441,19 +412,23 @@ def _mul_fold(field: NumberField, pairs) -> list:
     return out
 
 
+def _mul_matrix(field: NumberField, row: list) -> list:
+    """The columns row * v^k, k < degree, of the multiplication matrix of
+    the integer row, each an integer row over field._fold_den."""
+    return [_mul_fold(field, (([0] * k + [1], row),)) for k in range(field.degree)]
+
+
 # ----------------------------------------------------------------------
 # minimal polynomials of 2*cos(2*pi/n)
 
 
 def _chebyshev_like(n: int) -> list:
-    """V_n with V_n(2 cos h) = 2 cos(n h): V_0 = 2, V_1 = x."""
-    v0, v1 = [Fraction(2)], [Fraction(0), Fraction(1)]
+    """V_n with V_n(2 cos h) = 2 cos(n h), as integers: V_0 = 2, V_1 = x."""
+    v0, v1 = [2], [0, 1]
     if n == 0:
         return v0
     for _ in range(n - 1):
-        v0, v1 = v1, _trim([a - b for a, b in
-                            zip([Fraction(0)] + list(v1),
-                                list(v0) + [Fraction(0)] * (len(v1) + 1 - len(v0)))])
+        v0, v1 = v1, _trim([a - b for a, b in zip_longest([0] + v1, v0, fillvalue=0)])
     return v1
 
 
@@ -485,12 +460,14 @@ def minpoly_2cos(n: int, var: str = "x") -> MultiPoly:
         v[0] -= 2
         return v
 
-    f = poly_to_dense(squarefree_part(dense_to_poly(v_minus_2(n), var), var), var)
+    # all on integers: the polynomials are monic over Z, so are their gcds
+    # (Gauss's lemma), and each quotient below is exact
+    f = _zt_squarefree(v_minus_2(n))
     # the roots 2cos(2 pi k/n) with gcd(k, n) > 1 are, over the primes p | n,
     # the roots of V_{n/p} - 2
     for p in factor_integer(n)[0]:
-        f, _ = _uni_divmod(f, _uni_gcd(f, v_minus_2(n // p)))
-    return dense_to_poly(f, var)  # monic: a monic squarefree part over monic gcds
+        f = _zt_divide(f, _zt_gcd(f, v_minus_2(n // p)))
+    return dense_to_poly(f, var)
 
 
 def field_2cos(n: int, name: str = "v") -> NumberField:

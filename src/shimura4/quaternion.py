@@ -3,10 +3,11 @@
 An algebra (a, b / K) has basis 1, i, j, k with i^2 = a, j^2 = b, ij = -ji
 = k. Everything (products, norms, projective orders, which real places
 split) is decided exactly through NumberField arithmetic; there is no float
-in this module. A product runs over the integers: both factors are brought
-to one common denominator, and each coordinate of the result is a sum of
-integer convolutions folded once by the field's minimal polynomial, with a,
-b and ab kept as integer rows on the algebra.
+in this module. Products run over the integers, read off the structure
+constants e_s e_t = c e_u (c = +-1, +-a, +-b, +-ab, kept as integer rows
+on the algebra): each coordinate of a product is a sum of integer
+convolutions folded once by the field's minimal polynomial, and
+`_left_matrix` gives the integer matrix of left multiplication.
 
 The `uniformizer_triple` constructor builds the (2, 3, n) triple used by the
 verification suites: delta_p = i, delta_q = 1/2 + (v/2) i + (1/2) j over
@@ -19,10 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .numberfield import NumberField, NumberFieldElem, _int_rows, _mul_fold, field_2cos
+from .numberfield import (NumberField, NumberFieldElem, _elem, _int_rows, _mul_fold,
+                          _mul_matrix, field_2cos)
 from .record import Record
-
-Coord = int | Fraction | NumberFieldElem
 
 
 class QuaternionError(ValueError):
@@ -38,9 +38,9 @@ class QuaternionAlgebra(Record):
     def __post_init__(self):
         if self.a.is_zero() or self.b.is_zero():
             raise QuaternionError("a and b must be nonzero")
-        # a, b and ab as integer rows over one denominator, for __mul__
-        rows, den = _int_rows((self.a, self.b, self.a * self.b))
-        object.__setattr__(self, "_const_rows", tuple(rows))
+        # 1, a, b, ab (the table's constants) as integer rows over one den
+        rows, den = _int_rows((self.field.one(), self.a, self.b, self.a * self.b))
+        object.__setattr__(self, "_consts", tuple(rows))
         object.__setattr__(self, "_const_den", den)
 
     def element(self, x0, x1=0, x2=0, x3=0) -> "Quaternion":
@@ -57,14 +57,6 @@ class QuaternionAlgebra(Record):
 
     def one(self):
         return self.element(1)
-
-    def basis(self):
-        one = self.field.one()
-        z = self.field.zero()
-        return (Quaternion(self, (one, z, z, z)),
-                Quaternion(self, (z, one, z, z)),
-                Quaternion(self, (z, z, one, z)),
-                Quaternion(self, (z, z, z, one)))
 
     # ------------------------------------------------------------------
     # real places
@@ -86,6 +78,14 @@ class QuaternionAlgebra(Record):
 
     def __repr__(self):
         return f"QuaternionAlgebra(({self.a}, {self.b}) over {self.field.name})"
+
+
+# e_s e_t = sign * c * e_u in the basis e = 1, i, j, k, with c = 1, a, b, ab
+# for its index 0..3 in QuaternionAlgebra._consts: _STRUCTURE[s][t] = (u, sign, c)
+_STRUCTURE = (((0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0)),
+              ((1, 1, 0), (0, 1, 1), (3, 1, 0), (2, 1, 1)),
+              ((2, 1, 0), (3, -1, 0), (0, 1, 2), (1, -1, 2)),
+              ((3, 1, 0), (2, -1, 1), (1, 1, 2), (0, -1, 3)))
 
 
 class Quaternion:
@@ -137,24 +137,18 @@ class Quaternion:
         field = alg.field
         xs, dx = _int_rows(self.coords)
         ys, dy = _int_rows(o.coords)
-        x0, x1, x2, x3 = xs
-        y0, y1, y2, y3 = ys
-        # a y1, a y3, b y2, b y3 and ab y3 come out over scale * dy, with
-        # scale = fold_den * const_den; the plain y rows are brought to it
-        ra, rb, rab = alg._const_rows
-        ay1, ay3, by2, by3, aby3 = (_mul_fold(field, ((r, y),)) for r, y in (
-            (ra, y1), (ra, y3), (rb, y2), (rb, y3), (rab, y3)))
+        # z_u sums sign * x_s * (c y_t) over e_s e_t = sign * c * e_u; each
+        # row c y_t is made once, over scale = fold_den * const_den
         scale = field._fold_den * alg._const_den
-        if scale != 1:
-            y0, y1, y2, y3 = ([scale * c for c in y] for y in (y0, y1, y2, y3))
-        y1n, ay1n, by3n, aby3n = ([-c for c in y] for y in (y1, ay1, by3, aby3))
-        zs = (_mul_fold(field, ((x0, y0), (x1, ay1), (x2, by2), (x3, aby3n))),
-              _mul_fold(field, ((x0, y1), (x1, y0), (x3, by2), (x2, by3n))),
-              _mul_fold(field, ((x0, y2), (x2, y0), (x1, ay3), (x3, ay1n))),
-              _mul_fold(field, ((x0, y3), (x3, y0), (x1, y2), (x2, y1n))))
+        cy, pairs = {}, ([], [], [], [])
+        for x, structure in zip(xs, _STRUCTURE):
+            for t, (u, sign, c) in enumerate(structure):
+                if (c, t) not in cy:
+                    cy[c, t] = (_mul_fold(field, ((alg._consts[c], ys[t]),)) if c
+                                else [scale * a for a in ys[t]])
+                pairs[u].append((x if sign > 0 else [-a for a in x], cy[c, t]))
         den = scale * field._fold_den * dx * dy
-        return Quaternion(alg, tuple(
-            NumberFieldElem(field, tuple(Fraction(c, den) for c in z)) for z in zs))
+        return Quaternion(alg, tuple(_elem(field, _mul_fold(field, p), den) for p in pairs))
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -239,6 +233,25 @@ class Quaternion:
                 cs = f"({cs})"
             parts.append(f"{cs}*{n}" if n else cs)
         return " + ".join(parts) if parts else "0"
+
+
+def _left_matrix(g: Quaternion) -> tuple:
+    """(rows, den): the matrix of x -> g x over Q in the basis v^k e_t (v
+    the field generator, index t*d + k) as integer rows over den. Since
+    g e_t sums g_s c_st e_u over e_s e_t = c_st e_u, block (u, t) is the
+    multiplication matrix of g_s c_st: its column k is g_s c_st v^k."""
+    alg, field, d = g.algebra, g.algebra.field, g.algebra.field.degree
+    xs, dx = _int_rows(g.coords)
+    rows = [[0] * (4 * d) for _ in range(4 * d)]
+    for x, structure in zip(xs, _STRUCTURE):
+        if not any(x):
+            continue
+        for t, (u, sign, c) in enumerate(structure):
+            y = _mul_fold(field, ((alg._consts[c], x),))
+            for k, col in enumerate(_mul_matrix(field, y)):
+                for i, z in enumerate(col):
+                    rows[u * d + i][t * d + k] = sign * z
+    return rows, dx * alg._const_den * field._fold_den ** 2
 
 
 # ----------------------------------------------------------------------

@@ -211,10 +211,11 @@ def _generator_matrices(p: int, q: int, r: int) -> tuple:
     For delta_p, delta_q, delta_r of `uniformizer_triple(r)` and their
     inverses (in the order of the float generators used for drawing), the
     matrix of x -> g x over Q in the basis v^k e_s (v generates the field,
-    e_s = 1, i, j, k), as rows, times the common denominator `den` of all
-    six. Returns (matrices, den, sparse), sparse holding each matrix's rows
-    in the form of `_sparse_rows`; cached, so the relation check and every
-    search share one set.
+    e_s = 1, i, j, k), read off the algebra's structure constants by
+    `quaternion._left_matrix`, as rows, times the least common denominator
+    `den` of all six. Returns (matrices, den, sparse), sparse holding each
+    matrix's rows in the form of `_sparse_rows`; cached, so the relation
+    check and every search share one set.
 
     The search never applies delta_p^-1 (see `_tile_tree`), since
     delta_p^2 = -1 makes it -delta_p; that is checked here, exactly, on the
@@ -226,18 +227,15 @@ def _generator_matrices(p: int, q: int, r: int) -> tuple:
     # imported here: the arakelov check in families imports this module for
     # canonical_degree alone, and should not load the number field and
     # quaternion modules
-    from .quaternion import uniformizer_triple
+    from .quaternion import _left_matrix, uniformizer_triple
     trip = uniformizer_triple(r)
-    field = trip.algebra.field
-    powers = [field.element([0] * k + [1]) for k in range(field.degree)]
-    # v is central, so the column of v^k e_s is (g e_s) v^k
-    cols = [[[c for x in ge.coords for c in (x * vk).coords]
-             for ge in (g * e for e in trip.algebra.basis()) for vk in powers]
-            for delta in (trip.delta_p, trip.delta_q, trip.delta_r)
+    left = [_left_matrix(g) for delta in (trip.delta_p, trip.delta_q, trip.delta_r)
             for g in (delta, delta.inverse())]
-    den = math.lcm(*(c.denominator for m in cols for col in m for c in col))
-    mats = tuple(tuple(tuple(c.numerator * (den // c.denominator) for c in row)
-                       for row in zip(*m)) for m in cols)
+    # to one common denominator, then to the least one
+    den = math.lcm(*(d for _, d in left))
+    mats = [[[c * (den // d) for c in row] for row in m] for m, d in left]
+    g = math.gcd(den, *(c for m in mats for row in m for c in row))
+    den, mats = den // g, tuple(tuple(tuple(c // g for c in row) for row in m) for m in mats)
     if mats[1] != tuple(tuple(-c for c in row) for row in mats[0]):
         raise TriangleError("M(delta_p^-1) != -M(delta_p): the search may not "
                             "skip delta_p^-1")

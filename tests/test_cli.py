@@ -46,6 +46,18 @@ def test_json_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_json_is_the_same_under_two_hash_seeds():
+    # two fresh processes, with cold caches and different string hashing:
+    # no output may follow the iteration order of a set or dict of names
+    src = Path(cli.__file__).resolve().parents[1]
+    outs = [subprocess.run([sys.executable, "-m", "shimura4", "--json"],
+                           capture_output=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    assert [o.returncode for o in outs] == [0, 0], outs[0].stderr + outs[1].stderr
+    assert outs[0].stdout == outs[1].stdout
+
+
 # sha256 of the default `verify --json` stdout
 VERIFY_JSON_SHA256 = "0641cf6411ddb050d23d868fce4283467486478965fa248ad0da65359058a84a"
 

@@ -68,3 +68,24 @@ def test_parse_rejects_garbage():
 def test_factor_rejects_nonpositive():
     with pytest.raises(ValueError):
         factor_integer(0)
+
+
+def test_products_of_primes_in_the_trial_range():
+    # primes from 1000 to 100 000 are found by trial division, whatever the
+    # wheel it steps over; the result is certified and recomposes
+    import random
+    sieve = bytearray([1]) * 100_000
+    sieve[:2] = b"\0\0"
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p::p] = bytearray(len(sieve[p * p::p]))
+    primes = [p for p in range(1000, 100_000) if sieve[p]]
+    rng = random.Random(30)
+    for _ in range(60):
+        want = {}
+        for p in rng.sample(primes, rng.randint(1, 3)):
+            want[p] = rng.randint(1, 4)
+        for p in rng.sample([2, 3, 5, 7, 11, 13], rng.randint(0, 2)):
+            want[p] = rng.randint(1, 3)
+        assert factor_integer(recompose(want)) == (dict(sorted(want.items())), True)
+    assert factor_integer(99_991 * 99_989) == ({99_989: 1, 99_991: 1}, True)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from _helpers import substitute_reference
 
 from shimura4.multipoly import (
     MultiPoly,
@@ -97,6 +98,73 @@ def test_substitute_identity_of_clearing():
     for uv, sv in [(F(3), F(5)), (F(-1), F(2)), (F(7, 2), F(1, 3))]:
         lhs = f.evaluate({"x": (uv + 1) / (uv - 2), "t": sv / uv})
         assert lhs == num.evaluate({"u": uv, "s": sv}) / clr.evaluate({"u": uv, "s": sv})
+
+
+def _random_sum(rng, gens, terms, max_deg):
+    """A sum of random monomials in gens with Fraction coefficients."""
+    f = MultiPoly.zero(gens[0].variables)
+    for _ in range(terms):
+        m = MultiPoly.constant(F(rng.randint(-9, 9), rng.randint(1, 6)), gens[0].variables)
+        for g in gens:
+            m = m * g ** rng.randint(0, max_deg)
+        f = f + m
+    return f
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_substitute_matches_a_dict_and_fraction_reference(seed):
+    # rational coefficients everywhere, a denominator that is not constant,
+    # a polynomial image, and t left unassigned, so it maps to itself
+    rng = random.Random(seed)
+    x, y, t = MultiPoly.generators("x", "y", "t")
+    out = ("u", "s", "t")
+    gens = MultiPoly.generators(*out)
+    f = _random_sum(rng, (x, y, t), 6, 3)
+    den = _random_sum(rng, gens, 2, 2) + F(1, 3) * gens[0]
+    assignments = {"x": (_random_sum(rng, gens, 3, 2), den),
+                   "y": (_random_sum(rng, gens, 2, 2), None)}
+    num, clearing = f.substitute(assignments)
+    want_num, want_clearing = substitute_reference(f, assignments, out)
+    assert num.variables == out
+    assert num.terms == want_num
+    assert clearing.terms == want_clearing
+    assert all(type(c) is F for c in num.terms.values())
+
+
+def test_substitute_cancels_terms_like_the_reference():
+    # (x - y)^2 under x -> (u + s) / (2u), y -> (u - s) / (2u): the u^4,
+    # u^3*s and u*s^3 terms cancel, leaving 16 u^2 s^2 over the clearing
+    # (2u)^4; x*y - y*x cancels in f itself
+    x, y = MultiPoly.generators("x", "y")
+    u, s = MultiPoly.generators("u", "s")
+    for f, want in (((x - y) ** 2, {(2, 2): F(16)}), (x * y - y * x + 1, {(0, 0): F(1)})):
+        assignments = {"x": (u + s, 2 * u), "y": (u - s, 2 * u)}
+        num, clearing = f.substitute(assignments)
+        assert (num.terms, clearing.terms) == substitute_reference(f, assignments, ("u", "s"))
+        assert num.terms == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_matches_term_by_term_fractions(seed):
+    rng = random.Random(100 + seed)
+    x, y, t = gens = MultiPoly.generators("x", "y", "t")
+    f = _random_sum(rng, gens, 8, 3)
+    point = {"x": F(rng.randint(-5, 5), rng.randint(1, 4)), "y": F(0),
+             "t": F(rng.randint(-5, 5), rng.randint(1, 4))}
+    for names in (("x",), ("x", "t"), ("y",), ("x", "y", "t")):
+        want = {}
+        for e, c in f.terms.items():
+            for name, k in zip(f.variables, e):
+                if name in names:
+                    c *= point[name] ** k
+            key = tuple(0 if name in names else k for name, k in zip(f.variables, e))
+            want[key] = want.get(key, F(0)) + c
+        want = {e: c for e, c in want.items() if c}
+        got = f.evaluate({name: point[name] for name in names})
+        if len(names) == 3:
+            assert got == want.get((0, 0, 0), F(0)) and type(got) is F
+        else:
+            assert got.terms == want
 
 
 def test_substitute_polynomial_images():

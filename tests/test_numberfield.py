@@ -3,13 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from _helpers import embedding_interval
+from _helpers import count_real_roots, dense_mul, dense_rem, embedding_interval
 
 from shimura4.multipoly import MultiPoly
 from shimura4.numberfield import (
     NumberField,
     NumberFieldError,
-    count_real_roots,
     dense_to_poly,
     field_2cos,
     isolate_real_roots,
@@ -43,7 +42,7 @@ def test_isolate_quadratic():
 
 
 def test_isolate_with_rational_root():
-    # (x - 1/2)(x^2 - 3): the rational root must come back, possibly as a point
+    # (x - 1/2)(x^2 - 3): the rational root must lie in one of the intervals
     p = [F(3, 2), F(-3), F(-1, 2), F(1)]
     ivs = isolate_real_roots(p)
     assert len(ivs) == 3
@@ -106,7 +105,6 @@ def test_mul_matches_schoolbook_remainder():
     # reference: the dense product reduced by Euclidean division by m
     import random
     from shimura4.multipoly import _uni_divmod
-    from shimura4.numberfield import _mul
     rng = random.Random(11)
     fields = [field_2cos(n) for n in (5, 7, 9, 11)]
     fields.append(NumberField(dense_to_poly([F(-1, 3), F(-2), F(1, 2), F(1)]), "w"))
@@ -116,7 +114,7 @@ def test_mul_matches_schoolbook_remainder():
             x, y = (K.element([F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4]))
                                if rng.random() < 0.7 else 0
                                for _ in range(K.degree)]) for _ in range(2))
-            _, rem = _uni_divmod(_mul(list(x.coords), list(y.coords)), K._dense)
+            _, rem = _uni_divmod(dense_mul(list(x.coords), list(y.coords)), K._dense)
             z = x * y
             assert z.coords == tuple(rem) + (F(0),) * (K.degree - len(rem))
             assert all(type(c) is F for c in z.coords)
@@ -230,3 +228,45 @@ def test_sturm_chain_endpoints():
     assert len(ch) >= 2
     assert count_real_roots(p, F(0), F(2)) == 1
     assert count_real_roots(p, F(-2), F(0)) == 0
+
+
+def _fold_test_field():
+    # x^3 + x^2/2 - 2x - 1/3: not integral, so products fold over a
+    # denominator other than 1
+    return NumberField(dense_to_poly([F(-1, 3), F(-2), F(1, 2), F(1)]), "w")
+
+
+@pytest.mark.parametrize("make", [lambda: field_2cos(5), lambda: field_2cos(7),
+                                  lambda: field_2cos(9), _fold_test_field],
+                         ids=["2cos5", "2cos7", "2cos9", "fold"])
+def test_element_arithmetic_matches_a_fraction_reference(make):
+    import random
+    K = make()
+    m = poly_to_dense(K.min_poly, K.min_poly.variables[0])
+    d = K.degree
+    if make is _fold_test_field:
+        assert K._fold_den != 1
+    rng = random.Random(str(K.min_poly))
+    for _ in range(40):
+        xs, ys = ([F(rng.randint(-30, 30), rng.choice([1, 2, 3, 6, 7]))
+                   if rng.random() < 0.75 else F(0) for _ in range(d)] for _ in range(2))
+        x, y = K.element(xs), K.element(ys)
+        assert x.coords == tuple(xs) and all(type(c) is F for c in x.coords)
+        assert (x + y).coords == tuple(a + b for a, b in zip(xs, ys))
+        assert (x - y).coords == tuple(a - b for a, b in zip(xs, ys))
+        assert (-x).coords == tuple(-a for a in xs)
+        assert (x * y).coords == tuple(dense_rem(dense_mul(xs, ys), m))
+        q = F(rng.randint(-9, 9), rng.randint(1, 9))
+        assert (x * q).coords == (q * x).coords == tuple(a * q for a in xs)
+        assert (x + q).coords == (xs[0] + q,) + tuple(xs[1:])
+        if not x.is_zero():
+            inv = x.inverse()
+            assert tuple(dense_rem(dense_mul(list(inv.coords), xs), m)) == (1,) + (0,) * (d - 1)
+            assert (y / x).coords == tuple(dense_rem(dense_mul(ys, list(inv.coords)), m))
+        # equal values built two ways are ==, hash alike, and only then
+        z = (x + y) - y
+        assert z == x and hash(z) == hash(x)
+        assert (z == y) == (tuple(xs) == tuple(ys))
+        assert (x == q) == (tuple(xs) == (q,) + (0,) * (d - 1))
+        r = K.element([q])
+        assert r == q and hash(r) == hash(q) and hash(r + 0) == hash(q)

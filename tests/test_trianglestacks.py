@@ -7,7 +7,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from _helpers import with_fields
+from _helpers import generator_matrices_by_products, with_fields
 
 from shimura4.trianglestacks import (
     IDENTITY,
@@ -264,6 +264,13 @@ def test_relation_product_is_den_cubed_identity(n, size):
                    for row in mp)
     assert square == tuple(tuple(-den ** 2 if i == j else 0 for j in range(size))
                            for i in range(size))
+
+
+@pytest.mark.parametrize("n", [7, 9, 11, 13])
+def test_structure_constant_matrices_match_the_quaternion_products(n):
+    mats, den, sparse = _generator_matrices(2, 3, n)
+    assert (mats, den) == generator_matrices_by_products(n)
+    assert sparse == tuple(_sparse_rows(m) for m in mats)
 
 
 def test_generator_matrices_are_cached():
