@@ -79,15 +79,14 @@ def line_invariant(data: HypergeometricData, i: int) -> int:
     N = data.level
     if i % N == 0:
         raise HypergeomError("index must be nonzero mod level")
-    total = F(-1)
+    total = 0
     for a in data.exponents:
         r = (i * a) % N
         if r == 0:
             raise HypergeomError(f"invariant undefined: {i} * {a} = 0 mod {N}")
-        total += F(r, N)
-    if total.denominator != 1:
-        raise HypergeomError(f"non-integral invariant {total} at index {i}")
-    return int(total)
+        total += r
+    # the exponents sum to 0 mod N (checked in HypergeometricData), so N | total
+    return total // N - 1
 
 
 def units(N: int) -> tuple[int, ...]:

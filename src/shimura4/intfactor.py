@@ -55,6 +55,18 @@ def _int_nth_root(m: int, e: int) -> int:
         x = y
 
 
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, e) with m = r**e for the least prime e that works, or None. A
+    power to a composite exponent is also a power to each prime factor of
+    it, so prime exponents suffice."""
+    for e in filter(is_probable_prime, range(2, m.bit_length())):
+        r = _int_nth_root(m, e)
+        for cand in (r, r + 1):
+            if cand > 1 and cand ** e == m:
+                return cand, e
+    return None
+
+
 def _brent_rho(n: int, rng: random.Random) -> int:
     """A nontrivial factor of odd composite n."""
     if n % 2 == 0:
@@ -107,40 +119,40 @@ def factor_integer(n: int) -> tuple[dict, bool]:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
+    # n = r^k with r not a perfect power; each factor of r counts k times.
+    # Table discriminants are p^4 q^4, so this leaves the wheel to walk up
+    # to p and the square root of q instead of up to q.
+    k = 1
+    while (power := _perfect_power(n)) is not None:
+        n, e = power
+        k *= e
     # trial division below a bound over the wheel of numbers prime to 30
     d, steps = 11, cycle((2, 4, 2, 4, 6, 2, 6, 4))
     while d * d <= n and d < 100_000:
         while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
+            factors[d] = factors.get(d, 0) + k
             n //= d
         d += next(steps)
-    if n == 1:
-        return factors, certified
-    rng = random.Random(0xC0FFEE)
-    stack = [n]
+    rng = None
+    stack = [(n, k)]
     while stack:
-        m = stack.pop()
+        m, k = stack.pop()
         if m == 1:
             continue
         if is_probable_prime(m):
             if m >= _MR_CERTIFIED_BOUND:
                 certified = False
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = factors.get(m, 0) + k
             continue
         # perfect power check helps rho on squares
-        for e in range(2, m.bit_length()):
-            r = _int_nth_root(m, e)
-            for cand in (r, r + 1):
-                if cand > 1 and cand ** e == m:
-                    stack.extend([cand] * e)
-                    m = 1
-                    break
-            if m == 1:
-                break
-        if m == 1:
+        power = _perfect_power(m)
+        if power is not None:
+            stack.append((power[0], k * power[1]))
             continue
+        if rng is None:
+            rng = random.Random(0xC0FFEE)
         g = _brent_rho(m, rng)
-        stack.extend([g, m // g])
+        stack.extend([(g, k), (m // g, k)])
     return dict(sorted(factors.items())), certified
 
 

@@ -1,19 +1,18 @@
 """Sparse multivariate polynomials over the rationals.
 
-Everything here is exact: coefficients are `fractions.Fraction`, terms are
-kept in a dict mapping exponent tuples to nonzero coefficients, and the
-variable order is fixed per polynomial. Products and substitution run on
-integer numerators over one common denominator and make one Fraction per
-coefficient of the result. This is deliberately a small core -- just what
-the verification pipeline needs: ring arithmetic, exact division,
-resultants and discriminants, gcd / squarefree parts, rational substitution
-with denominator clearing, and valuation bookkeeping.
+Everything here is exact. A polynomial is a fixed tuple of variable names,
+a dict `_num` mapping exponent tuples to nonzero int numerators, and one
+positive int denominator `_den` with gcd(_den, *_num.values()) = 1, so
+equal polynomials have equal fields. Every operation works on these
+integers and reduces once at the end; `terms`, the exponent -> Fraction
+dict, is built only when read. This is deliberately a small core -- just
+what the verification pipeline needs: ring arithmetic, exact division,
+resultants and discriminants, squarefree decomposition, rational
+substitution with denominator clearing, and valuation bookkeeping.
 
-gcds and squarefree decompositions are univariate over Q: they run
-Euclid's algorithm, each remainder made monic, on dense coefficient lists
-(`poly_to_dense` / `dense_to_poly`), and `_uni_divmod` is the one
-Euclidean division over Q in the package. A squarefree part is taken on
-integers, with the primitive remainder sequence the resultants use.
+Squarefree decompositions are univariate: Yun's algorithm on dense integer
+coefficient lists, over the primitive remainder sequence (`_zt_gcd`) that
+the resultants use. This is the one dense core of the package.
 
 Resultants go by evaluation and interpolation over the integers: each
 parameter is set to small integers, skipping the points where a leading
@@ -63,12 +62,6 @@ def _int_dense(p: Sequence) -> tuple:
     return [c.numerator * (den // c.denominator) for c in p], den
 
 
-def _int_terms(terms: Mapping) -> tuple:
-    """`_int_dense` of a term dict, as a dict."""
-    nums, den = _int_dense(terms.values())
-    return dict(zip(terms, nums)), den
-
-
 def _mul_int(a: Mapping, b: Mapping) -> dict:
     """Product of integer term dicts on one variable tuple, zero sums kept."""
     out = {}
@@ -80,16 +73,29 @@ def _mul_int(a: Mapping, b: Mapping) -> dict:
     return out
 
 
-def _from_int(variables: tuple, terms: Mapping, den: int) -> "MultiPoly":
-    """MultiPoly of integer terms over den > 0, zero sums dropped, unchecked."""
+def _from_int(variables: tuple, num: Mapping, den: int) -> "MultiPoly":
+    """MultiPoly num / den for integer terms num and int den > 0, zero sums
+    dropped and the fraction reduced; the terms are not checked."""
+    num = {e: c for e, c in num.items() if c}
+    g = _int_gcd(den, *num.values()) if den != 1 else 1
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
     p = object.__new__(MultiPoly)
     object.__setattr__(p, "variables", variables)
-    object.__setattr__(p, "terms", {e: Fraction(c, den) for e, c in terms.items() if c})
+    object.__setattr__(p, "_num", num)
+    object.__setattr__(p, "_den", den)
     return p
 
 
+def _scalar(c: Scalar, variables: tuple) -> "MultiPoly":
+    """The constant c on the given variables, built without the checks."""
+    c = _as_fraction(c)
+    return _from_int(variables, {(0,) * len(variables): c.numerator}, c.denominator)
+
+
 class MultiPoly:
-    """A polynomial in named variables with Fraction coefficients.
+    """A polynomial in named variables with rational coefficients.
 
     `variables` is a tuple of names fixing the exponent-vector order;
     `terms` maps exponent tuples to nonzero Fractions. Zero coefficients
@@ -105,7 +111,7 @@ class MultiPoly:
     Fraction(2, 1)
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_num", "_den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Scalar]):
         vt = tuple(variables)
@@ -122,11 +128,21 @@ class MultiPoly:
             if fc != 0:
                 # do not store zero coefficients
                 clean[e] = fc
+        # over the least common denominator the fraction is already reduced
+        num, den = _int_dense(clean.values())
         object.__setattr__(self, "variables", vt)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_num", dict(zip(clean, num)))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise MultiPolyError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """A new dict from exponent tuples to the nonzero Fraction
+        coefficients."""
+        den = self._den
+        return {e: Fraction(c, den) for e, c in self._num.items()}
 
     # ------------------------------------------------------------------
     # constructors
@@ -157,17 +173,17 @@ class MultiPoly:
     # basic queries
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(all(k == 0 for k in e) for e in self.terms)
+        return not any(any(e) for e in self._num)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self._num:
             return Fraction(0)
         if not self.is_constant():
             raise MultiPolyError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self._num.values())), self._den)
 
     def _vidx(self, var: str) -> int:
         try:
@@ -177,21 +193,20 @@ class MultiPoly:
 
     def degree(self, var: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return -1
         i = self._vidx(var)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._num)
 
     def coefficient(self, var: str, power: int) -> "MultiPoly":
         """The coefficient of var**power, as a polynomial in the same ring
         (the variable still present with exponent 0)."""
         i = self._vidx(var)
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._num.items():
             if e[i] == power:
-                e2 = e[:i] + (0,) + e[i + 1:]
-                out[e2] = out.get(e2, Fraction(0)) + c
-        return MultiPoly(self.variables, out)
+                out[e[:i] + (0,) + e[i + 1:]] = c
+        return _from_int(self.variables, out, self._den)
 
     def leading_coefficient(self, var: str) -> "MultiPoly":
         d = self.degree(var)
@@ -201,7 +216,7 @@ class MultiPoly:
 
     def variables_used(self) -> tuple:
         used = set()
-        for e in self.terms:
+        for e in self._num:
             for i, k in enumerate(e):
                 if k:
                     used.add(self.variables[i])
@@ -216,19 +231,23 @@ class MultiPoly:
                 raise MultiPolyError(
                     f"variable mismatch: {self.variables} vs {other.variables}")
             return other
-        return MultiPoly.constant(other, self.variables)
+        return _scalar(other, self.variables)
 
     def __add__(self, other) -> "MultiPoly":
         o = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(self.variables, out)
+        da, db = self._den, o._den
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        out = {e: sa * c for e, c in self._num.items()}
+        get = out.get
+        for e, c in o._num.items():
+            out[e] = get(e, 0) + sb * c
+        return _from_int(self.variables, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _from_int(self.variables, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -237,20 +256,20 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            c = _as_fraction(other)
-            if c == 0:
-                return MultiPoly.zero(self.variables)
-            return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
-        (a, da), (b, db) = _int_terms(self.terms), _int_terms(self._coerce(other).terms)
-        return _from_int(self.variables, _mul_int(a, b), da * db)
+        if isinstance(other, MultiPoly):
+            b = self._coerce(other)
+            return _from_int(self.variables, _mul_int(self._num, b._num),
+                             self._den * b._den)
+        c = _as_fraction(other)
+        return _from_int(self.variables, {e: c.numerator * v for e, v in self._num.items()},
+                         self._den * c.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise MultiPolyError("exponent must be a non-negative int")
-        result = MultiPoly.constant(1, self.variables)
+        result = _scalar(1, self.variables)
         base = self
         while n:
             if n & 1:
@@ -268,7 +287,8 @@ class MultiPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.variables == other.variables and self.terms == other.terms
+            return (self.variables == other.variables and self._den == other._den
+                    and self._num == other._num)
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
@@ -277,10 +297,10 @@ class MultiPoly:
         # a constant compares equal to its value, so it must hash like it
         if self.is_constant():
             return hash(self.constant_value())
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self._den, frozenset(self._num.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     # ------------------------------------------------------------------
     # printing: graded lex, highest first, deterministic
@@ -289,7 +309,7 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for e, c in self._sorted_terms():
@@ -319,11 +339,10 @@ class MultiPoly:
     def derivative(self, var: str) -> "MultiPoly":
         i = self._vidx(var)
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._num.items():
             if e[i] > 0:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[e2] = out.get(e2, Fraction(0)) + c * e[i]
-        return MultiPoly(self.variables, out)
+                out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+        return _from_int(self.variables, out, self._den)
 
     def evaluate(self, values: Mapping[str, Scalar]) -> MultiPoly | Fraction:
         """Plug in rational values for some or all variables.
@@ -332,18 +351,17 @@ class MultiPoly:
         assigned, else a MultiPoly on the same variable tuple.
         """
         vals = {self._vidx(k): _as_fraction(v) for k, v in values.items()}
-        terms, den = _int_terms(self.terms)
         # on integers: (n/d)^k is n^k * d^(deg - k) over d^deg
-        degs = {i: max((e[i] for e in terms), default=0) for i in vals}
+        degs = {i: max((e[i] for e in self._num), default=0) for i in vals}
         out = {}
-        for e, c in terms.items():
+        for e, c in self._num.items():
             key = list(e)
             for i, v in vals.items():
                 c *= v.numerator ** e[i] * v.denominator ** (degs[i] - e[i])
                 key[i] = 0
             key = tuple(key)
             out[key] = out.get(key, 0) + c
-        den *= prod(v.denominator ** degs[i] for i, v in vals.items())
+        den = self._den * prod(v.denominator ** degs[i] for i, v in vals.items())
         res = _from_int(self.variables, out, den)
         if set(self.variables_used()) <= set(values):
             return res.constant_value()
@@ -381,7 +399,7 @@ class MultiPoly:
             num, den = (val, None) if isinstance(val, MultiPoly) else val
             if out_vars is None:
                 out_vars = num.variables
-                one = MultiPoly.constant(1, out_vars)
+                one = _scalar(1, out_vars)
             if den is None:
                 den = one
             if num.variables != out_vars or den.variables != out_vars:
@@ -399,23 +417,22 @@ class MultiPoly:
             num, den = pairs.get(v) or (MultiPoly.variable(v, out_vars), one)
             d = max(0, self.degree(v))
             clearing = clearing * den ** d
-            (nt, dn), (dt, dd) = _int_terms(num.terms), _int_terms(den.terms)
-            nums = accumulate([{e: dd * c for e, c in nt.items()}] * d, _mul_int,
+            dn, dd = num._den, den._den
+            nums = accumulate([{e: dd * c for e, c in num._num.items()}] * d, _mul_int,
                               initial={unit: 1})
-            dens = list(accumulate([{e: dn * c for e, c in dt.items()}] * d, _mul_int,
+            dens = list(accumulate([{e: dn * c for e, c in den._num.items()}] * d, _mul_int,
                                    initial={unit: 1}))
             rows.append([_mul_int(a, b) for a, b in zip(nums, reversed(dens))])
             row_den *= (dn * dd) ** d
-        terms, den = _int_terms(self.terms)
         out = {}
         get = out.get
-        for e, c in terms.items():
+        for e, c in self._num.items():
             term = {unit: c}
             for row, k in zip(rows, e):
                 term = _mul_int(term, row[k])
             for m, a in term.items():
                 out[m] = get(m, 0) + a
-        return _from_int(out_vars, out, den * row_den), clearing
+        return _from_int(out_vars, out, self._den * row_den), clearing
 
     # ------------------------------------------------------------------
     # exact division (lex order)
@@ -438,11 +455,11 @@ class MultiPoly:
             raise MultiPolyError("division by zero polynomial")
         if g.is_constant():
             return self / g.constant_value()
-        if not self.terms:
+        if not self._num:
             return self
-        cf, cg = self.content(), g.content()
-        rem = {e: (c / cf).numerator for e, c in self.terms.items()}
-        gi = {e: (c / cg).numerator for e, c in g.terms.items()}
+        cf, cg = _int_gcd(*self._num.values()), _int_gcd(*g._num.values())
+        rem = {e: c // cf for e, c in self._num.items()}
+        gi = {e: c // cg for e, c in g._num.items()}
         lead_g = max(gi)  # lex order on exponent tuples
         lg = gi[lead_g]
         quo = {}
@@ -460,18 +477,20 @@ class MultiPoly:
                     rem[key] = val
                 else:
                     del rem[key]
-        scale = cf / cg
-        return MultiPoly(self.variables, {e: q * scale for e, q in quo.items()})
+        # the contents are cf / self._den and cg / g._den
+        scale = cf * g._den
+        return _from_int(self.variables, {e: q * scale for e, q in quo.items()},
+                         cg * self._den)
 
     # ------------------------------------------------------------------
     # valuations
 
     def valuation(self, var: str) -> int:
         """Largest k with var**k dividing self; raises on the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             raise MultiPolyError("valuation of the zero polynomial")
         i = self._vidx(var)
-        return min(e[i] for e in self.terms)
+        return min(e[i] for e in self._num)
 
     def shift_down(self, var: str, k: int) -> "MultiPoly":
         """Exact division by var**k (valuation must be >= k)."""
@@ -481,25 +500,25 @@ class MultiPoly:
             raise MultiPolyError(
                 f"cannot divide by {var}^{k}: valuation is {self.valuation(var)}")
         i = self._vidx(var)
-        return MultiPoly(self.variables,
-                         {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in self.terms.items()})
+        return _from_int(self.variables,
+                         {e[:i] + (e[i] - k,) + e[i + 1:]: c for e, c in self._num.items()},
+                         self._den)
 
     # ------------------------------------------------------------------
     # content
 
     def content(self) -> Fraction:
         """gcd of the coefficients as positive rational (0 for the zero poly)."""
-        terms, den = _int_terms(self.terms)
-        return Fraction(_int_gcd(*terms.values()), den)
+        return Fraction(_int_gcd(*self._num.values()), self._den)
 
 
 # ----------------------------------------------------------------------
-# dense univariate polynomials over Q
+# dense univariate polynomials
 #
-# A dense polynomial is a list of Fractions, lowest coefficient first, with
-# no trailing zeros; [] is the zero polynomial. `_int_dense` clears its
-# denominators for the integer routines; gcds and Yun's decomposition
-# divide through _uni_divmod.
+# A dense polynomial is a list of coefficients, lowest first, with no
+# trailing zeros; [] is the zero polynomial. The routines below and the
+# `_zt_*` ones of the resultant section run on int lists; `poly_to_dense`
+# gives Fractions, and `_int_dense` clears their denominators.
 
 
 def _trim(p: list) -> list:
@@ -512,92 +531,55 @@ def _deriv(p: Sequence) -> list:
     return [c * k for k, c in enumerate(p)][1:]
 
 
-def poly_to_dense(f: MultiPoly, var: str) -> list:
-    """f as a dense Fraction list in var; raises MultiPolyError when a
-    variable other than var occurs in f."""
+def _int_row(f: MultiPoly, var: str) -> list:
+    """The numerators of f, univariate in var, as a dense int list over
+    f._den; raises MultiPolyError when a variable other than var occurs."""
     i = f._vidx(var)
-    out = [Fraction(0)] * (f.degree(var) + 1)
-    for e, c in f.terms.items():
+    out = [0] * (f.degree(var) + 1)
+    for e, c in f._num.items():
         if any(e[:i]) or any(e[i + 1:]):
             raise MultiPolyError(f"{f} is not univariate in {var!r}")
         out[e[i]] = c
     return out
 
 
+def poly_to_dense(f: MultiPoly, var: str) -> list:
+    """f as a dense Fraction list in var; raises MultiPolyError when a
+    variable other than var occurs in f."""
+    return [Fraction(c, f._den) for c in _int_row(f, var)]
+
+
 def dense_to_poly(p: Sequence, var: str = "x") -> MultiPoly:
     """Dense list p as a MultiPoly in the single variable var."""
-    return _from_dense(p, (var,), var)
-
-
-def _from_dense(p: Sequence, variables: tuple, var: str) -> MultiPoly:
-    """Dense list p in var as a MultiPoly on the given variables."""
-    i = variables.index(var)
-    head, tail = (0,) * i, (0,) * (len(variables) - i - 1)
-    return MultiPoly(variables, {head + (k,) + tail: c for k, c in enumerate(p)})
-
-
-def _uni_divmod(a: Sequence, b: list) -> tuple:
-    """Euclidean quotient and remainder of dense a by dense nonzero b
-    over Q."""
-    r = _trim(list(a))
-    db = len(b) - 1
-    lb = b[-1]
-    q = [Fraction(0)] * max(0, len(r) - db)
-    while len(r) > db:
-        c = r.pop() / lb
-        shift = len(r) - db
-        q[shift] = c
-        for j in range(db):
-            r[shift + j] -= c * b[j]
-        _trim(r)
-    return q, r
-
-
-def _monic(p: list) -> list:
-    return [c / p[-1] for c in p] if p else p
-
-
-def _uni_gcd(a: list, b: list) -> list:
-    """Monic gcd of dense a and b, [] when both are zero: Euclid with each
-    remainder made monic."""
-    a, b = _monic(a), _monic(b)
-    while b:
-        a, b = b, _monic(_uni_divmod(a, b)[1])
-    return a
-
-
-def squarefree_part(f: MultiPoly, var: str) -> MultiPoly:
-    """Monic f / gcd(f, df/dvar) for f univariate in var: the same roots,
-    each with multiplicity 1."""
-    p = poly_to_dense(f, var)
-    if len(p) < 2:
-        raise MultiPolyError("squarefree part needs positive degree")
-    q = _zt_squarefree(_int_dense(p)[0])
-    return _from_dense([Fraction(c, q[-1]) for c in q], f.variables, var)
+    return MultiPoly((var,), {(k,): c for k, c in enumerate(p)})
 
 
 def squarefree_decomposition(f: MultiPoly, var: str) -> list:
     """Yun's algorithm: f = c * prod p_i^i with p_i monic, squarefree and
     pairwise coprime, for f univariate in var.
 
-    Returns a list of (p_i, i) with deg(p_i) >= 1, in increasing i.
+    Returns a list of (p_i, i) with deg(p_i) >= 1, in increasing i. It runs
+    on integer lists: every gcd is primitive, so by Gauss's lemma each
+    division by one is exact in Z[var], and each p_i is made monic at the
+    end.
     """
-    p = poly_to_dense(f, var)
+    p = _int_row(f, var)
     if len(p) < 2:
         raise MultiPolyError("squarefree decomposition needs positive degree")
+    i = f._vidx(var)
+    head, tail = (0,) * i, (0,) * (len(f.variables) - i - 1)
     out = []
-    a = _uni_gcd(p, _deriv(p))
-    b, _ = _uni_divmod(p, a)
-    c, _ = _uni_divmod(_deriv(p), a)
-    i = 1
+    a = _zt_gcd(p, _deriv(p))
+    b, c = _zt_divide(p, a), _zt_divide(_deriv(p), a)
+    k = 1
     while len(b) > 1:
         d = _trim([u - v for u, v in zip_longest(c, _deriv(b), fillvalue=0)])
-        a = _uni_gcd(b, d)
+        a = _zt_gcd(b, d)
         if len(a) > 1:
-            out.append((_from_dense(a, f.variables, var), i))
-        b, _ = _uni_divmod(b, a)
-        c, _ = _uni_divmod(d, a)
-        i += 1
+            out.append((_from_int(f.variables, {head + (j,) + tail: v for j, v in enumerate(a)},
+                                  a[-1]), k))
+        b, c = _zt_divide(b, a), _zt_divide(d, a)
+        k += 1
     return out
 
 
@@ -660,8 +642,9 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         return sign * g ** m
     i = f._vidx(var)
     params = [k for k in range(len(vt)) if k != i
-              and any(e[k] for p in (f, g) for e in p.terms)]
-    cf, cg = f.content(), g.content()
+              and any(e[k] for p in (f, g) for e in p._num)]
+    # the contents are cf / f._den and cg / g._den
+    cf, cg = _int_gcd(*f._num.values()), _int_gcd(*g._num.values())
     r = _res_params(_integer_rows(f, i, m, params, cf),
                     _integer_rows(g, i, n, params, cg), len(params))
     scale = sign * cf ** n * cg ** m
@@ -671,16 +654,15 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         for k, d in zip(params, pe):
             e[k] = d
         out[tuple(e)] = c * scale
-    return MultiPoly(vt, out)
+    return _from_int(vt, out, f._den ** n * g._den ** m)
 
 
-def _integer_rows(f: MultiPoly, i: int, deg: int, params: list,
-                  content: Fraction) -> list:
-    """f / content as a dense list in variable i, of degree deg, with
-    entries {param exponents: int}."""
+def _integer_rows(f: MultiPoly, i: int, deg: int, params: list, g: int) -> list:
+    """The numerators of f divided by their gcd g, as a dense list in
+    variable i, of degree deg, with entries {param exponents: int}."""
     rows = [{} for _ in range(deg + 1)]
-    for e, c in f.terms.items():
-        rows[e[i]][tuple(e[k] for k in params)] = (c / content).numerator
+    for e, c in f._num.items():
+        rows[e[i]][tuple(e[k] for k in params)] = c // g
     return rows
 
 
@@ -823,11 +805,13 @@ def _zt_divide(a: list, b: list):
 
 
 def _zt_gcd(a: list, b: list) -> list:
-    """Primitive gcd, positive leading coefficient, of dense nonzero int a
-    and b: the primitive remainder sequence."""
-    a, b = _primitive(a), _primitive(b)
+    """Primitive gcd, positive leading coefficient, of dense int a and b,
+    [] when both are zero: the primitive remainder sequence."""
     if len(a) < len(b):
         a, b = b, a
+    if not b:
+        return _primitive(a) if a else []
+    a, b = _primitive(a), _primitive(b)
     while len(b) > 1:
         r = _uni_pseudo_rem(a, b)
         if not r:

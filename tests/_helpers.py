@@ -94,6 +94,62 @@ def _terms_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def terms_add(a, b):
+    """Sum of two {exponent tuple: Fraction} dicts, zero sums dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, F(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def terms_scale(a, c):
+    """c times the term dict a."""
+    return {e: c * v for e, v in a.items() if c * v}
+
+
+def terms_coefficient(a, i, k):
+    """The coefficient of variable i to the power k, exponent i set to 0."""
+    return {e[:i] + (0,) + e[i + 1:]: c for e, c in a.items() if e[i] == k}
+
+
+def terms_derivative(a, i):
+    """Derivative of the term dict a by variable i."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
+def terms_evaluate(a, point):
+    """a with variable i set to point[i] for each key i, exponents set to
+    0, zero sums dropped."""
+    out = {}
+    for e, c in a.items():
+        for i, v in point.items():
+            c *= v ** e[i]
+        e = tuple(0 if i in point else k for i, k in enumerate(e))
+        out[e] = out.get(e, F(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def terms_content(a):
+    """The largest positive rational r with every coefficient of a an
+    integer multiple of r, by gcd(p/q, r/s) = gcd(p*s, r*q) / (q*s)."""
+    from math import gcd
+    out = F(0)
+    for c in a.values():
+        out = F(gcd(out.numerator * c.denominator, c.numerator * out.denominator),
+                out.denominator * c.denominator)
+    return out
+
+
+def assert_reduced(p):
+    """p keeps integer numerators, none zero, over a positive denominator
+    prime to all of them."""
+    from math import gcd
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c for c in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
+    return p
+
+
 def substitute_reference(f, assignments, out_vars):
     """(numerator terms, clearing terms) of f under var -> num/den, as in
     MultiPoly.substitute, by plain dict-and-Fraction arithmetic: each term

@@ -89,3 +89,17 @@ def test_products_of_primes_in_the_trial_range():
             want[p] = rng.randint(1, 3)
         assert factor_integer(recompose(want)) == (dict(sorted(want.items())), True)
     assert factor_integer(99_991 * 99_989) == ({99_989: 1, 99_991: 1}, True)
+
+
+def test_perfect_powers_split_before_trial_division():
+    # a power of a composite, a power of a prime above the trial bound, a
+    # square whose root is below 2**64 (so the primality proof holds), and
+    # a cofactor that is 1 once 3 and 5 are removed
+    cases = [((239 * 251) ** 4 * 7 ** 4, {7: 4, 239: 4, 251: 4}),
+             (1000003 ** 5, {1000003: 5}),
+             ((2 ** 61 - 1) ** 2, {2 ** 61 - 1: 2}),
+             (3 ** 40 * 5, {3: 40, 5: 1})]
+    for n, want in cases:
+        f, cert = factor_integer(n)
+        assert f == want and cert
+        assert recompose(f) == n

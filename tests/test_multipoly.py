@@ -4,21 +4,42 @@ import random
 from fractions import Fraction
 
 import pytest
-from _helpers import substitute_reference
+from _helpers import (
+    _terms_mul,
+    assert_reduced,
+    substitute_reference,
+    terms_add,
+    terms_coefficient,
+    terms_content,
+    terms_derivative,
+    terms_evaluate,
+    terms_scale,
+)
 
 from shimura4.multipoly import (
     MultiPoly,
     MultiPolyError,
     _degree_bound,
-    _uni_gcd,
+    _int_dense,
+    _zt_gcd,
+    _zt_squarefree,
     discriminant,
     poly_to_dense,
     resultant,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 F = Fraction
+
+
+def ints(p):
+    """A polynomial in x as a dense int list, up to a positive factor."""
+    return _int_dense(poly_to_dense(p, "x"))[0]
+
+
+def monic(p):
+    """A dense int list divided by its leading coefficient, as Fractions."""
+    return [F(c, p[-1]) for c in p]
 
 
 def test_construction_drops_zeros():
@@ -479,30 +500,27 @@ def test_gcd_univariate_monic():
     x, = MultiPoly.generators("x")
     f = (x - 1) ** 2 * (x + 3)
     g = (x - 1) * (x ** 2 + 2)
-    assert _uni_gcd(poly_to_dense(f, "x"), poly_to_dense(g, "x")) == [-1, 1]
-    assert _uni_gcd(poly_to_dense(f, "x"), poly_to_dense(x + 7, "x")) == [1]
-    assert _uni_gcd([], []) == []
+    assert monic(_zt_gcd(ints(f), ints(g))) == [-1, 1]
+    assert monic(_zt_gcd(ints(f), ints(x + 7))) == [1]
+    assert _zt_gcd([], []) == []
 
 
 def test_gcd_with_parameter_coefficients():
-    # gcd and squarefree parts are univariate over Q: a parameter is refused
+    # squarefree decompositions are univariate: a parameter is refused
     x, t = MultiPoly.generators("x", "t")
     common = x ** 2 + t
     with pytest.raises(MultiPolyError):
-        squarefree_part(common ** 2, "x")
-    with pytest.raises(MultiPolyError):
         squarefree_decomposition(common ** 2, "x")
     # a variable of the ring that does not occur is fine, and is kept
-    assert squarefree_part((x - 1) ** 2 * (x + 2), "x") == (x - 1) * (x + 2)
+    assert _zt_squarefree(ints((x - 1) ** 2 * (x + 2))) == [-2, 1, 1]
     assert squarefree_decomposition((x - 1) ** 2, "x") == [(x - 1, 2)]
 
 
 def test_squarefree_part():
     x, = MultiPoly.generators("x")
     f = x ** 2 * (x - 1)
-    sf = squarefree_part(f, "x")
-    assert sf == x * (x - 1)
-    assert squarefree_part(x ** 3, "x") == x
+    assert _zt_squarefree(ints(f)) == ints(x * (x - 1))
+    assert _zt_squarefree(ints(x ** 3)) == [0, 1]
 
 
 def test_squarefree_decomposition_yun():
@@ -548,8 +566,8 @@ def test_gcd_and_squarefree_match_sympy():
         f = shared * _random_planted(rng, x)
         g = shared * _random_planted(rng, x)
         sf, sg = to_sympy(f), to_sympy(g)
-        assert _uni_gcd(dense(f), dense(g)) == coeffs(sf.gcd(sg).monic())
-        assert dense(squarefree_part(f, "x")) == coeffs(sf.sqf_part().monic())
+        assert monic(_zt_gcd(ints(f), ints(g))) == coeffs(sf.gcd(sg).monic())
+        assert monic(_zt_squarefree(ints(f))) == coeffs(sf.sqf_part().monic())
         want = [(coeffs(p.monic()), m) for p, m in sf.sqf_list()[1]]
         got = [(dense(p), m) for p, m in squarefree_decomposition(f, "x")]
         assert got == sorted(want, key=lambda pm: pm[1])
@@ -567,3 +585,73 @@ def test_content_primitive():
     assert f.content() == 2
     f2 = x / 2 + F(1, 3)
     assert f2.content() == F(1, 6)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_operations_match_a_dict_and_fraction_reference(seed):
+    # every operation on the integer numerators against the same operation
+    # on Fraction term dicts, and after each one the result is reduced
+    rng = random.Random(300 + seed)
+    vt = ("x", "y", "t")
+    x, y, t = MultiPoly.generators(*vt)
+    f = _random_poly(rng, vt, (3, 2, 2), 6, frac=True) + F(2, 5) * x ** 4
+    g = _random_poly(rng, vt, (2, 2, 1), 4, frac=True) + F(1, 7) * t ** 3
+    A, B = f.terms, g.terms
+
+    def check(p, want):
+        assert_reduced(p)
+        assert p.terms == want
+
+    c = F(rng.choice([-5, -3, 2, 4]), rng.choice([3, 6, 9]))
+    check(f + g, terms_add(A, B))
+    check(f - g, terms_add(A, terms_scale(B, F(-1))))
+    check(-f, terms_scale(A, F(-1)))
+    check(f - f, {})
+    check(c * f, terms_scale(A, c))
+    check(f * c, terms_scale(A, c))
+    check(f / c, terms_scale(A, 1 / c))
+    check(f * 0, {})
+    check(f * g, _terms_mul(A, B))
+    check(f ** 3, _terms_mul(_terms_mul(A, A), A))
+    check(f ** 0, {(0, 0, 0): F(1)})
+    for i, v in enumerate(vt):
+        for k in range(f.degree(v) + 1):
+            check(f.coefficient(v, k), terms_coefficient(A, i, k))
+        check(f.derivative(v), terms_derivative(A, i))
+        k = f.valuation(v)
+        check(f.shift_down(v, k), {e[:i] + (e[i] - k,) + e[i + 1:]: a for e, a in A.items()})
+        check((t ** 2 * f).shift_down("t", 2), A)
+    # the sum of two denominators 6 reduces to one over 2; a constant
+    # differentiates to zero; x*t - y*t at x = y cancels
+    check(F(1, 6) * x + F(1, 3) * x, {(1, 0, 0): F(1, 2)})
+    check((F(1, 6) * x + F(1, 3)) - F(1, 6) * x, {(0, 0, 0): F(1, 3)})
+    check(MultiPoly.constant(F(3, 4), vt).derivative("x"), {})
+    check((x * t - y * t).evaluate({"x": c, "y": c}), {})
+    fg = MultiPoly(vt, _terms_mul(A, B))
+    check(fg.exact_div(g), A)
+    check(fg.exact_div(f), B)
+    with pytest.raises(MultiPolyError):
+        (fg + x).exact_div(g)
+    point = {0: F(rng.randint(-4, 4), rng.randint(1, 5)), 2: F(rng.randint(-4, 4), 3)}
+    check(f.evaluate({vt[i]: a for i, a in point.items()}), terms_evaluate(A, point))
+    point[1] = F(rng.randint(-4, 4), 7)
+    got = f.evaluate({vt[i]: a for i, a in point.items()})
+    assert type(got) is F and got == terms_evaluate(A, point).get((0, 0, 0), F(0))
+    assert f.content() == terms_content(A) and g.content() == terms_content(B)
+    assert (f - f).content() == 0
+
+
+def test_equal_polynomials_have_equal_fields():
+    # built by arithmetic, by the checked constructor from unreduced
+    # fractions, and as an exact quotient: one set of fields, one hash
+    x, y = MultiPoly.generators("x", "y")
+    by_arithmetic = F(1, 2) * (x - 1) * (y + F(1, 3))
+    by_constructor = MultiPoly(("x", "y"), {(1, 1): F(-2, -4), (1, 0): F(2, 12),
+                                            (0, 1): F(-2, 4), (0, 0): F(-3, 18)})
+    cofactor = 3 * x ** 2 + y - F(5, 2)
+    by_division = (by_arithmetic * cofactor).exact_div(cofactor)
+    for p in (by_constructor, by_division):
+        assert_reduced(p)
+        assert p == by_arithmetic and hash(p) == hash(by_arithmetic)
+        assert (p._num, p._den) == (by_arithmetic._num, by_arithmetic._den)
+    assert len({by_arithmetic, by_constructor, by_division}) == 1
