@@ -15,7 +15,16 @@ This module recomputes, from scratch and exactly:
   inverts t, and the hyperelliptic chart at 1 inverts x (x -> 2/x) before it
   translates (x -> s^2 x - 1). One small engine runs every plan: it verifies
   each declared division and the final valuation, then matches the reduced
-  equation against the expected curve (up to the allowed twist/scaling);
+  equation against the expected curve by the plan's match kind:
+  - "twist": the equation is solved for y^2 = g(x) and g = c * target(lambda
+    x) is solved on the dense coefficient lists: two nonzero coefficients
+    fix lambda up to sign by an exact rational root, then c, and every
+    other coefficient is compared;
+  - "proportional": lhs = r * target, where the contents fix |r|, so only
+    r and -r are tried;
+  - "display-gap": both equations must have the shape f(Y) + c*W^3; the
+    W-free parts must be proportional, and the W^3 coefficients may differ
+    from that ratio (reported as a flag);
 - the splitting of the t = 1 hyperelliptic fiber into an elliptic piece
   (j-invariant and the exact quadratic twist constant) and a genus-3 piece;
 - the local weights of the canonical section of the Hodge bundle, read off
@@ -28,7 +37,6 @@ engine never invents an expected value at run time.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -37,6 +45,8 @@ from .multipoly import (
     MultiPoly,
     MultiPolyError,
     discriminant,
+    poly_to_dense,
+    restrict_vars,
     squarefree_decomposition,
 )
 from .record import Record
@@ -115,19 +125,6 @@ def c9_family_flat_form() -> MultiPoly:
             - 15 * t * Y ** 4 * W - 18 * t * Y ** 3 * W + 3 * W ** 3)
 
 
-def restrict_vars(p: MultiPoly, variables: Sequence[str]) -> MultiPoly:
-    """Re-express p on a smaller variable tuple (dropped vars must not occur)."""
-    vt = tuple(variables)
-    keep = [p.variables.index(v) for v in vt]
-    dropped = [i for i, v in enumerate(p.variables) if v not in vt]
-    out = {}
-    for e, c in p.terms.items():
-        if any(e[i] for i in dropped):
-            raise MultiPolyError(f"variable {p.variables[dropped[0]]!r} still occurs")
-        out[tuple(e[i] for i in keep)] = c
-    return MultiPoly(vt, out)
-
-
 # ----------------------------------------------------------------------
 # discriminant of the hyperelliptic family
 
@@ -139,7 +136,6 @@ class DiscriminantReport(Record):
     constant_factors: dict          # prime -> exponent
     curve_constant: Fraction        # constant * 2^(4g), g = 4
     curve_constant_factors: dict
-    residual_is_constant: bool
 
 
 @lru_cache(maxsize=None)
@@ -157,8 +153,7 @@ def c7_discriminant() -> DiscriminantReport:
     shifted, _ = dt.shift_down("t", a).substitute({"t": MultiPoly.variable("t", ("t",)) + 1})
     b = shifted.valuation("t")
     rest = shifted.shift_down("t", b)
-    ok = rest.is_constant()
-    if not ok:
+    if not rest.is_constant():
         raise VerificationError("discriminant does not factor as c*t^a*(t-1)^b")
     c = rest.constant_value()
     if c.denominator != 1:
@@ -169,7 +164,7 @@ def c7_discriminant() -> DiscriminantReport:
     curve_c = c * 2 ** 16
     fac_curve = dict(fac)
     fac_curve[2] = fac_curve.get(2, 0) + 16
-    return DiscriminantReport(a, b, c, fac, curve_c, dict(sorted(fac_curve.items())), ok)
+    return DiscriminantReport(a, b, c, fac, curve_c, dict(sorted(fac_curve.items())))
 
 
 def specialize_c7(t0) -> MultiPoly:
@@ -228,7 +223,8 @@ class ReductionPlan(Record):
     #   "twist":         the reduced equation is solved for y^2 = g(x), and g
     #                    is matched as g = c * target(lambda x)
     #   "proportional":  plane equation matched as lhs = r * target
-    #   "display-gap":   known deviation; structured comparison, flagged
+    #   "display-gap":   both f(Y) + c*W^3, the f proportional, the c not;
+    #                    known deviation, flagged
     expected: MultiPoly
     match_kind: str
 
@@ -306,16 +302,14 @@ def _solve_for_square(p: MultiPoly, yvar: str) -> MultiPoly:
 
 def _match_reduced(plan: ReductionPlan, reduced: MultiPoly):
     if plan.match_kind == "twist":
-        lhs = restrict_vars(reduced, plan.expected.variables)
         var = plan.expected.variables_used()[0]
-        m = match_hyperelliptic_up_to_twist(lhs, plan.expected, var)
+        m = match_hyperelliptic_up_to_twist(reduced, plan.expected, var)
         if m is None:
             raise VerificationError(f"{plan.name}: reduced equation does not "
                                     f"match the expected curve up to twist")
         return ("twist",) + m
     if plan.match_kind == "proportional":
-        lhs = restrict_vars(reduced, plan.expected.variables)
-        r = match_proportional(lhs, plan.expected)
+        r = match_proportional(reduced, plan.expected)
         if r is None:
             raise VerificationError(f"{plan.name}: reduced equation is not "
                                     f"proportional to the expected one")
@@ -325,34 +319,30 @@ def _match_reduced(plan: ReductionPlan, reduced: MultiPoly):
     raise VerificationError(f"unknown match kind {plan.match_kind!r}")
 
 
+def _split_cube(name: str, p: MultiPoly) -> tuple:
+    """(f, c) with p = f(Y) + c*W^3 and c a nonzero constant, or raise."""
+    free, cube = p.coefficient("W", 0), p.coefficient("W", 3)
+    W = MultiPoly.variable("W", p.variables)
+    if cube.is_zero() or not cube.is_constant() or p != free + cube * W ** 3:
+        raise VerificationError(f"{name}: {p} is not f(Y) + c*W^3")
+    return free, cube.constant_value()
+
+
 def _match_display_gap(plan: ReductionPlan, reduced: MultiPoly):
     """Structured comparison for the one chart whose published display does
     not equal the computed equation under any rational rescaling.
 
-    The part of the expected equation not involving W matches exactly after
-    a forced normalization; the W^3 coefficients then disagree by a factor
-    whose cube root is irrational, which is reported as a flag rather than
-    a failure (the underlying curve is the same over the algebraic closure).
+    Both equations must have the shape f(Y) + c*W^3. The W-free parts match
+    exactly after a forced normalization; the W^3 coefficients then disagree
+    by a factor whose cube root is irrational, which is reported as a flag
+    rather than a failure (the underlying curve is the same over the
+    algebraic closure).
     """
-    lhs = restrict_vars(reduced, plan.expected.variables)
-    target = plan.expected
-    lw = lhs.coefficient("W", 0)
-    tw = target.coefficient("W", 0)
-    var = "Y"
-    scale = None
-    for k in range(max(lw.degree(var), tw.degree(var)) + 1):
-        lc = lw.coefficient(var, k)
-        tc = tw.coefficient(var, k)
-        if tc.is_zero() != lc.is_zero():
-            raise VerificationError(f"{plan.name}: W-free parts have different support")
-        if not tc.is_zero():
-            r = lc.constant_value() / tc.constant_value()
-            if scale is None:
-                scale = r
-            elif scale != r:
-                raise VerificationError(f"{plan.name}: W-free parts not proportional")
-    l3 = lhs.coefficient("W", 3).constant_value()
-    t3 = target.coefficient("W", 3).constant_value()
+    lw, l3 = _split_cube(plan.name, reduced)
+    tw, t3 = _split_cube(plan.name, plan.expected)
+    scale = match_proportional(lw, tw)
+    if scale is None:
+        raise VerificationError(f"{plan.name}: W-free parts not proportional")
     w_ratio = l3 / t3
     if w_ratio == scale:
         # would be a clean proportional match after all
@@ -382,68 +372,52 @@ def match_hyperelliptic_up_to_twist(lhs: MultiPoly, target: MultiPoly,
                                     var: str) -> tuple | None:
     """Solve lhs(x) = c * target(lambda x) for rational c, lambda.
 
-    Returns (c, lambda) or None. When both (c, lambda) and the mirrored
+    Returns (c, lambda) or None; None also when an operand involves a
+    variable other than var. When both (c, lambda) and the mirrored
     solution fit, the one with lambda > 0 is returned.
     """
     if lhs.variables != target.variables:
         raise MultiPolyError("matcher operands must share a variable tuple")
-    dl, dt = lhs.degree(var), target.degree(var)
-    if dl != dt or dl < 1:
+    try:
+        lc, tc = poly_to_dense(lhs, var), poly_to_dense(target, var)
+    except MultiPolyError:
+        if var not in lhs.variables:
+            raise
         return None
-    lc = {k: lhs.coefficient(var, k) for k in range(dl + 1)}
-    tc = {k: target.coefficient(var, k) for k in range(dt + 1)}
-    for k in range(dl + 1):
-        if lc[k].is_zero() != tc[k].is_zero():
-            return None
-        if not lc[k].is_constant() or not tc[k].is_constant():
-            return None
-    support = [k for k in range(dl + 1) if not lc[k].is_zero()]
-    if not support:
+    # equal supports give equal degrees, as dense rows have no trailing zeros
+    support = [k for k, c in enumerate(lc) if c]
+    if len(lc) < 2 or support != [k for k, c in enumerate(tc) if c]:
         return None
     k0 = support[0]
 
     def check(lam: Fraction) -> tuple | None:
-        if lam == 0:
-            return None
-        c = lc[k0].constant_value() / (tc[k0].constant_value() * lam ** k0)
-        for k in support:
-            if lc[k].constant_value() != c * tc[k].constant_value() * lam ** k:
-                return None
-        return (c, lam)
+        c = lc[k0] / (tc[k0] * lam ** k0)
+        if all(lc[k] == c * tc[k] * lam ** k for k in support):
+            return (c, lam)
+        return None
 
     if len(support) == 1:
-        got = check(F(1))
-        return got if got else None
+        return check(F(1))
     k1 = support[1]
-    ratio = (lc[k1].constant_value() / tc[k1].constant_value()) / \
-            (lc[k0].constant_value() / tc[k0].constant_value())
-    root = _fraction_nth_root(ratio, k1 - k0)
+    root = _fraction_nth_root(lc[k1] * tc[k0] / (tc[k1] * lc[k0]), k1 - k0)
     if root is None:
         return None
+    # for an even k1 - k0 the root is positive, so it is tried first
     candidates = [root, -root] if (k1 - k0) % 2 == 0 else [root]
-    sols = [s for lam in candidates if (s := check(lam))]
-    if not sols:
-        return None
-    sols.sort(key=lambda s: s[1] < 0)  # prefer positive lambda
-    return sols[0]
+    return next(filter(None, map(check, candidates)), None)
 
 
 def match_proportional(lhs: MultiPoly, target: MultiPoly) -> Fraction | None:
-    """The rational r with lhs = r * target, or None."""
+    """The rational r with lhs = r * target, or None.
+
+    The contents fix |r|, so only r and -r are tried.
+    """
     if lhs.variables != target.variables:
         raise MultiPolyError("matcher operands must share a variable tuple")
     if lhs.is_zero() or target.is_zero():
         return None
-    if set(lhs.terms) != set(target.terms):
-        return None
-    r = None
-    for e, c in lhs.terms.items():
-        q = c / target.terms[e]
-        if r is None:
-            r = q
-        elif r != q:
-            return None
-    return r
+    r = lhs.content() / target.content()
+    return next((s for s in (r, -r) if lhs == s * target), None)
 
 
 # ----------------------------------------------------------------------
@@ -654,10 +628,9 @@ def chart_orders(plan: ReductionPlan, skip: int = 0) -> tuple[list[int], int]:
 class ArakelovReport(Record):
     n: int
     contributions: tuple        # ((name, Fraction), ...)
-    total: Fraction
-    degree: Fraction            # total / 2
+    degree: Fraction            # lhs / 2
     stack_degree: Fraction      # canonical degree of the (2,3,n) stack
-    lhs: Fraction               # 2 * degree
+    lhs: Fraction               # sum of the contributions, 2 * degree
     rhs: Fraction               # 4 * stack_degree
     equal: bool
 
@@ -684,12 +657,10 @@ def arakelov_check(n: int) -> ArakelovReport:
         weight = F(sum(min(0, o) if m > 0 else max(0, o) for o in orders), abs(m))
         weights[name] = weights.get(name, 0) + weight
     contribs = tuple(weights.items())
-    total = sum((c for _, c in contribs), F(0))
-    degree = total / 2
+    lhs = sum((c for _, c in contribs), F(0))
     stack = canonical_degree(2, 3, n)
-    lhs = 2 * degree
     rhs = 4 * stack
-    return ArakelovReport(n, contribs, total, degree, stack, lhs, rhs, lhs == rhs)
+    return ArakelovReport(n, contribs, lhs / 2, stack, lhs, rhs, lhs == rhs)
 
 
 # ----------------------------------------------------------------------
@@ -764,14 +735,13 @@ def t1_fiber_split_c7() -> T1Split:
     for pp, m in dec:
         S = S * pp ** (m // 2)
     quartic = f1.exact_div(S * S)
-    if quartic.degree("x") != 4:
+    coeffs = poly_to_dense(quartic, "x")
+    if len(coeffs) != 5:
         raise VerificationError("odd-multiplicity kernel is not a quartic")
-    if not quartic.coefficient("x", 0).is_zero():
+    if coeffs[0]:
         raise VerificationError("quartic has no root at x = 0")
-    # x -> 1/x turns y^2 = q4 x^4 + ... + q1 x into y^2 = cubic
-    coeffs = [quartic.coefficient("x", k).constant_value() for k in range(5)]
-    a3, a2, a1, a0 = coeffs[1], coeffs[2], coeffs[3], coeffs[4]
-    p, q = _cubic_to_depressed(a3, a2, a1, a0)
+    # x -> 1/x turns y^2 = q4 x^4 + ... + q1 x into y^2 = q1 x^3 + ... + q4
+    p, q = _cubic_to_depressed(*coeffs[1:])
     j = j_invariant_depressed(p, q)
     tj = j_invariant_depressed(T1_TARGET_P, T1_TARGET_Q)
     if j != tj:

@@ -512,6 +512,22 @@ class MultiPoly:
         return Fraction(_int_gcd(*self._num.values()), self._den)
 
 
+def restrict_vars(p: MultiPoly, variables: Sequence[str]) -> MultiPoly:
+    """Re-express p on a smaller variable tuple (dropped vars must not occur)."""
+    vt = tuple(variables)
+    if len(set(vt)) != len(vt):
+        raise MultiPolyError(f"duplicate variable in {vt}")
+    keep = [p._vidx(v) for v in vt]
+    dropped = [i for i, v in enumerate(p.variables) if v not in vt]
+    out = {}
+    for e, c in p._num.items():
+        for i in dropped:
+            if e[i]:
+                raise MultiPolyError(f"variable {p.variables[i]!r} still occurs")
+        out[tuple(e[i] for i in keep)] = c
+    return _from_int(vt, out, p._den)
+
+
 # ----------------------------------------------------------------------
 # dense univariate polynomials
 #

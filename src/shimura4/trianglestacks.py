@@ -30,39 +30,20 @@ from functools import lru_cache
 
 from .record import Record
 
-INFINITY = math.inf
-
-Entry = int | float
-
 
 class TriangleError(ValueError):
     pass
 
 
-def _is_inf(e: Entry) -> bool:
-    return isinstance(e, float) and math.isinf(e) and e > 0
-
-
-def _check_entry(e: Entry) -> None:
-    if _is_inf(e):
-        return
-    if not isinstance(e, int) or e < 2:
-        raise TriangleError(f"triangle entry must be an integer >= 2 or infinity, got {e!r}")
-
-
-def _inv(e: Entry) -> Fraction:
-    return Fraction(0) if _is_inf(e) else Fraction(1, e)
-
-
 class TriangleType(Record):
-    p: Entry
-    q: Entry
-    r: Entry
+    p: int
+    q: int
+    r: int
     kind: str            # "spherical" | "euclidean" | "hyperbolic"
     excess: Fraction     # 1 - 1/p - 1/q - 1/r
 
 
-def classify(p: Entry, q: Entry, r: Entry) -> TriangleType:
+def classify(p: int, q: int, r: int) -> TriangleType:
     """Curvature type of the (p, q, r) triangle group.
 
     excess < 0: spherical, = 0: euclidean, > 0: hyperbolic.
@@ -75,8 +56,9 @@ def classify(p: Entry, q: Entry, r: Entry) -> TriangleType:
     'spherical'
     """
     for e in (p, q, r):
-        _check_entry(e)
-    excess = 1 - _inv(p) - _inv(q) - _inv(r)
+        if not isinstance(e, int) or e < 2:
+            raise TriangleError(f"triangle entry must be an integer >= 2, got {e!r}")
+    excess = 1 - Fraction(1, p) - Fraction(1, q) - Fraction(1, r)
     if excess < 0:
         kind = "spherical"
     elif excess == 0:
@@ -86,7 +68,7 @@ def classify(p: Entry, q: Entry, r: Entry) -> TriangleType:
     return TriangleType(p, q, r, kind, excess)
 
 
-def canonical_degree(p: Entry, q: Entry, r: Entry) -> Fraction:
+def canonical_degree(p: int, q: int, r: int) -> Fraction:
     """deg of the log-canonical bundle: (1/2)(1 - 1/p - 1/q - 1/r).
 
     Only meaningful (positive) in the hyperbolic case, which is enforced.

@@ -52,7 +52,6 @@ def test_criterion_1_discriminant_shape(capsys):
         assert d.valuation("t") == 54
         assert rep.t_valuation == 54
         assert rep.t1_valuation == 12
-        assert rep.residual_is_constant
         assert set(rep.constant_factors) <= {2, 3, 7}
         assert rep.constant_factors[3] == 36
         assert rep.constant_factors[7] == 10

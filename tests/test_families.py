@@ -23,7 +23,6 @@ from shimura4.families import (
     match_proportional,
     quadratic_twist_factor,
     reduction_plans,
-    restrict_vars,
     specialize_c7,
     t1_fiber_split_c7,
 )
@@ -31,6 +30,7 @@ from shimura4.multipoly import (
     MultiPoly,
     MultiPolyError,
     discriminant,
+    restrict_vars,
     squarefree_decomposition,
 )
 
@@ -81,8 +81,10 @@ def test_c9_family_shape():
 
 def test_restrict_vars_guard():
     x, t = P("x", "t")
-    with pytest.raises(MultiPolyError):
+    with pytest.raises(MultiPolyError, match="'t' still occurs"):
         restrict_vars(x * t, ("x",))
+    with pytest.raises(MultiPolyError, match="duplicate"):
+        restrict_vars(x * x, ("x", "x"))
     q = restrict_vars(x * x + 1, ("x",))
     assert q.variables == ("x",)
     assert q.degree("x") == 2
@@ -99,7 +101,6 @@ def test_c7_discriminant_valuations_and_constant():
     assert rep.constant_factors == {2: 20, 3: 36, 7: 10}
     assert rep.constant == F(2) ** 20 * F(3) ** 36 * F(7) ** 10
     assert rep.curve_constant_factors == {2: 36, 3: 36, 7: 10}
-    assert rep.residual_is_constant
 
 
 def test_plane_family_eliminant():
@@ -173,6 +174,12 @@ def test_twist_matcher_rejects():
     target = x ** 3 + x
     assert match_hyperelliptic_up_to_twist(x ** 3 + 1, target, "x") is None
     assert match_hyperelliptic_up_to_twist(x ** 3 + 2 * x + 1, target, "x") is None
+    assert match_hyperelliptic_up_to_twist(x ** 3 + x ** 2, target, "x") is None
+    assert match_hyperelliptic_up_to_twist(8 * x ** 3, target, "x") is None
+    # an operand in a second variable is no curve y^2 = g(x)
+    u, v = P("u", "v")
+    assert match_hyperelliptic_up_to_twist(u ** 3 + u * v, u ** 3 + u, "u") is None
+    assert match_hyperelliptic_up_to_twist(u ** 3 + u, u ** 3 + u * v, "u") is None
 
 
 def test_proportional_matcher():
@@ -180,6 +187,11 @@ def test_proportional_matcher():
     t = 3 * w ** 3 + 16 * y
     assert match_proportional(-2 * t, t) == F(-2)
     assert match_proportional(t + y, t) is None
+    # equal contents leave the sign to decide
+    assert match_proportional(-t, t) == F(-1)
+    zero = MultiPoly.zero(("Y", "W"))
+    assert match_proportional(zero, t) is None
+    assert match_proportional(t, zero) is None
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +258,25 @@ def test_reduction_9_at_1_first_component_flagged():
     assert restrict_vars(rep.reduced, ("Y", "W")) == \
         3 * W ** 3 + 7 * Y ** 6 - 20 * Y ** 5 + 16 * Y ** 4
     assert rep.match == ("display-gap", F(7), F(3))
+
+
+@pytest.mark.parametrize("extra", ["5*Y*W", "Y^2*W^3"])
+def test_display_gap_reads_the_whole_equation(extra):
+    # each side must be f(Y) + c*W^3 with c constant: a W-term outside W^3,
+    # or a W^3 coefficient in Y, fails instead of being flagged as the same
+    # curve over the closure
+    from shimura4.cli import _plan_checks
+    from shimura4.families import _match_display_gap
+    plan = reduction_plans(9)[1]
+    Y, W = P("Y", "W")
+    term = {"5*Y*W": 5 * Y * W, "Y^2*W^3": Y ** 2 * W ** 3}[extra]
+    computed = 3 * W ** 3 + 7 * Y ** 6 - 20 * Y ** 5 + 16 * Y ** 4
+    assert _match_display_gap(plan, computed) == ("display-gap", F(7), F(3))
+    with pytest.raises(VerificationError, match=r"is not f\(Y\) \+ c\*W\^3"):
+        _match_display_gap(plan, computed + term)
+    # in the expected display, the same term is a failed check, not a crash
+    (check,) = _plan_checks(with_fields(plan, expected=plan.expected + term))
+    assert (check.id, check.status) == (f"{plan.name}-match", "fail")
 
 
 def test_reduction_9_at_1_second_component():
@@ -376,7 +407,7 @@ def test_second_component_must_continue_the_first(monkeypatch):
 def test_arakelov_identity_7():
     rep = arakelov_check(7)
     assert isinstance(rep, ArakelovReport)
-    assert rep.total == F(1, 21)
+    assert rep.lhs == F(1, 21)
     assert rep.degree == F(1, 42)
     assert rep.stack_degree == F(1, 84)
     assert rep.lhs == rep.rhs == F(1, 21)
@@ -385,7 +416,7 @@ def test_arakelov_identity_7():
 
 def test_arakelov_identity_9():
     rep = arakelov_check(9)
-    assert rep.total == F(1, 9)
+    assert rep.lhs == F(1, 9)
     assert rep.degree == F(1, 18)
     assert rep.stack_degree == F(1, 36)
     assert rep.equal

@@ -11,7 +11,6 @@ from _helpers import generator_matrices_by_products, with_fields
 
 from shimura4.trianglestacks import (
     IDENTITY,
-    INFINITY,
     MAX_DEPTH,
     TriangleError,
     _apply,
@@ -39,8 +38,6 @@ def test_classify_kinds():
     assert classify(2, 3, 7).kind == "hyperbolic"
     assert classify(2, 2, 2).kind == "spherical"
     assert classify(3, 3, 3).kind == "euclidean"
-    assert classify(2, 3, INFINITY).kind == "hyperbolic"
-    assert classify(2, 3, float("inf")).kind == "hyperbolic"
 
 
 def test_classify_excess_values():
@@ -56,6 +53,8 @@ def test_classify_rejects_bad_entries():
         classify(2, 3, 7.5)
     with pytest.raises(TriangleError):
         classify(2, 3, -float("inf"))
+    with pytest.raises(TriangleError):
+        classify(2, 3, float("inf"))
 
 
 def test_canonical_degree_values():
@@ -69,10 +68,6 @@ def test_canonical_degree_needs_hyperbolic():
         canonical_degree(2, 3, 5)
     with pytest.raises(TriangleError):
         canonical_degree(2, 3, 6)
-
-
-def test_canonical_degree_with_infinity():
-    assert canonical_degree(2, 3, INFINITY) == F(1, 12)
 
 
 def test_bezout_weights_basic():
@@ -180,7 +175,7 @@ def test_tessellate_needs_hyperbolic():
         tessellate(2, 3, 5, depth=2)
 
 
-@pytest.mark.parametrize("pqr", [(2, 3, 8), (3, 3, 7), (2, 3, INFINITY)])
+@pytest.mark.parametrize("pqr", [(2, 3, 8), (3, 3, 7)])
 def test_tessellate_needs_a_quaternion_triple(pqr):
     # exact only for the (2,3,n) triples with n odd and >= 7
     with pytest.raises(TriangleError):
