@@ -51,12 +51,23 @@ class FieldLabel(Record):
 
 
 class CMRow(Record):
+    """One table row. Building it parses both labels, then the
+    factorization, into `label`, `definition_label` and `factors` (prime ->
+    exponent); a part that does not parse raises CMTableError."""
     field_label: str
     disc_factorization: str
     definition_field_label: str
 
-    def factors(self) -> dict:
-        return parse_factorization(self.disc_factorization)
+    def __post_init__(self):
+        object.__setattr__(self, "label", FieldLabel.parse(self.field_label))
+        object.__setattr__(self, "definition_label",
+                           FieldLabel.parse(self.definition_field_label))
+        try:
+            factors = parse_factorization(self.disc_factorization)
+        except ValueError:
+            raise CMTableError(f"malformed factorization "
+                               f"{self.disc_factorization!r}") from None
+        object.__setattr__(self, "factors", factors)
 
 
 class CMTable(Record):
@@ -105,18 +116,10 @@ def load_table(n: int, data_dir: str | None = None) -> CMTable:
         parts = line.split("\t")
         if len(parts) != 3:
             raise CMTableError(f"{fname}:{lineno}: expected 3 columns")
-        row = CMRow(*parts)
         try:
-            FieldLabel.parse(row.field_label)
-            FieldLabel.parse(row.definition_field_label)
+            rows.append(CMRow(*parts))
         except CMTableError as e:
             raise CMTableError(f"{fname}:{lineno}: {e}") from None
-        try:
-            row.factors()
-        except ValueError:
-            raise CMTableError(f"{fname}:{lineno}: malformed factorization "
-                               f"{row.disc_factorization!r}") from None
-        rows.append(row)
     return CMTable(f"x{n}", base_p, base_e, modulus, tuple(rows),
                    hashlib.sha256(raw).hexdigest())
 
@@ -125,41 +128,25 @@ class RowFinding(Record):
     row: str
     check: str
     ok: bool
-    detail: str
 
 
 def verify_row(row: CMRow, table: CMTable) -> tuple[RowFinding, ...]:
-    out = []
-    lab = FieldLabel.parse(row.field_label)
-    out.append(RowFinding(row.field_label, "octic-totally-imaginary",
-                          lab.degree == 8 and lab.real_places == 0,
-                          f"degree {lab.degree}, real places {lab.real_places}"))
-    stated = row.factors()
-    prod = recompose(stated)
-    out.append(RowFinding(row.field_label, "label-matches-factorization",
-                          prod == lab.abs_disc,
-                          f"{row.disc_factorization} = {prod} vs {lab.abs_disc}"))
+    """The seven checks of one row, in the order the report names the first
+    failing one."""
+    lab, dlab, stated = row.label, row.definition_label, row.factors
     refac, certified = factor_integer(lab.abs_disc)
-    out.append(RowFinding(row.field_label, "independent-refactorization",
-                          certified and refac == stated,
-                          f"computed {refac} (certified: {certified})"))
-    out.append(RowFinding(row.field_label, "exponents-divisible-by-4",
-                          all(e % 4 == 0 for e in stated.values()),
-                          f"exponents {sorted(stated.values())}"))
-    out.append(RowFinding(row.field_label, "base-prime-exponent",
-                          stated.get(table.base_prime) == table.base_exponent,
-                          f"v_{table.base_prime} = {stated.get(table.base_prime)}"))
-    others = [p for p in stated if p != table.base_prime]
-    bad = [p for p in others if p % table.modulus not in (1, table.modulus - 1)]
-    out.append(RowFinding(row.field_label, "primes-are-plus-minus-one",
-                          not bad,
-                          f"primes {others} mod {table.modulus}"
-                          + (f", offenders {bad}" if bad else "")))
-    dlab = FieldLabel.parse(row.definition_field_label)
-    out.append(RowFinding(row.field_label, "definition-field-shape",
-                          dlab.degree % 3 == 0 and dlab.real_places in (2, 3),
-                          f"degree {dlab.degree}, real places {dlab.real_places}"))
-    return tuple(out)
+    plus_minus_one = (1, table.modulus - 1)
+    checks = (
+        ("octic-totally-imaginary", lab.degree == 8 and lab.real_places == 0),
+        ("label-matches-factorization", recompose(stated) == lab.abs_disc),
+        ("independent-refactorization", certified and refac == stated),
+        ("exponents-divisible-by-4", all(e % 4 == 0 for e in stated.values())),
+        ("base-prime-exponent", stated.get(table.base_prime) == table.base_exponent),
+        ("primes-are-plus-minus-one", all(p % table.modulus in plus_minus_one
+                                          for p in stated if p != table.base_prime)),
+        ("definition-field-shape", dlab.degree % 3 == 0 and dlab.real_places in (2, 3)),
+    )
+    return tuple(RowFinding(row.field_label, check, ok) for check, ok in checks)
 
 
 class TableReport(Record):

@@ -301,6 +301,9 @@ def _solve_for_square(p: MultiPoly, yvar: str) -> MultiPoly:
 
 
 def _match_reduced(plan: ReductionPlan, reduced: MultiPoly):
+    if reduced.variables != plan.expected.variables:
+        raise VerificationError(f"{plan.name}: reduced equation is on {reduced.variables}, "
+                                f"the target on {plan.expected.variables}")
     if plan.match_kind == "twist":
         var = plan.expected.variables_used()[0]
         m = match_hyperelliptic_up_to_twist(reduced, plan.expected, var)
@@ -567,8 +570,8 @@ CANONICAL_BASIS = {"hyperelliptic": ((0, 0), (1, 0), (2, 0), (3, 0)),
 
 def _laurent_exponents(num: MultiPoly, den: MultiPoly) -> list:
     """The exponent tuples of num / den, for a monomial den."""
-    (d,) = den.terms
-    return [tuple(a - b for a, b in zip(e, d)) for e in num.terms]
+    (d,) = den.exponents()
+    return [tuple(a - b for a, b in zip(e, d)) for e in num.exponents()]
 
 
 def chart_orders(plan: ReductionPlan, skip: int = 0) -> tuple[list[int], int]:

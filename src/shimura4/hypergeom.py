@@ -16,7 +16,7 @@ module recomputes from scratch.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .record import Record
 
@@ -45,20 +45,15 @@ class HypergeometricData(Record):
 
 
 def from_mu_triple(mu: tuple[Fraction, Fraction, Fraction]) -> HypergeometricData:
-    """Clear denominators of the three exponents and derive the fourth."""
+    """Clear denominators of the three exponents and derive the fourth;
+    HypergeometricData refuses an exponent outside (0, 1) and a vanishing
+    fourth one."""
     mu = tuple(F(m) for m in mu)
     if len(mu) != 3:
         raise HypergeomError("need exactly three exponents")
-    N = 1
-    for m in mu:
-        N = N * m.denominator // gcd(N, m.denominator)
+    N = lcm(*(m.denominator for m in mu))
     a = tuple(int(m * N) for m in mu)
-    if any(not 1 <= x <= N - 1 for x in a):
-        raise HypergeomError("exponents must lie strictly between 0 and 1")
-    a4 = (-sum(a)) % N
-    if a4 == 0:
-        raise HypergeomError("derived exponent vanishes")
-    return HypergeometricData(N, a + (a4,))
+    return HypergeometricData(N, a + ((-sum(a)) % N,))
 
 
 def mu_triple(n: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -93,10 +88,9 @@ def units(N: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, N) if gcd(i, N) == 1)
 
 
-def invariant_table(data: HypergeometricData, units_only: bool = True) -> dict[int, int]:
-    N = data.level
-    idx = units(N) if units_only else tuple(range(1, N))
-    return {i: line_invariant(data, i) for i in idx}
+def invariant_table(data: HypergeometricData) -> dict[int, int]:
+    """d_i for every unit i mod N."""
+    return {i: line_invariant(data, i) for i in units(data.level)}
 
 
 def invariant_counts(data: HypergeometricData) -> dict[int, int]:
@@ -127,4 +121,4 @@ def unit_sum(data: HypergeometricData) -> int:
 
 def full_sum(data: HypergeometricData) -> int:
     """Sum of d_i over every i in 1..N-1 (the genus-style count)."""
-    return sum(invariant_table(data, units_only=False).values())
+    return sum(line_invariant(data, i) for i in range(1, data.level))

@@ -14,7 +14,8 @@ Squarefree decompositions are univariate: Yun's algorithm on dense integer
 coefficient lists, over the primitive remainder sequence (`_zt_gcd`) that
 the resultants use. This is the one dense core of the package.
 
-Resultants go by evaluation and interpolation over the integers: each
+Resultants go by evaluation and interpolation over the integers, in one
+recursive routine (`_res_params`), one parameter per level: the last
 parameter is set to small integers, skipping the points where a leading
 coefficient in the eliminated variable vanishes, and the resultant is
 interpolated back through one point more than a bound on its degree. The
@@ -23,12 +24,13 @@ resultant is quasi-homogeneous, res(f(lambda*Y), g(lambda*Y)) =
 lambda^(mn) * res(f, g), so scaling Y by a power of t bounds its degree in
 t (`_degree_bound` has the proof). Without the scaling the bound is the
 Sylvester row bound, so it is never above that. Once one parameter t is
-left, each operand is divided by its content (the primitive gcd in Z[t] of
-its coefficients) and only the resultant of the primitive parts is
-interpolated; the resultant is homogeneous of degree deg B in the
-coefficients of A and deg A in those of B, so multiplying back by
-content(A)^deg B * content(B)^deg A is exact. The univariate base case
-is a subresultant remainder sequence over int.
+left, the same routine first divides each operand by its content (the
+primitive gcd in Z[t] of its coefficients) and interpolates only the
+resultant of the primitive parts; the resultant is homogeneous of degree
+deg B in the coefficients of A and deg A in those of B, so multiplying
+the interpolated row back by content(A)^deg B * content(B)^deg A is
+exact. The univariate base case is a subresultant remainder sequence over
+int.
 """
 
 from __future__ import annotations
@@ -88,6 +90,19 @@ def _from_int(variables: tuple, num: Mapping, den: int) -> "MultiPoly":
     return p
 
 
+def _power(base, n: int, one):
+    """base ** n for an int n >= 0 by repeated squaring, with `one` the unit
+    of base's ring; the one power loop of the package (MultiPoly, number
+    field elements and quaternions)."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 def _scalar(c: Scalar, variables: tuple) -> "MultiPoly":
     """The constant c on the given variables, built without the checks."""
     c = _as_fraction(c)
@@ -143,6 +158,10 @@ class MultiPoly:
         coefficients."""
         den = self._den
         return {e: Fraction(c, den) for e, c in self._num.items()}
+
+    def exponents(self):
+        """A read-only view of the exponent tuples of the nonzero terms."""
+        return self._num.keys()
 
     # ------------------------------------------------------------------
     # constructors
@@ -269,14 +288,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise MultiPolyError("exponent must be a non-negative int")
-        result = _scalar(1, self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, _scalar(1, self.variables))
 
     def __truediv__(self, other) -> "MultiPoly":
         # scalar division only; polynomial division is exact_div
@@ -684,30 +696,25 @@ def _integer_rows(f: MultiPoly, i: int, deg: int, params: list, g: int) -> list:
 
 def _res_params(A: list, B: list, k: int) -> dict:
     """Resultant of A and B (deg A >= deg B >= 1, nonzero leading
-    coefficients) as {exponents of the k parameters: int}."""
+    coefficients) as {exponents of the k parameters: int}.
+
+    For k >= 1 it interpolates in the last parameter through the resultants
+    at integer points where neither leading coefficient vanishes, one point
+    more than `_degree_bound` allows for. When that parameter t is the only
+    one, res(cA*A', cB*B') = cA^deg B * cB^deg A * res(A', B'), so only the
+    resultant of the primitive parts A', B' is interpolated, through fewer
+    points, and the product of the contents multiplies it back.
+    """
     if k == 0:
         r = _res_int([c.get((), 0) for c in A], [c.get((), 0) for c in B])
         return {(): r} if r else {}
-    if k > 1:
-        return _res_interpolate(A, B, k)
-    # One parameter t is left: res(cA*A', cB*B') = cA^deg B * cB^deg A *
-    # res(A', B'), so only the resultant of the primitive parts A', B' is
-    # interpolated, through fewer points.
-    A, ca = _divide_content(A)
-    B, cb = _divide_content(B)
-    out = _res_interpolate(A, B, 1)
-    scale = reduce(_zt_mul, [ca] * (len(B) - 1) + [cb] * (len(A) - 1))
-    if out and scale != [1]:
-        out = {(d,): v for d, v in enumerate(_zt_mul(_dense_int(out), scale)) if v}
-    return out
-
-
-def _res_interpolate(A: list, B: list, k: int) -> dict:
-    """_res_params for k >= 1: interpolate in the last parameter through
-    the resultants at integer points where neither leading coefficient
-    vanishes, one point more than `_degree_bound` allows for."""
     A = [_group_last(c) for c in A]
     B = [_group_last(c) for c in B]
+    scale = [1]
+    if k == 1:
+        A, ca = _divide_content(A)
+        B, cb = _divide_content(B)
+        scale = reduce(_zt_mul, [ca] * (len(B) - 1) + [cb] * (len(A) - 1))
     bound = _degree_bound(*([max(map(len, c.values()), default=0) - 1 for c in P]
                             for P in (A, B)))
     xs, values = [], []
@@ -721,7 +728,8 @@ def _res_interpolate(A: list, B: list, k: int) -> dict:
         x = -x if x > 0 else 1 - x
     out = {}
     for key in set().union(*values):
-        for d, c in enumerate(_interpolate(xs, [v.get(key, 0) for v in values])):
+        row = _interpolate(xs, [v.get(key, 0) for v in values])
+        for d, c in enumerate(_zt_mul(row, scale)):
             if c:
                 out[key + (d,)] = c
     return out
@@ -757,10 +765,11 @@ def _degree_bound(da: list, db: list) -> int:
 
 
 def _divide_content(A: list) -> tuple:
-    """(A / c, c) for A a polynomial over Z[t], entries {(e,): int}, and c
-    its content: the primitive gcd in Z[t] of its nonzero coefficients, with
-    positive leading coefficient, as a dense int list."""
-    dense = [_dense_int(c) for c in A if c]
+    """(A / c, c) for A a polynomial over Z[t], entries {(): dense int list
+    in t} as `_group_last` gives them, and c its content: the primitive gcd
+    in Z[t] of its nonzero coefficients, with positive leading coefficient,
+    as a dense int list."""
+    dense = [c[()] for c in A if c]
     g = _primitive(min(dense, key=len))
     for p in dense:
         if len(g) == 1:
@@ -769,21 +778,10 @@ def _divide_content(A: list) -> tuple:
             g = _zt_gcd(g, p)
     if g == [1]:
         return A, g
-    out = []
-    for row in A:
-        q = _zt_divide(_dense_int(row), g) if row else []
-        if q is None:
-            raise MultiPolyError("internal: inexact division in resultant")  # pragma: no cover
-        out.append({(d,): v for d, v in enumerate(q) if v})
+    out = [{(): _zt_divide(c[()], g)} if c else c for c in A]
+    if any(c and c[()] is None for c in out):
+        raise MultiPolyError("internal: inexact division in resultant")  # pragma: no cover
     return out, g
-
-
-def _dense_int(c: dict) -> list:
-    """{(e,): int} as a dense int list, lowest coefficient first."""
-    p = [0] * (max(e for e, in c) + 1)
-    for (e,), v in c.items():
-        p[e] = v
-    return p
 
 
 def _primitive(p: list) -> list:

@@ -25,6 +25,7 @@ from .multipoly import (
     MultiPoly,
     _deriv,
     _int_dense,
+    _power,
     _trim,
     _uni_pseudo_rem,
     _zt_divide,
@@ -287,16 +288,7 @@ class NumberFieldElem:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self.inverse() if n < 0 else self, abs(n), self.field.one())
 
     def __eq__(self, other):
         if (isinstance(other, NumberFieldElem) and other.field is not self.field

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .multipoly import _power
 from .numberfield import (NumberField, NumberFieldElem, _elem, _int_rows, _mul_fold,
                           _mul_matrix, field_2cos)
 from .record import Record
@@ -177,16 +178,7 @@ class Quaternion:
         return Quaternion(self.algebra, tuple(p * ni for p in c.coords))
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self.inverse() if n < 0 else self, abs(n), self.algebra.one())
 
     def __eq__(self, other):
         if (isinstance(other, Quaternion) and other.algebra is not self.algebra

@@ -7,9 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from _helpers import with_fields
 
 from shimura4 import cli, families
 from shimura4.families import VerificationError, apply_reduction
+from shimura4.multipoly import MultiPoly
 
 
 def run(capsys, args):
@@ -239,6 +241,29 @@ def test_failed_plan_fails_square_scalar_and_match(monkeypatch):
     assert [(c.id, c.status, c.actual) for c in checks[:2]] == [
         ("plane-at-0-square-scalar", "fail", "synthetic"),
         ("plane-at-0-match", "fail", "synthetic")]
+
+
+@pytest.mark.parametrize("n, name, ring", [
+    (9, "plane-at-infinity", ("Y", "W", "Z")),
+    (7, "hyperelliptic-at-0", ("x", "z")),
+], ids=["proportional", "twist"])
+def test_target_on_another_ring_fails_only_its_match(monkeypatch, capsys, n, name, ring):
+    # the plan's target gains a variable the reduced equation lacks: the
+    # match check fails with both variable tuples, and the run still reports
+    plans = families.reduction_plans(n)
+    (plan,) = [p for p in plans if p.name == name]
+    pad = (0,) * (len(ring) - len(plan.expected.variables))
+    target = MultiPoly(ring, {e + pad: c for e, c in plan.expected.terms.items()})
+    swapped = tuple(with_fields(p, expected=target) if p is plan else p for p in plans)
+    original = families.reduction_plans
+    monkeypatch.setattr(families, "reduction_plans",
+                        lambda k: swapped if k == n else original(k))
+    code, out, _ = run(capsys, ["--json"])
+    assert code == 1
+    checks = {c["id"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    assert [i for i, c in checks.items() if c["status"] == "fail"] == [f"{name}-match"]
+    assert checks[f"{name}-match"]["actual"].startswith(f"{name}: ")
+    assert str(ring) in checks[f"{name}-match"]["actual"]
 
 
 def test_cli_import_loads_no_mpmath():

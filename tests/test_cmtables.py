@@ -26,6 +26,14 @@ def test_label_parsing():
         FieldLabel.parse("8.1.123.1")  # odd number of complex places
     with pytest.raises(CMTableError):
         FieldLabel.parse("a.b.c.d")
+    # a row parses its labels and its factorization when it is built
+    good = ("8.0.7834003547041.1", "7^4*239^4", "3.3.49.1")
+    for i, bad, error in ((0, "8.0.123", "malformed field label"),
+                          (1, "2^x", "malformed factorization"),
+                          (2, "8.1.123.1", "odd number of complex places")):
+        with pytest.raises(CMTableError, match=error):
+            CMRow(*good[:i], bad, *good[i + 1:])
+    assert CMRow(*good).factors == {7: 4, 239: 4}
 
 
 def test_row_counts_and_checksums():
@@ -48,16 +56,16 @@ def test_tables_fully_verify():
 
 def test_base_prime_exponents():
     t7 = load_table(7)
-    assert all(r.factors()[7] == 4 for r in t7.rows)
+    assert all(r.factors[7] == 4 for r in t7.rows)
     t9 = load_table(9)
-    assert all(r.factors()[3] == 8 for r in t9.rows)
+    assert all(r.factors[3] == 8 for r in t9.rows)
 
 
 def test_prime_congruence_classes():
     for n, mod in ((7, 7), (9, 9)):
         t = load_table(n)
         for r in t.rows:
-            for p in r.factors():
+            for p in r.factors:
                 if p != t.base_prime:
                     assert p % mod in (1, mod - 1)
 

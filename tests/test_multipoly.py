@@ -56,6 +56,9 @@ def test_basic_arithmetic():
     assert g == x ** 3 + 3 * x ** 2 + 3 * x + 1
     assert (f - f).is_zero()
     assert (2 * x) / 2 == x
+    assert f ** 0 == 1 and (f - f) ** 0 == 1
+    with pytest.raises(MultiPolyError):
+        _ = f ** -1
 
 
 def test_variable_mismatch_raises():
@@ -421,6 +424,19 @@ def test_planted_content_costs_no_interpolation_points(monkeypatch):
     planted = resultant(t ** 20 * f, g, "x")
     assert len(calls) - n <= n
     assert planted == t ** (20 * g.degree("x")) * plain
+    # on (x, s, t), t is set first, so s is the parameter left at the
+    # one-parameter level: a content (s - 1)^5 * s^3 there is divided out
+    # too and costs no base case
+    x, s, t = MultiPoly.generators("x", "s", "t")
+    f = x ** 3 + (s * t + 2) * x ** 2 - 3 * t ** 2 * x + 5 * s - t
+    g = 2 * x ** 2 + (s - t) * x - 7 * s * t + 1
+    c = (s - 1) ** 5 * s ** 3
+    calls.clear()
+    plain = resultant(f, g, "x")
+    n = len(calls)
+    planted = resultant(c * f, g, "x")
+    assert len(calls) == 2 * n
+    assert planted == c ** g.degree("x") * plain
 
 
 def _sloped_poly(rng, vt, m, slope):

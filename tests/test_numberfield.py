@@ -86,6 +86,8 @@ def test_field_basic_arithmetic():
     assert e * e.inverse() == K.one()
     assert (v / v) == K.one()
     assert (2 * v + 1) - (v + 1) == v
+    assert e ** 0 == K.zero() ** 0 == K.one()
+    assert e ** -3 == (e * e * e).inverse()
 
 
 def test_field_inverse_roundtrip_randomized():

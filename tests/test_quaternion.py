@@ -60,6 +60,8 @@ def test_inverse():
     assert x.reduced_norm() == -8
     assert x * x.inverse() == alg.one()
     assert x.inverse() * x == alg.one()
+    assert x ** 0 == alg.element(0) ** 0 == alg.one()
+    assert x ** -2 == (x * x).inverse()
     with pytest.raises(QuaternionError):
         # norm 0: (2, 1, 1, 0) in (-1, 5) gives 4 + 1 - 5 = 0
         alg.element(2, 1, 1, 0).inverse()
