@@ -23,7 +23,9 @@ from . import trianglestacks
 from .report import Check, FLAGGED, GIVEN, PASS, RECOMPUTED, Suite, VerificationReport
 
 # Each suite imports the modules it runs on, so a command loads only what
-# its suites need: `triangle` never loads the families or the CM tables.
+# its suites need: `triangle` never loads the families, the CM tables, the
+# polynomial ring or the integer factoring, and loads the drawing only with
+# --svg.
 
 # the matrix-trace checks print a certified enclosure of 2 cos(pi/n) that
 # is narrower than 10^-precision; below this many digits it would say less
@@ -166,11 +168,11 @@ def _trace_check(trip, precision: int) -> Check:
     sigma_0(trd delta_r), and that is 2 cos(pi/n), the largest root of g =
     minpoly_2cos(2n), when trd(delta_r) = -v, g(-v) = 0 in K, and
     sigma_0(-v) lies above g's second-largest root."""
-    from .numberfield import isolate_real_roots, minpoly_2cos, poly_to_dense, refine_interval
+    from .numberfield import isolate_real_roots, minpoly_2cos, refine_interval
     n = trip.n
     K = trip.algebra.field
     minus_v = -K.gen()
-    g = poly_to_dense(minpoly_2cos(2 * n), "x")
+    g = minpoly_2cos(2 * n)
     *_, (_, second_hi), (lo, hi) = isolate_real_roots(g)
     facts = {
         "trd(delta_r) = -v": trip.delta_r.reduced_trace() == minus_v,

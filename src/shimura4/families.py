@@ -238,8 +238,9 @@ class ReductionReport(Record):
 def apply_reduction(plan: ReductionPlan) -> ReductionReport:
     """Execute a reduction plan and verify it against its expected data.
 
-    Raises VerificationError when a declared division is not exact, the
-    uniformizer does not fully cancel, or a non-flagged match fails.
+    Raises VerificationError when a step or the uniformizer lies off the
+    ring of the equation it applies to, a declared division is not exact,
+    the uniformizer does not fully cancel, or a non-flagged match fails.
     """
     if plan.family == "hyperelliptic":
         eq = c7_equation()
@@ -251,6 +252,7 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
     square_scalar = None
 
     for step in plan.steps:
+        _check_ring(plan, eq.variables, step)
         if isinstance(step, SubstStep):
             eq, _ = eq.substitute({v: (num, den) for v, num, den in step.assignments})
         elif isinstance(step, DivideStep):
@@ -273,6 +275,8 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
         else:
             raise VerificationError(f"unknown step {step!r}")
 
+    if u not in eq.variables:
+        raise VerificationError(f"{plan.name}: uniformizer {u!r} is not on {eq.variables}")
     val = eq.valuation(u)
     if val != 0:
         raise VerificationError(
@@ -284,6 +288,23 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
     if plan.match_kind == "twist":
         reduced = _solve_for_square(reduced, "y")
     return ReductionReport(reduced, _match_reduced(plan, reduced), square_scalar)
+
+
+def _check_ring(plan: ReductionPlan, ring: tuple, step) -> None:
+    """Raise VerificationError naming the plan when step reads a variable
+    or a polynomial off the ring it applies to, where MultiPoly would raise."""
+    if isinstance(step, SubstStep):
+        keys = {v for v, _, _ in step.assignments}
+        images = {p.variables for _, num, den in step.assignments
+                  for p in (num, den) if p is not None}
+        ok = (len(images) == 1 and keys <= set(ring)
+              and set(ring) - keys <= set(*images))
+    elif isinstance(step, SquareCheck):
+        ok = step.var in ring and step.root.variables == ring
+    else:
+        ok = not isinstance(step, DivideStep) or step.var in ring
+    if not ok:
+        raise VerificationError(f"{plan.name}: step {type(step).__name__} is not on {ring}")
 
 
 def _solve_for_square(p: MultiPoly, yvar: str) -> MultiPoly:

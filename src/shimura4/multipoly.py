@@ -12,7 +12,8 @@ substitution with denominator clearing, and valuation bookkeeping.
 
 Squarefree decompositions are univariate: Yun's algorithm on dense integer
 coefficient lists, over the primitive remainder sequence (`_zt_gcd`) that
-the resultants use. This is the one dense core of the package.
+the resultants use. Those dense routines live in `dense`, the one dense
+core of the package, which number fields use without this module.
 
 Resultants go by evaluation and interpolation over the integers, in one
 recursive routine (`_res_params`), one parameter per level: the last
@@ -42,6 +43,9 @@ from itertools import accumulate, combinations, zip_longest
 from math import gcd as _int_gcd, lcm, prod
 from operator import add
 
+from .dense import (_deriv, _int_dense, _power, _primitive, _trim, _uni_pseudo_rem,
+                    _zt_divide, _zt_gcd)
+
 Scalar = int | Fraction
 
 
@@ -55,13 +59,6 @@ def _as_fraction(c: Scalar) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise MultiPolyError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-
-
-def _int_dense(p: Sequence) -> tuple:
-    """(numerators, den): the Fractions p as integers over their least
-    positive common denominator."""
-    den = lcm(*(c.denominator for c in p))
-    return [c.numerator * (den // c.denominator) for c in p], den
 
 
 def _mul_int(a: Mapping, b: Mapping) -> dict:
@@ -88,19 +85,6 @@ def _from_int(variables: tuple, num: Mapping, den: int) -> "MultiPoly":
     object.__setattr__(p, "_num", num)
     object.__setattr__(p, "_den", den)
     return p
-
-
-def _power(base, n: int, one):
-    """base ** n for an int n >= 0 by repeated squaring, with `one` the unit
-    of base's ring; the one power loop of the package (MultiPoly, number
-    field elements and quaternions)."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
-    return result
 
 
 def _scalar(c: Scalar, variables: tuple) -> "MultiPoly":
@@ -543,20 +527,9 @@ def restrict_vars(p: MultiPoly, variables: Sequence[str]) -> MultiPoly:
 # ----------------------------------------------------------------------
 # dense univariate polynomials
 #
-# A dense polynomial is a list of coefficients, lowest first, with no
-# trailing zeros; [] is the zero polynomial. The routines below and the
-# `_zt_*` ones of the resultant section run on int lists; `poly_to_dense`
-# gives Fractions, and `_int_dense` clears their denominators.
-
-
-def _trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _deriv(p: Sequence) -> list:
-    return [c * k for k, c in enumerate(p)][1:]
+# A dense polynomial is a list of coefficients, lowest first, as in
+# `dense`: `poly_to_dense` gives Fractions, and `dense_to_poly` reads
+# Fractions or ints back.
 
 
 def _int_row(f: MultiPoly, var: str) -> list:
@@ -784,15 +757,6 @@ def _divide_content(A: list) -> tuple:
     return out, g
 
 
-def _primitive(p: list) -> list:
-    """Dense nonzero int p divided by the gcd of its coefficients, with the
-    sign that makes its leading coefficient positive."""
-    g = _int_gcd(*p)
-    if p[-1] < 0:
-        g = -g
-    return [v // g for v in p]
-
-
 def _zt_mul(a: list, b: list) -> list:
     """Product of dense nonzero int polynomials."""
     out = [0] * (len(a) + len(b) - 1)
@@ -800,44 +764,6 @@ def _zt_mul(a: list, b: list) -> list:
         for j, v in enumerate(b):
             out[i + j] += u * v
     return out
-
-
-def _zt_divide(a: list, b: list):
-    """a / b for dense int a and primitive b, or None when b does not divide
-    a in Z[t] (by Gauss's lemma, nor then in Q[t])."""
-    r = list(a)
-    db = len(b) - 1
-    q = [0] * (len(r) - db)
-    for shift in range(len(q) - 1, -1, -1):
-        c, rem = divmod(r[shift + db], b[-1])
-        if rem:
-            return None
-        q[shift] = c
-        for j in range(db + 1):
-            r[shift + j] -= c * b[j]
-    return None if any(r) else q
-
-
-def _zt_gcd(a: list, b: list) -> list:
-    """Primitive gcd, positive leading coefficient, of dense int a and b,
-    [] when both are zero: the primitive remainder sequence."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return _primitive(a) if a else []
-    a, b = _primitive(a), _primitive(b)
-    while len(b) > 1:
-        r = _uni_pseudo_rem(a, b)
-        if not r:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
-
-
-def _zt_squarefree(p: list) -> list:
-    """p / gcd(p, p') for dense int p of positive degree, exact in Z[t]
-    (Gauss's lemma): the same roots, each once."""
-    return _zt_divide(p, _zt_gcd(p, _deriv(p)))
 
 
 def _group_last(c: dict) -> dict:
@@ -917,30 +843,6 @@ def _res_int(A: list, B: list) -> int:
         if len(B) == 1:
             m = len(A) - 1
             return sign * _exact(B[0] ** m, h ** (m - 1))
-
-
-def _uni_pseudo_rem(A: list, B: list) -> list:
-    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B of dense int
-    polynomials, lowest coefficient first.
-
-    When a subtraction kills more than one leading term the loop runs fewer
-    times than deg A - deg B + 1; the remainder is then scaled by the
-    leftover power of lc(B) so the result is the true pseudo-remainder.
-    """
-    r = list(A)
-    dB = len(B) - 1
-    lb = B[-1]
-    left = len(r) - dB
-    while len(r) > dB:
-        lead = r.pop()
-        # r <- lb * r - lead * B * Y^shift, B's leading term dropped
-        r = [c * lb - lead * b for c, b in zip(r, [0] * (len(r) - dB) + B)]
-        _trim(r)
-        left -= 1
-    if r and left > 0:
-        s = lb ** left
-        r = [c * s for c in r]
-    return r
 
 
 def _exact(a: int, b: int) -> int:

@@ -6,11 +6,12 @@ represented by exact isolating intervals from a Sturm chain. Element signs
 under an embedding are decided exactly by interval refinement -- no floating
 point is involved anywhere in a sign decision.
 
-Dense univariate polynomials are lists [c0, c1, ...], as in multipoly's
-dense section (`poly_to_dense` / `dense_to_poly` are re-exported). The work
-runs on integers: elements are integer rows over one denominator, Sturm
-chains are integer pseudo-remainder sequences, and Fractions appear only
-where a value leaves the API. The public surface speaks MultiPoly.
+Dense univariate polynomials are lists [c0, c1, ...], lowest coefficient
+first, as in `dense`, the only module of the package this one computes
+with; a field takes its minimal polynomial as such a row. The work runs on
+integers: elements are integer rows over one denominator, Sturm chains are
+integer pseudo-remainder sequences, and Fractions appear only where a value
+leaves the API.
 """
 
 from __future__ import annotations
@@ -20,20 +21,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .intfactor import factor_integer
-from .multipoly import (
-    MultiPoly,
-    _deriv,
-    _int_dense,
-    _power,
-    _trim,
-    _uni_pseudo_rem,
-    _zt_divide,
-    _zt_gcd,
-    _zt_squarefree,
-    dense_to_poly,
-    poly_to_dense,
-)
+from .dense import (_deriv, _int_dense, _power, _trim, _uni_pseudo_rem, _zt_divide,
+                    _zt_gcd, _zt_squarefree)
 from .record import Record
 
 
@@ -133,23 +122,21 @@ def refine_interval(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
 class NumberField(Record):
     """Q[x]/(m) for m monic irreducible, all roots real.
 
-    `min_poly` is the monic minimal polynomial as a univariate MultiPoly;
-    `name` is a display name for the generator. Real embeddings are indexed
-    0, 1, ... by increasing root.
+    `min_poly` is the monic minimal polynomial as a dense row of rationals,
+    lowest coefficient first (kept as a tuple of Fractions); `name` is a
+    display name for the generator. Real embeddings are indexed 0, 1, ...
+    by increasing root.
     """
-    min_poly: MultiPoly
+    min_poly: tuple
     name: str = "a"
 
     def __post_init__(self):
-        var = self.min_poly.variables_used()
-        if len(var) != 1:
-            raise NumberFieldError("minimal polynomial must be univariate")
-        dense = poly_to_dense(self.min_poly, var[0])
-        if dense[-1] != 1:
+        dense = tuple(map(Fraction, self.min_poly))
+        if not dense or dense[-1] != 1:
             raise NumberFieldError("minimal polynomial must be monic")
         if len(dense) < 2:
             raise NumberFieldError("minimal polynomial must be non-constant")
-        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "min_poly", dense)
         object.__setattr__(self, "degree", len(dense) - 1)
         # x^k mod m for d <= k <= 2d - 2, scaled to integers by one common
         # denominator: the rows that fold a product of two reduced elements
@@ -171,7 +158,7 @@ class NumberField(Record):
         coords = [Fraction(0)] * self.degree
         if self.degree == 1:
             # x - c: generator is the rational c
-            coords[0] = -self._dense[0]
+            coords[0] = -self.min_poly[0]
         else:
             coords[1] = Fraction(1)
         return NumberFieldElem(self, tuple(coords))
@@ -190,7 +177,9 @@ class NumberField(Record):
         return self.element([1])
 
     def __repr__(self):
-        return f"NumberField({self.name}: {self.min_poly})"
+        # the polynomial ring is loaded only to print
+        from .multipoly import dense_to_poly
+        return f"NumberField({self.name}: {dense_to_poly(self.min_poly, self.name)})"
 
 
 class NumberFieldElem:
@@ -354,7 +343,7 @@ class NumberFieldElem:
                 return 1
             if vhi < 0:
                 return -1
-            lo, hi = refine_interval(self.field._dense, lo, hi, (hi - lo) / 2)
+            lo, hi = refine_interval(self.field.min_poly, lo, hi, (hi - lo) / 2)
 
 
 def _elem(field: NumberField, num: list, den: int) -> NumberFieldElem:
@@ -424,28 +413,25 @@ def _chebyshev_like(n: int) -> list:
     return v1
 
 
-def minpoly_2cos(n: int, var: str = "x") -> MultiPoly:
-    """Monic minimal polynomial of 2*cos(2*pi/n) over Q.
+def minpoly_2cos(n: int) -> list:
+    """Monic minimal polynomial of 2*cos(2*pi/n) over Q, as a dense integer
+    row, lowest coefficient first.
 
     Built from the recursion V_{k+1} = x V_k - V_{k-1} (V_k(2 cos h) =
     2 cos k h): 2 cos(2 pi/n) is a root of V_n - 2, and the minimal
     polynomial is the factor of its squarefree part left after dividing
-    out, for each prime p | n, the common factor with V_{n/p} - 2.
+    out, for each proper divisor d of n, the common factor with V_d - 2.
     Degree phi(n)/2 for n >= 3.
 
     Examples
     --------
-    >>> str(minpoly_2cos(7))
-    'x^3 + x^2 - 2*x - 1'
-    >>> str(minpoly_2cos(3))
-    'x + 1'
+    >>> minpoly_2cos(7)
+    [-1, -2, 1, 1]
+    >>> minpoly_2cos(3), minpoly_2cos(2), minpoly_2cos(1)
+    ([1, 1], [2, 1], [-2, 1])
     """
     if n < 1:
         raise NumberFieldError("n must be positive")
-    if n == 1:
-        return dense_to_poly([Fraction(-2), Fraction(1)], var)  # 2cos(2pi) = 2
-    if n == 2:
-        return dense_to_poly([Fraction(2), Fraction(1)], var)   # 2cos(pi) = -2
 
     def v_minus_2(k: int) -> list:
         v = _chebyshev_like(k)
@@ -455,13 +441,14 @@ def minpoly_2cos(n: int, var: str = "x") -> MultiPoly:
     # all on integers: the polynomials are monic over Z, so are their gcds
     # (Gauss's lemma), and each quotient below is exact
     f = _zt_squarefree(v_minus_2(n))
-    # the roots 2cos(2 pi k/n) with gcd(k, n) > 1 are, over the primes p | n,
-    # the roots of V_{n/p} - 2
-    for p in factor_integer(n)[0]:
-        f = _zt_divide(f, _zt_gcd(f, v_minus_2(n // p)))
-    return dense_to_poly(f, var)
+    # the roots 2cos(2 pi k/n) with gcd(k, n) > 1 are 2cos(2 pi k'/d) for
+    # the proper divisor d = n/gcd(k, n): roots of V_d - 2
+    for d in range(1, n):
+        if n % d == 0:
+            f = _zt_divide(f, _zt_gcd(f, v_minus_2(d)))
+    return f
 
 
 def field_2cos(n: int, name: str = "v") -> NumberField:
     """The real cyclotomic field generated by 2*cos(2*pi/n)."""
-    return NumberField(minpoly_2cos(n, name), name)
+    return NumberField(minpoly_2cos(n), name)

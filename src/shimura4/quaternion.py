@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .multipoly import _power
+from .dense import _power
 from .numberfield import (NumberField, NumberFieldElem, _elem, _int_rows, _mul_fold,
                           _mul_matrix, field_2cos)
 from .record import Record

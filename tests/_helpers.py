@@ -63,7 +63,7 @@ def embedding_interval(el, index, width):
         vlo, vhi = interval_eval(el.coords, lo, hi)
         if vhi - vlo <= width:
             return vlo, vhi
-        lo, hi = refine_interval(K._dense, lo, hi, (hi - lo) / 2 if hi > lo else F(1))
+        lo, hi = refine_interval(K.min_poly, lo, hi, (hi - lo) / 2 if hi > lo else F(1))
         if lo == hi:
             v = dense_eval(el.coords, lo)
             return v, v
@@ -215,3 +215,25 @@ def dense_rem(a, m):
         for j in range(d):
             r[len(r) - d + j] -= c * m[j]
     return r + [F(0)] * (d - len(r))
+
+
+def minpoly_2cos_by_primes(n):
+    """The minimal polynomial of 2 cos(2 pi/n) as a dense integer row, built
+    as before the proper-divisor construction: the squarefree part of
+    V_n - 2 with, for each prime p | n, its gcd with V_{n/p} - 2 divided
+    out; 1 and 2 are the rational cases."""
+    from shimura4.dense import _zt_divide, _zt_gcd, _zt_squarefree
+    from shimura4.intfactor import factor_integer
+    from shimura4.numberfield import _chebyshev_like
+    if n <= 2:
+        return [-2, 1] if n == 1 else [2, 1]
+
+    def v_minus_2(k):
+        v = _chebyshev_like(k)
+        v[0] -= 2
+        return v
+
+    f = _zt_squarefree(v_minus_2(n))
+    for p in factor_integer(n)[0]:
+        f = _zt_divide(f, _zt_gcd(f, v_minus_2(n // p)))
+    return f

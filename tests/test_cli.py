@@ -266,6 +266,41 @@ def test_target_on_another_ring_fails_only_its_match(monkeypatch, capsys, n, nam
     assert str(ring) in checks[f"{name}-match"]["actual"]
 
 
+def _off_ring(plan, kind):
+    """plane-at-0 with one step, or its uniformizer, off the equation's ring."""
+    if kind == "uniformizer":
+        return with_fields(plan, uniformizer="q")
+    steps = list(plan.steps)
+    (k,) = [k for k, s in enumerate(steps) if isinstance(s, families.SquareCheck)]
+    if kind == "square-root":
+        # the declared root Y^3 - W on (Y, W), the equation on (Y, W, s)
+        Y, W = MultiPoly.generators("Y", "W")
+        steps[k] = with_fields(steps[k], root=Y ** 3 - W)
+    elif kind == "divide":
+        steps[k - 1] = with_fields(steps[k - 1], var="q")
+    else:
+        steps[0] = with_fields(steps[0], assignments=steps[0].assignments + (
+            ("q", MultiPoly.generators("Y", "W", "s")[0], None),))
+    return with_fields(plan, steps=tuple(steps))
+
+
+@pytest.mark.parametrize("kind", ["square-root", "divide", "uniformizer", "substitution"])
+def test_step_off_the_ring_fails_only_its_plan(monkeypatch, capsys, kind):
+    # a step on a variable the equation lacks fails the plan's checks with
+    # the plan's name, and the run still prints its report
+    plans = families.reduction_plans(9)
+    swapped = (_off_ring(plans[0], kind),) + plans[1:]
+    original = families.reduction_plans
+    monkeypatch.setattr(families, "reduction_plans",
+                        lambda k: swapped if k == 9 else original(k))
+    code, out, err = run(capsys, ["reductions9", "--json"])
+    assert code == 1, err
+    checks = {c["id"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    failed = [i for i, c in checks.items() if c["status"] == "fail"]
+    assert failed == ["plane-at-0-square-scalar", "plane-at-0-match"]
+    assert all(checks[i]["actual"].startswith("plane-at-0: ") for i in failed)
+
+
 def test_cli_import_loads_no_mpmath():
     src = Path(cli.__file__).resolve().parents[1]
     out = subprocess.run(
@@ -276,14 +311,16 @@ def test_cli_import_loads_no_mpmath():
     assert out.stdout.strip() == "False"
 
 
-def test_cli_loads_only_the_modules_its_suites_run():
+def test_cli_loads_only_the_modules_its_suites_run(tmp_path):
     # importing the cli loads no computation module; the triangle suite
     # loads the quaternion triple and what it rests on, not the families,
-    # the CM tables or the hypergeometric data; and no run loads the
-    # code-generating dataclasses module, the inspect module it pulls in,
-    # or typing. -S keeps site out, since a .pth file it reads may load
-    # typing before the package does
+    # the CM tables, the hypergeometric data, the polynomial ring, the
+    # integer factoring or the drawing, which only --svg loads; and no run
+    # loads the code-generating dataclasses module, the inspect module it
+    # pulls in, or typing. -S keeps site out, since a .pth file it reads
+    # may load typing before the package does
     src = Path(cli.__file__).resolve().parents[1]
+    svg = str(tmp_path / "disk.svg")
     code = (
         "import contextlib, io, json, sys\n"
         "import shimura4.cli\n"
@@ -292,21 +329,26 @@ def test_cli_loads_only_the_modules_its_suites_run():
         "    codes = [shimura4.cli.main(['triangle', '--json'])]\n"
         "after_triangle = sorted(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes.append(shimura4.cli.main(['triangle', '--svg', {svg!r}]))\n"
+        "after_svg = sorted(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes.append(shimura4.cli.main(['--json']))\n"
-        "print(json.dumps([codes, after_import, after_triangle,\n"
+        "print(json.dumps([codes, after_import, after_triangle, after_svg,\n"
         "                  sorted(sys.modules)]))\n")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
-    codes, after_import, after_triangle, after_all = json.loads(out.stdout)
-    assert codes == [0, 0]
+    codes, after_import, after_triangle, after_svg, after_all = json.loads(out.stdout)
+    assert codes == [0, 0, 0]
     for name in ("families", "cmtables", "hypergeom", "multipoly",
                  "numberfield", "quaternion"):
         assert f"shimura4.{name}" not in after_import
-    for name in ("families", "cmtables", "hypergeom"):
+    for name in ("families", "cmtables", "hypergeom", "multipoly", "intfactor",
+                 "drawing"):
         assert f"shimura4.{name}" not in after_triangle
     assert "shimura4.quaternion" in after_triangle
+    assert "shimura4.drawing" in after_svg
     assert "shimura4.families" in after_all
     assert "dataclasses" not in after_all
     assert "inspect" not in after_all

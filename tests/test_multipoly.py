@@ -7,6 +7,8 @@ import pytest
 from _helpers import (
     _terms_mul,
     assert_reduced,
+    dense_mul,
+    dense_rem,
     substitute_reference,
     terms_add,
     terms_coefficient,
@@ -16,13 +18,11 @@ from _helpers import (
     terms_scale,
 )
 
+from shimura4.dense import _int_dense, _uni_pseudo_rem, _zt_gcd, _zt_squarefree
 from shimura4.multipoly import (
     MultiPoly,
     MultiPolyError,
     _degree_bound,
-    _int_dense,
-    _zt_gcd,
-    _zt_squarefree,
     discriminant,
     poly_to_dense,
     resultant,
@@ -519,6 +519,30 @@ def test_gcd_univariate_monic():
     assert monic(_zt_gcd(ints(f), ints(g))) == [-1, 1]
     assert monic(_zt_gcd(ints(f), ints(x + 7))) == [1]
     assert _zt_gcd([], []) == []
+
+
+def test_pseudo_remainder_matches_the_fraction_remainder():
+    # prem(A, B) = lc(B)^(deg A - deg B + 1) * rem(A, B), with rem the
+    # remainder over Q by the monic B / lc(B); A = Q*B + R makes several
+    # leading terms cancel in one step, so the leftover power is exercised
+    rng = random.Random(20)
+    for trial in range(400):
+        B = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))]
+        B.append(rng.choice([-6, -1, 1, 2, 5, 12]))
+        if trial % 2:
+            Q = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [rng.randint(1, 9)]
+            A = [int(c) for c in dense_mul([F(c) for c in Q], [F(c) for c in B])]
+            for k in range(rng.randint(0, len(B) - 1)):
+                A[k] += rng.randint(-5, 5)
+        else:
+            A = [rng.randint(-99, 99) for _ in range(rng.randint(len(B) - 1, 10))]
+            A.append(rng.choice([-7, -1, 1, 3]))
+        lb, scale = B[-1], B[-1] ** (len(A) - len(B) + 1)
+        expected = [c * scale for c in dense_rem([F(c) for c in A], [F(c, lb) for c in B])]
+        while expected and expected[-1] == 0:
+            expected.pop()
+        assert all(c.denominator == 1 for c in expected)
+        assert _uni_pseudo_rem(A, B) == expected
 
 
 def test_gcd_with_parameter_coefficients():

@@ -27,14 +27,8 @@ from shimura4.hypergeom import (
 from shimura4.multipoly import MultiPoly, discriminant, resultant
 from shimura4.numberfield import field_2cos
 from shimura4.quaternion import uniformizer_triple
-from shimura4.trianglestacks import (
-    IDENTITY,
-    classify,
-    bezout_weights,
-    mat_dist,
-    mat_mul,
-    rotation_generators,
-)
+from shimura4.drawing import IDENTITY, mat_dist, mat_mul, rotation_generators
+from shimura4.trianglestacks import classify, bezout_weights
 
 
 def float_at_embedding(el, index):

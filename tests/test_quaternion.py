@@ -7,13 +7,7 @@ from fractions import Fraction
 import pytest
 from _helpers import embedding_interval
 
-from shimura4.numberfield import (
-    NumberField,
-    dense_to_poly,
-    isolate_real_roots,
-    minpoly_2cos,
-    poly_to_dense,
-)
+from shimura4.numberfield import NumberField, isolate_real_roots, minpoly_2cos
 from shimura4.quaternion import (
     QuaternionAlgebra,
     QuaternionError,
@@ -24,7 +18,7 @@ F = Fraction
 
 
 def _rational_algebra(a, b):
-    K = NumberField(dense_to_poly([F(1), F(1)], "x"), "r")  # Q as Q[x]/(x+1)
+    K = NumberField([F(1), F(1)], "r")  # Q as Q[x]/(x+1)
     return QuaternionAlgebra(K, K.element([a]), K.element([b]))
 
 
@@ -137,7 +131,7 @@ def test_mul_matches_schoolbook_formula(case):
         alg = _rational_algebra(F(2, 3), -5)
     elif case == "fraction-coefficients":
         # a field with a rational-coefficient modulus, and a, b with denominators
-        K = NumberField(dense_to_poly([F(-1, 3), F(-2), F(1, 2), F(1)]), "w")
+        K = NumberField([F(-1, 3), F(-2), F(1, 2), F(1)], "w")
         alg = QuaternionAlgebra(K, K.element([F(1, 3), F(-2, 5)]),
                                 K.element([F(-7, 2), 0, F(1, 4)]))
     else:
@@ -165,7 +159,7 @@ def test_trace_of_dr_is_largest_root_exactly():
         K = tri.algebra.field
         minus_v = -K.gen()
         assert tri.delta_r.reduced_trace() == minus_v
-        g = poly_to_dense(minpoly_2cos(2 * n), "x")
+        g = minpoly_2cos(2 * n)
         assert sum((c * minus_v ** k for k, c in enumerate(g)), K.zero()) == 0
         roots = isolate_real_roots(g)
         assert (minus_v - roots[-2][1]).sign_at_embedding(0) == 1

@@ -9,8 +9,15 @@ from fractions import Fraction
 import pytest
 from _helpers import generator_matrices_by_products, with_fields
 
-from shimura4.trianglestacks import (
+from shimura4.drawing import (
     IDENTITY,
+    mat_dist,
+    mat_inv,
+    mat_mul,
+    rotation_generators,
+    triangle_vertices,
+)
+from shimura4.trianglestacks import (
     MAX_DEPTH,
     TriangleError,
     _apply,
@@ -20,13 +27,8 @@ from shimura4.trianglestacks import (
     bezout_weights,
     canonical_degree,
     classify,
-    mat_dist,
-    mat_inv,
-    mat_mul,
     relation_product,
-    rotation_generators,
     tessellate,
-    triangle_vertices,
 )
 
 F = Fraction
