@@ -352,7 +352,8 @@ def main(argv=None) -> int:
                         help="directory holding replacement cm_x7.tsv and "
                              "cm_x9.tsv")
     parser.add_argument("--svg", default=None, metavar="PATH",
-                        help="also render the (2,3,7) tessellation to PATH")
+                        help="also render the (2,3,7) tessellation to PATH; "
+                             "only with the triangle suite or all")
     parser.add_argument("--version", action="version", version=__version__)
     opts = parser.parse_args(argv)
     if not 0 <= opts.depth <= trianglestacks.MAX_DEPTH:
@@ -367,6 +368,8 @@ def main(argv=None) -> int:
             except (OSError, cmtables.CMTableError) as e:
                 parser.error(f"--data-dir {opts.data_dir}: {e}")
     if opts.svg is not None:
+        if opts.suite not in ("triangle", "all"):
+            parser.error(f"--svg: the {opts.suite} suite draws nothing")
         svg_dir = os.path.dirname(opts.svg) or "."
         if not opts.svg:
             parser.error("--svg: empty path")

@@ -1,99 +1,72 @@
 """Drawing of the triangle tessellations: floats only, never a decision.
 
-The standard geodesic triangle in the Poincare disk, rotation generators in
-SU(1,1) around its vertices, and an SVG rendering of the tiles that
-`trianglestacks` counts exactly, with true geodesic arcs. `tessellate`
-loads this module only when it is asked to draw.
+The tiles that `trianglestacks` counts, drawn from the same six exact
+generators (`trianglestacks._generators`). The only float step evaluates
+each quaternion at the split real place where delta_r turns by 2 pi/n, as
+a real 2x2 matrix acting on the upper half plane. The base triangle's
+vertices are the fixed points of delta_p, delta_q and delta_r, each tile's
+vertices are its generator applied to its parent's, and a Cayley map sends
+delta_p's fixed point to 0 in the Poincare disk, where an SVG renders the
+tiles with true geodesic arcs. `tessellate` loads this module only when it
+is asked to draw.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from fractions import Fraction
 
-from .trianglestacks import TriangleError, classify
+from .numberfield import isolate_real_roots, refine_interval
 
 # ----------------------------------------------------------------------
-# geometry: SU(1,1) as 2x2 complex tuples ((a, b), (c, d))
-
-Mat = tuple
-
-
-def mat_mul(A: Mat, B: Mat) -> Mat:
-    return ((A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-            (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]))
+# geometry: the generators at the split real place, as real (a, b, c, d)
+# for the matrix ((a, b), (c, d)) acting on the upper half plane
 
 
-def mat_inv(M: Mat) -> Mat:
-    # det = 1 for SU(1,1)
-    return ((M[1][1], -M[0][1]), (-M[1][0], M[0][0]))
+def _real_matrices(gens: list) -> list:
+    """Each x0 + x1 i + x2 j + x3 k of (-1, b / K) at the split real place
+    sigma, with i -> ((0, -1), (1, 0)) and j -> diag(s, -s), s = sqrt(sigma(b)):
+    ((x0 + x2 s, x3 s - x1), (x1 + x3 s, x0 - x2 s)), of determinant the
+    reduced norm."""
+    alg = gens[0].algebra
+    # the place of the least root, sigma(v) = -2 cos(pi/n), splits for every
+    # n >= 7, and there delta_r turns by 2 pi/n; the algebra of a
+    # non-arithmetic triple splits at more places (n = 13 at two), where
+    # delta_r turns by another multiple of 2 pi/n and draws no tiling
+    place = alg.split_real_places()[0]
+    m = alg.field.min_poly
+    lo, hi = refine_interval(m, *isolate_real_roots(m)[place], Fraction(1, 2 ** 60))
+    v = float((lo + hi) / 2)
+
+    def at(x) -> float:
+        return sum(float(c) * v ** k for k, c in enumerate(x.coords))
+
+    s = math.sqrt(at(alg.b))
+    out = []
+    for g in gens:
+        x0, x1, x2, x3 = map(at, g.coords)
+        out.append((x0 + x2 * s, x3 * s - x1, x1 + x3 * s, x0 - x2 * s))
+    return out
 
 
-def mat_apply(M: Mat, z: complex) -> complex:
-    return (M[0][0] * z + M[0][1]) / (M[1][0] * z + M[1][1])
+def _fixed_point(m: tuple) -> complex:
+    """The fixed point in the upper half plane of an elliptic m of
+    determinant 1: a root of c z^2 + (d - a) z - b."""
+    a, b, c, d = m
+    z = complex(a - d, math.sqrt(4 - (a + d) ** 2)) / (2 * c)
+    return z if z.imag > 0 else z.conjugate()
 
 
-def mat_dist(A: Mat, B: Mat) -> float:
-    """min over sign of the max-entry distance; SU(1,1) acts through +-I."""
-    d1 = max(abs(A[i][j] - B[i][j]) for i in range(2) for j in range(2))
-    d2 = max(abs(A[i][j] + B[i][j]) for i in range(2) for j in range(2))
-    return min(d1, d2)
-
-
-IDENTITY: Mat = ((1 + 0j, 0j), (0j, 1 + 0j))
-
-
-def _rotation_at_origin(theta: float) -> Mat:
-    w = cmath.exp(1j * theta / 2)
-    return ((w, 0j), (0j, w.conjugate()))
-
-
-def _translation(w: complex) -> Mat:
-    s = 1.0 / math.sqrt(1 - abs(w) ** 2)
-    return ((s + 0j, s * w), (s * w.conjugate(), s + 0j))
-
-
-def rotation_about(w: complex, theta: float) -> Mat:
-    """Disk rotation by theta around the point w."""
-    if w == 0:
-        return _rotation_at_origin(theta)
-    return mat_mul(mat_mul(_translation(w), _rotation_at_origin(theta)),
-                   _translation(-w))
-
-
-def triangle_vertices(p: int, q: int, r: int) -> tuple:
-    """Vertices (A, B, C) of the base geodesic triangle in the unit disk.
-
-    Angle pi/p at A = 0, angle pi/q at B on the positive real axis, angle
-    pi/r at C in the upper half of the disk. Hyperbolic side lengths come
-    from the angle law of cosines; Poincare radius is tanh(d/2).
-    """
-    t = classify(p, q, r)
-    if t.kind != "hyperbolic":
-        raise TriangleError("tessellation needs a hyperbolic triple")
-    al, be, ga = math.pi / p, math.pi / q, math.pi / r
-    cosh_ab = (math.cos(al) * math.cos(be) + math.cos(ga)) / (math.sin(al) * math.sin(be))
-    cosh_ac = (math.cos(al) * math.cos(ga) + math.cos(be)) / (math.sin(al) * math.sin(ga))
-    A = 0j
-    B = complex(math.tanh(math.acosh(cosh_ab) / 2), 0)
-    C = math.tanh(math.acosh(cosh_ac) / 2) * cmath.exp(1j * al)
-    return A, B, C
-
-
-def rotation_generators(p: int, q: int, r: int) -> tuple:
-    """Clockwise rotations by 2 pi/k around the three vertices.
-
-    The uniform clockwise choice makes g_r g_q g_p = +-I hold (checked to
-    1e-9 at construction).
-    """
-    A, B, C = triangle_vertices(p, q, r)
-    gp = rotation_about(A, -2 * math.pi / p)
-    gq = rotation_about(B, -2 * math.pi / q)
-    gr = rotation_about(C, -2 * math.pi / r)
-    prod = mat_mul(mat_mul(gr, gq), gp)
-    if mat_dist(prod, IDENTITY) > 1e-9:
-        raise TriangleError("generator relation g_r g_q g_p = +-I failed")
-    return gp, gq, gr
+def _tile_vertices(gens: list, tiles: list) -> list:
+    """The vertices in the unit disk of each tile of `tiles`, the search tree
+    of `trianglestacks._tile_tree` over the generators `gens`."""
+    mats = _real_matrices(gens)
+    verts = [[_fixed_point(mats[k]) for k in (0, 2, 4)]]
+    for parent, gi, _ in tiles[1:]:
+        a, b, c, d = mats[gi]
+        verts.append([(a * z + b) / (c * z + d) for z in verts[parent]])
+    zp = verts[0][0]
+    return [[(z - zp) / (z - zp.conjugate()) for z in tri] for tri in verts]
 
 
 # ----------------------------------------------------------------------
@@ -127,22 +100,18 @@ def _geodesic_arc(z1: complex, z2: complex) -> str:
     return f"A {rad:.6f} {rad:.6f} 0 0 {sweep} {x2:.6f} {y2:.6f}"
 
 
-def render_svg(path: str, p: int, q: int, r: int, tiles: list) -> None:
-    """Draw the tiles of the (p, q, r) tessellation to an SVG file at path.
+def render_svg(path: str, gens: list, tiles: list) -> None:
+    """Draw the tiles of a tessellation to an SVG file at path.
 
-    `tiles` is the search tree of `trianglestacks._tile_tree`: entry i is
-    (parent, generator, word length), so tile i's matrix is the float
-    generator times its parent's. Tiles are two-colored by word-length
-    parity (a rendering choice: neighboring depths alternate shade).
+    `gens` are the six quaternions of `trianglestacks._generators`, and
+    `tiles` is the search tree of `trianglestacks._tile_tree` over them:
+    entry i is (parent, generator, word length), so tile i is generator
+    `generator` applied to tile `parent`. Tiles are two-colored by
+    word-length parity (a rendering choice: neighboring depths alternate
+    shade).
     """
-    gp, gq, gr = rotation_generators(p, q, r)
-    gens = (gp, mat_inv(gp), gq, mat_inv(gq), gr, mat_inv(gr))
-    verts = triangle_vertices(p, q, r)
-    mats, paths = [], []
-    for parent, gi, length in tiles:
-        M = IDENTITY if parent < 0 else mat_mul(gens[gi], mats[parent])
-        mats.append(M)
-        za, zb, zc = (mat_apply(M, z) for z in verts)
+    paths = []
+    for (za, zb, zc), (_, _, length) in zip(_tile_vertices(gens, tiles), tiles):
         fill = "#355f8d" if length % 2 == 0 else "#9fc5e8"
         d = (f"M {za.real:.6f} {za.imag:.6f} "
              + _geodesic_arc(za, zb) + " "

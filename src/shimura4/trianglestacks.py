@@ -15,7 +15,9 @@ The relation delta_r delta_q delta_p = 1 is checked exactly, on the same
 integer matrices the search runs on (`relation_product`).
 
 Drawing is numerical and lives in `drawing`, which `tessellate` loads only
-when it is given an SVG path; a count loads no float geometry.
+when it is given an SVG path. It draws from the same six generators
+(`_generators`) the count runs on, so there is one model of the group; a
+count loads no float geometry.
 """
 
 from __future__ import annotations
@@ -100,18 +102,30 @@ def _sparse_rows(matrix: tuple) -> tuple:
     return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in matrix)
 
 
+def _generators(r: int) -> list:
+    """The six generators the search steps by and the drawing draws with:
+    delta, delta^-1 for delta = delta_p, delta_q, delta_r of
+    `uniformizer_triple(r)`, in that order."""
+    # imported here: the arakelov check in families imports this module for
+    # canonical_degree alone, and should not load the number field and
+    # quaternion modules
+    from .quaternion import uniformizer_triple
+    trip = uniformizer_triple(r)
+    return [g for delta in (trip.delta_p, trip.delta_q, trip.delta_r)
+            for g in (delta, delta.inverse())]
+
+
 @lru_cache(maxsize=None)
 def _generator_matrices(p: int, q: int, r: int) -> tuple:
     """Integer left-multiplication matrices of the quaternion triple.
 
-    For delta_p, delta_q, delta_r of `uniformizer_triple(r)` and their
-    inverses (in the order of the float generators of `drawing`), the
-    matrix of x -> g x over Q in the basis v^k e_s (v generates the field,
-    e_s = 1, i, j, k), read off the algebra's structure constants by
-    `quaternion._left_matrix`, as rows, times the least common denominator
-    `den` of all six. Returns (matrices, den, sparse), sparse holding each
-    matrix's rows in the form of `_sparse_rows`; cached, so the relation
-    check and every search share one set.
+    For each g of `_generators(r)`, the matrix of x -> g x over Q in the
+    basis v^k e_s (v generates the field, e_s = 1, i, j, k), read off the
+    algebra's structure constants by `quaternion._left_matrix`, as rows,
+    times the least common denominator `den` of all six. Returns
+    (matrices, den, sparse), sparse holding each matrix's rows in the form
+    of `_sparse_rows`; cached, so the relation check and every search share
+    one set.
 
     The search never applies delta_p^-1 (see `_tile_tree`), since
     delta_p^2 = -1 makes it -delta_p; that is checked here, exactly, on the
@@ -120,13 +134,8 @@ def _generator_matrices(p: int, q: int, r: int) -> tuple:
     if p != 2 or q != 3 or not isinstance(r, int) or r < 7 or r % 2 == 0:
         raise TriangleError(f"exact tessellation covers (2,3,n) with n odd and "
                             f">= 7, got ({p},{q},{r})")
-    # imported here: the arakelov check in families imports this module for
-    # canonical_degree alone, and should not load the number field and
-    # quaternion modules
-    from .quaternion import _left_matrix, uniformizer_triple
-    trip = uniformizer_triple(r)
-    left = [_left_matrix(g) for delta in (trip.delta_p, trip.delta_q, trip.delta_r)
-            for g in (delta, delta.inverse())]
+    from .quaternion import _left_matrix
+    left = [_left_matrix(g) for g in _generators(r)]
     # to one common denominator, then to the least one
     den = math.lcm(*(d for _, d in left))
     mats = [[[c * (den // d) for c in row] for row in m] for m, d in left]
@@ -213,13 +222,14 @@ def tessellate(p: int, q: int, r: int, depth: int = 4,
                svg_path: str | None = None) -> int:
     """Number of distinct triangle tiles within BFS depth of the base tile.
 
-    Tiles are images of the base triangle under words in the rotation
-    generators. The count is exact: words run over the quaternion triple
-    of `uniformizer_triple(r)` as integer coordinate vectors, and two words
-    give the same tile exactly when their vectors agree up to sign. So
-    (p, q, r) must be (2, 3, n) with n odd and >= 7. Floats are used only
-    for drawing: with svg_path, `drawing.render_svg` renders the tiling to
-    an SVG file with geodesic edges.
+    Tiles are images of the base triangle under words in the quaternion
+    triple of `uniformizer_triple(r)` and its inverses. The count is exact:
+    words run as integer coordinate vectors, and two words give the same
+    tile exactly when their vectors agree up to sign. So (p, q, r) must be
+    (2, 3, n) with n odd and >= 7. Floats are used only for drawing: with
+    svg_path, `drawing.render_svg` evaluates the same generators at the
+    algebra's split real place and renders the tiles to an SVG file with
+    geodesic edges.
     """
     if not isinstance(depth, int) or depth < 0:
         raise TriangleError("depth must be a non-negative integer")
@@ -228,5 +238,5 @@ def tessellate(p: int, q: int, r: int, depth: int = 4,
     tiles = _tile_tree(p, q, r, depth)
     if svg_path is not None:
         from .drawing import render_svg
-        render_svg(svg_path, p, q, r, tiles)
+        render_svg(svg_path, _generators(r), tiles)
     return len(tiles)

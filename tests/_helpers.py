@@ -1,11 +1,14 @@
 """Helpers shared by several test modules. Not a test module itself, so
 pytest collects nothing here; the test modules import it by name."""
 
+import cmath
+import math
 from fractions import Fraction as F
 
 from shimura4 import families
 from shimura4.families import apply_reduction, reduction_plans
 from shimura4.numberfield import _sign_variations, refine_interval, sturm_chain
+from shimura4.trianglestacks import TriangleError, classify
 
 
 def with_fields(record, **changes):
@@ -237,3 +240,85 @@ def minpoly_2cos_by_primes(n):
     for p in factor_integer(n)[0]:
         f = _zt_divide(f, _zt_gcd(f, v_minus_2(n // p)))
     return f
+
+
+# ----------------------------------------------------------------------
+# the float model of a triangle group, kept as an independent oracle for
+# the drawing and the exact count: rotation generators in SU(1,1), as 2x2
+# complex tuples ((a, b), (c, d)), around the vertices of the standard
+# geodesic triangle in the Poincare disk, built by hyperbolic trigonometry
+
+Mat = tuple
+
+
+def mat_mul(A: Mat, B: Mat) -> Mat:
+    return ((A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
+            (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]))
+
+
+def mat_inv(M: Mat) -> Mat:
+    # det = 1 for SU(1,1)
+    return ((M[1][1], -M[0][1]), (-M[1][0], M[0][0]))
+
+
+def mat_dist(A: Mat, B: Mat) -> float:
+    """min over sign of the max-entry distance; SU(1,1) acts through +-I."""
+    d1 = max(abs(A[i][j] - B[i][j]) for i in range(2) for j in range(2))
+    d2 = max(abs(A[i][j] + B[i][j]) for i in range(2) for j in range(2))
+    return min(d1, d2)
+
+
+IDENTITY: Mat = ((1 + 0j, 0j), (0j, 1 + 0j))
+
+
+def _rotation_at_origin(theta: float) -> Mat:
+    w = cmath.exp(1j * theta / 2)
+    return ((w, 0j), (0j, w.conjugate()))
+
+
+def _translation(w: complex) -> Mat:
+    s = 1.0 / math.sqrt(1 - abs(w) ** 2)
+    return ((s + 0j, s * w), (s * w.conjugate(), s + 0j))
+
+
+def rotation_about(w: complex, theta: float) -> Mat:
+    """Disk rotation by theta around the point w."""
+    if w == 0:
+        return _rotation_at_origin(theta)
+    return mat_mul(mat_mul(_translation(w), _rotation_at_origin(theta)),
+                   _translation(-w))
+
+
+def triangle_vertices(p: int, q: int, r: int) -> tuple:
+    """Vertices (A, B, C) of the base geodesic triangle in the unit disk.
+
+    Angle pi/p at A = 0, angle pi/q at B on the positive real axis, angle
+    pi/r at C in the upper half of the disk. Hyperbolic side lengths come
+    from the angle law of cosines; Poincare radius is tanh(d/2).
+    """
+    t = classify(p, q, r)
+    if t.kind != "hyperbolic":
+        raise TriangleError("tessellation needs a hyperbolic triple")
+    al, be, ga = math.pi / p, math.pi / q, math.pi / r
+    cosh_ab = (math.cos(al) * math.cos(be) + math.cos(ga)) / (math.sin(al) * math.sin(be))
+    cosh_ac = (math.cos(al) * math.cos(ga) + math.cos(be)) / (math.sin(al) * math.sin(ga))
+    A = 0j
+    B = complex(math.tanh(math.acosh(cosh_ab) / 2), 0)
+    C = math.tanh(math.acosh(cosh_ac) / 2) * cmath.exp(1j * al)
+    return A, B, C
+
+
+def rotation_generators(p: int, q: int, r: int) -> tuple:
+    """Clockwise rotations by 2 pi/k around the three vertices.
+
+    The uniform clockwise choice makes g_r g_q g_p = +-I hold (checked to
+    1e-9 at construction).
+    """
+    A, B, C = triangle_vertices(p, q, r)
+    gp = rotation_about(A, -2 * math.pi / p)
+    gq = rotation_about(B, -2 * math.pi / q)
+    gr = rotation_about(C, -2 * math.pi / r)
+    prod = mat_mul(mat_mul(gr, gq), gp)
+    if mat_dist(prod, IDENTITY) > 1e-9:
+        raise TriangleError("generator relation g_r g_q g_p = +-I failed")
+    return gp, gq, gr

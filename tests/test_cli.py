@@ -221,6 +221,16 @@ def test_svg_into_missing_directory_is_usage_error(tmp_path, capsys):
         assert "--svg" in capsys.readouterr().err
 
 
+def test_svg_with_a_suite_that_draws_nothing_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "x.svg"
+    for suite in ("disc7", "quaternion", "cm-tables"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([suite, "--svg", str(target)])
+        assert exc.value.code == 2
+        assert "--svg" in capsys.readouterr().err
+        assert not target.exists()
+
+
 def test_full_run_applies_each_plan_once(monkeypatch, capsys):
     calls = []
 

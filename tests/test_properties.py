@@ -6,7 +6,15 @@ import math
 import random
 from fractions import Fraction as F
 
-from _helpers import arakelov_with, embedding_interval, with_fields
+from _helpers import (
+    IDENTITY,
+    arakelov_with,
+    embedding_interval,
+    mat_dist,
+    mat_mul,
+    rotation_generators,
+    with_fields,
+)
 
 from shimura4.families import (
     DivideStep,
@@ -27,7 +35,6 @@ from shimura4.hypergeom import (
 from shimura4.multipoly import MultiPoly, discriminant, resultant
 from shimura4.numberfield import field_2cos
 from shimura4.quaternion import uniformizer_triple
-from shimura4.drawing import IDENTITY, mat_dist, mat_mul, rotation_generators
 from shimura4.trianglestacks import classify, bezout_weights
 
 

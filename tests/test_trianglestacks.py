@@ -1,27 +1,31 @@
 """Triangle classification, degrees, weights, and disk tessellation."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
 from fractions import Fraction
 
 import pytest
-from _helpers import generator_matrices_by_products, with_fields
-
-from shimura4.drawing import (
+from _helpers import (
     IDENTITY,
+    generator_matrices_by_products,
     mat_dist,
     mat_inv,
     mat_mul,
     rotation_generators,
     triangle_vertices,
+    with_fields,
 )
+from shimura4.drawing import _tile_vertices
 from shimura4.trianglestacks import (
     MAX_DEPTH,
     TriangleError,
     _apply,
     _generator_matrices,
+    _generators,
     _sparse_rows,
     _tile_tree,
     bezout_weights,
@@ -283,3 +287,32 @@ def test_svg_output(tmp_path):
     assert text.count("<path") == n
     assert 'viewBox="-1.05 -1.05 2.1 2.1"' in text
     assert "A " in text  # at least one geodesic arc
+    # every printed point (move, line and arc end points) inside the disk
+    points = re.findall(r"(?:[ML]|A \S+ \S+ 0 0 [01]) (-?[\d.]+) (-?[\d.]+)", text)
+    assert len(points) == 4 * n
+    assert all(float(x) ** 2 + float(y) ** 2 < 1 for x, y in points)
+
+
+def _disk_distance(z, w):
+    return 2 * math.atanh(abs(z - w) / abs(1 - w.conjugate() * z))
+
+
+@pytest.mark.parametrize("n", [7, 9, 11, 13])
+def test_drawing_agrees_with_the_trig_oracle(n):
+    # the drawing evaluates the exact generators at a real place; the trig
+    # model builds its triangle from the angles alone
+    tiles = _tile_tree(2, 3, n, 6)
+    verts = _tile_vertices(_generators(n), tiles)
+    sides = [_disk_distance(verts[0][i - 2], verts[0][i - 1]) for i in range(3)]
+    oracle = triangle_vertices(2, 3, n)
+    for i, side in enumerate(sides):
+        assert abs(side - _disk_distance(oracle[i - 2], oracle[i - 1])) < 1e-9
+    # the angle at each vertex, from its sides by the hyperbolic law of cosines
+    for i, k in enumerate((2, 3, n)):
+        a, b, c = sides[i], sides[i - 2], sides[i - 1]
+        cos_angle = ((math.cosh(b) * math.cosh(c) - math.cosh(a))
+                     / (math.sinh(b) * math.sinh(c)))
+        assert abs(math.acos(cos_angle) - math.pi / k) < 1e-9
+    centroids = [sum(tri) / 3 for tri in verts]
+    assert len(centroids) == tessellate(2, 3, n, depth=6)
+    assert min(abs(u - w) for u, w in itertools.combinations(centroids, 2)) > 1e-6
