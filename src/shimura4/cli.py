@@ -34,31 +34,31 @@ MIN_PRECISION = 15
 
 # exact tile counts by depth 0 .. trianglestacks.MAX_DEPTH
 TILE_COUNTS = {
-    (2, 3, 7): (1, 6, 15, 31, 55, 88, 136, 203, 295, 424, 602, 848, 1190),
-    (2, 3, 9): (1, 6, 15, 31, 59, 104, 174, 287, 468, 755, 1210, 1936, 3091),
+    7: (1, 6, 15, 31, 55, 88, 136, 203, 295, 424, 602, 848, 1190),
+    9: (1, 6, 15, 31, 59, 104, 174, 287, 468, 755, 1210, 1936, 3091),
 }
 
 
 def suite_disc7(opts) -> Suite:
     from . import families
     from .intfactor import factorization_string
-    s = Suite("disc7")
     rep = families.c7_discriminant()
-    s.add(Check.equal("t-valuation", 54, rep.t_valuation))
-    s.add(Check.equal("t-minus-1-valuation", 12, rep.t1_valuation))
-    s.add(Check.equal("model-constant-factorization", "2^20*3^36*7^10",
-                      factorization_string(rep.constant_factors)))
-    s.add(Check.equal("curve-constant-factorization", "2^36*3^36*7^10",
-                      factorization_string(rep.curve_constant_factors),
-                      citation=GIVEN + "; model constant times 2^16 = 2^(4g)"))
     smooth_ok = (not families.is_smooth_fiber_c7(0)
                  and not families.is_smooth_fiber_c7(1)
                  and all(families.is_smooth_fiber_c7(t)
                          for t in (2, -1, F(1, 2), F(27, 16))))
-    s.add(Check.predicate("singular-fibers-exactly-0-1", smooth_ok,
-                          "vanishing only at t = 0, 1",
-                          "checked at 0, 1, 2, -1, 1/2, 27/16"))
-    return s
+    return Suite("disc7", (
+        Check.equal("t-valuation", 54, rep.t_valuation),
+        Check.equal("t-minus-1-valuation", 12, rep.t1_valuation),
+        Check.equal("model-constant-factorization", "2^20*3^36*7^10",
+                    factorization_string(rep.constant_factors)),
+        Check.equal("curve-constant-factorization", "2^36*3^36*7^10",
+                    factorization_string(rep.curve_constant_factors),
+                    citation=GIVEN + "; model constant times 2^16 = 2^(4g)"),
+        Check.predicate("singular-fibers-exactly-0-1", smooth_ok,
+                        "vanishing only at t = 0, 1",
+                        "checked at 0, 1, 2, -1, 1/2, 27/16"),
+    ))
 
 
 def _plan_checks(plan, square_scalar=None) -> list:
@@ -103,41 +103,41 @@ def _match_check(plan, rep) -> Check:
 
 def suite_reductions7(opts) -> Suite:
     from . import families
-    s = Suite("reductions7")
-    for plan in families.reduction_plans(7):
-        s.add(*_plan_checks(plan))
+    checks = [c for plan in families.reduction_plans(7) for c in _plan_checks(plan)]
     split = families.t1_fiber_split_c7()
-    s.add(Check.equal("t1-multiplicity-structure", [1, 7],
-                      sorted(m for _, m in split.multiplicities)))
     e = split.elliptic
-    s.add(Check.equal("t1-elliptic-j-invariant", F(-3375), e.j, citation=GIVEN))
-    s.add(Check.equal("t1-elliptic-target-j", e.target_j, e.j))
-    s.add(Check.equal("t1-elliptic-twist-constant", F(-7, 16), e.twist))
-    return s
+    checks += [
+        Check.equal("t1-multiplicity-structure", [1, 7],
+                    sorted(m for _, m in split.multiplicities)),
+        Check.equal("t1-elliptic-j-invariant", F(-3375), e.j, citation=GIVEN),
+        Check.equal("t1-elliptic-target-j", e.target_j, e.j),
+        Check.equal("t1-elliptic-twist-constant", F(-7, 16), e.twist),
+    ]
+    return Suite("reductions7", tuple(checks))
 
 
 def suite_reductions9(opts) -> Suite:
     from .families import reduction_plans
-    s = Suite("reductions9")
     plan0, *plans = reduction_plans(9)
-    s.add(*_plan_checks(plan0, square_scalar=F(-9)))
+    checks = _plan_checks(plan0, square_scalar=F(-9))
     for plan in plans:
-        s.add(*_plan_checks(plan))
-    s.add(Check("ramification-degree-at-1", FLAGGED,
-                "7 (given)",
-                "9 (executed: two stacked degree-3 base changes)",
-                citation=GIVEN))
-    s.add(Check("plane-family-discriminant", FLAGGED,
-                "2^72*3^34*t^52*(t-1)^28",
-                "recorded only; no independent plane-model discriminant "
-                "computation in this package",
-                citation=GIVEN))
-    return s
+        checks += _plan_checks(plan)
+    checks += [
+        Check("ramification-degree-at-1", FLAGGED,
+              "7 (given)",
+              "9 (executed: two stacked degree-3 base changes)",
+              citation=GIVEN),
+        Check("plane-family-discriminant", FLAGGED,
+              "2^72*3^34*t^52*(t-1)^28",
+              "recorded only; no independent plane-model discriminant "
+              "computation in this package",
+              citation=GIVEN),
+    ]
+    return Suite("reductions9", tuple(checks))
 
 
 def suite_arakelov(opts) -> Suite:
     from . import families
-    s = Suite("arakelov")
     expected = {
         7: {"hyperelliptic-at-0": F(-6), "hyperelliptic-at-1": F(-9, 7),
             "hyperelliptic-at-infinity": F(22, 3)},
@@ -145,16 +145,19 @@ def suite_arakelov(opts) -> Suite:
             "plane-at-infinity": F(28, 3)},
     }
     degrees = {7: (F(1, 42), F(1, 84)), 9: (F(1, 18), F(1, 36))}
+    checks = []
     for n in (7, 9):
         rep = families.arakelov_check(n)
-        for name, c in rep.contributions:
-            s.add(Check.equal(f"weight-{n}-{name}", expected[n][name], c))
-        s.add(Check.equal(f"hodge-degree-{n}", degrees[n][0], rep.degree))
-        s.add(Check.equal(f"stack-degree-{n}", degrees[n][1], rep.stack_degree))
-        s.add(Check.predicate(f"degree-identity-{n}", rep.equal,
-                              "2 * hodge degree == 4 * stack degree",
-                              f"{rep.lhs} == {rep.rhs}"))
-    return s
+        checks += [Check.equal(f"weight-{n}-{name}", expected[n][name], c)
+                   for name, c in rep.contributions]
+        checks += [
+            Check.equal(f"hodge-degree-{n}", degrees[n][0], rep.degree),
+            Check.equal(f"stack-degree-{n}", degrees[n][1], rep.stack_degree),
+            Check.predicate(f"degree-identity-{n}", rep.equal,
+                            "2 * hodge degree == 4 * stack degree",
+                            f"{rep.lhs} == {rep.rhs}"),
+        ]
+    return Suite("arakelov", tuple(checks))
 
 
 def _decimal(k: int, digits: int) -> str:
@@ -200,7 +203,7 @@ def _trace_check(trip, precision: int) -> Check:
 
 def suite_quaternion(opts) -> Suite:
     from .quaternion import uniformizer_triple
-    s = Suite("quaternion")
+    checks = []
     for n in (7, 9):
         trip = uniformizer_triple(n)
         alg = trip.algebra
@@ -212,73 +215,74 @@ def suite_quaternion(opts) -> Suite:
               and dr * dq * dp == one and dr ** n == -one
               and dr * dr + (dr * nu) + one == alg.zero()
               and dq.reduced_trace() == fone and dq.reduced_norm() == fone)
-        s.add(Check.predicate(f"defining-identities-{n}", bool(ok),
-                              "six exact identities hold",
-                              "verified in exact arithmetic"))
         orders = (dp.projective_order(), dq.projective_order(),
                   dr.projective_order())
-        s.add(Check.equal(f"projective-orders-{n}", (2, 3, n), orders))
-        places = alg.split_real_places()
-        s.add(Check.equal(f"split-places-{n}", [0], places,
-                          citation=RECOMPUTED + "; index 0 is the most "
-                          "negative embedding of the generator"))
-        s.add(_trace_check(trip, opts.precision))
-    return s
+        checks += [
+            Check.predicate(f"defining-identities-{n}", bool(ok),
+                            "six exact identities hold",
+                            "verified in exact arithmetic"),
+            Check.equal(f"projective-orders-{n}", (2, 3, n), orders),
+            Check.equal(f"split-places-{n}", [0], alg.split_real_places(),
+                        citation=RECOMPUTED + "; index 0 is the most "
+                        "negative embedding of the generator"),
+            _trace_check(trip, opts.precision),
+        ]
+    return Suite("quaternion", tuple(checks))
 
 
 def suite_triangle(opts) -> Suite:
-    s = Suite("triangle")
+    checks = []
     for n in (7, 9):
         t = trianglestacks.classify(2, 3, n)
-        s.add(Check.equal(f"classification-2-3-{n}", "hyperbolic", t.kind))
-        s.add(Check.equal(f"excess-2-3-{n}",
-                          {7: F(1, 42), 9: F(1, 18)}[n], t.excess))
-        s.add(Check.equal(f"canonical-degree-2-3-{n}",
-                          {7: F(1, 84), 9: F(1, 36)}[n],
-                          trianglestacks.canonical_degree(2, 3, n)))
-        s.add(Check.equal(f"bezout-weights-2-{n}",
-                          {7: (4, 1), 9: (5, 1)}[n],
-                          trianglestacks.bezout_weights(2, n)))
-        prod, den = trianglestacks.relation_product(2, 3, n)
+        prod, den = trianglestacks.relation_product(n)
         size = len(prod)
         off = sum(prod[i][j] != (den ** 3 if i == j else 0)
                   for i in range(size) for j in range(size))
-        s.add(Check.predicate(
-            f"generator-relation-2-3-{n}", off == 0,
-            "M_r M_q M_p = den^3 I on the integer search matrices",
-            f"{size}x{size}, den = {den}: "
-            + ("holds exactly" if off == 0 else f"{off} entries differ")))
         depth = opts.depth
         svg = opts.svg if n == 7 else None
-        count = trianglestacks.tessellate(2, 3, n, depth=depth, svg_path=svg)
-        s.add(Check.equal(f"tile-count-2-3-{n}-depth-{depth}",
-                          TILE_COUNTS[(2, 3, n)][depth], count))
+        count = trianglestacks.tessellate(n, depth=depth, svg_path=svg)
+        checks += [
+            Check.equal(f"classification-2-3-{n}", "hyperbolic", t.kind),
+            Check.equal(f"excess-2-3-{n}", {7: F(1, 42), 9: F(1, 18)}[n], t.excess),
+            Check.equal(f"canonical-degree-2-3-{n}", {7: F(1, 84), 9: F(1, 36)}[n],
+                        trianglestacks.canonical_degree(2, 3, n)),
+            Check.equal(f"bezout-weights-2-{n}", {7: (4, 1), 9: (5, 1)}[n],
+                        trianglestacks.bezout_weights(2, n)),
+            Check.predicate(
+                f"generator-relation-2-3-{n}", off == 0,
+                "M_r M_q M_p = den^3 I on the integer search matrices",
+                f"{size}x{size}, den = {den}: "
+                + ("holds exactly" if off == 0 else f"{off} entries differ")),
+            Check.equal(f"tile-count-2-3-{n}-depth-{depth}", TILE_COUNTS[n][depth], count),
+        ]
         if svg:
             ok = os.path.exists(svg) and os.path.getsize(svg) > 0
-            s.add(Check.predicate("svg-written", ok, f"file at {svg}",
-                                  "written" if ok else "missing"))
-    return s
+            checks.append(Check.predicate("svg-written", ok, f"file at {svg}",
+                                          "written" if ok else "missing"))
+    return Suite("triangle", tuple(checks))
 
 
 def suite_hypergeometric(opts) -> Suite:
     from . import hypergeom
-    s = Suite("hypergeometric")
     exp = {7: (13, 29, 43, 83), 9: (5, 13, 19, 35)}
     counts = {7: {0: 8, 1: 8, 2: 8}, 9: {0: 4, 1: 4, 2: 4}}
     stab = {7: (1, 41, 55, 71), 9: (1, 17)}
     sums = {7: (24, 83), 9: (12, 35)}
+    checks = []
     for n in (7, 9):
         d = hypergeom.hypergeometric_data(n)
-        s.add(Check.equal(f"exponents-{n}", exp[n], d.exponents))
-        s.add(Check.equal(f"derived-exponent-{n}", d.level - 1, d.exponents[3]))
-        s.add(Check.equal(f"invariant-counts-{n}", counts[n],
-                          hypergeom.invariant_counts(d)))
-        s.add(Check.predicate(f"duality-{n}", hypergeom.duality_holds(d),
-                              "d(N-i) = 2 - d(i) over all units", "holds"))
-        s.add(Check.equal(f"stabilizer-{n}", stab[n], hypergeom.stabilizer(d)))
-        s.add(Check.equal(f"unit-sum-{n}", sums[n][0], hypergeom.unit_sum(d)))
-        s.add(Check.equal(f"full-sum-{n}", sums[n][1], hypergeom.full_sum(d)))
-    return s
+        checks += [
+            Check.equal(f"exponents-{n}", exp[n], d.exponents),
+            Check.equal(f"derived-exponent-{n}", d.level - 1, d.exponents[3]),
+            Check.equal(f"invariant-counts-{n}", counts[n],
+                        hypergeom.invariant_counts(d)),
+            Check.predicate(f"duality-{n}", hypergeom.duality_holds(d),
+                            "d(N-i) = 2 - d(i) over all units", "holds"),
+            Check.equal(f"stabilizer-{n}", stab[n], hypergeom.stabilizer(d)),
+            Check.equal(f"unit-sum-{n}", sums[n][0], hypergeom.unit_sum(d)),
+            Check.equal(f"full-sum-{n}", sums[n][1], hypergeom.full_sum(d)),
+        ]
+    return Suite("hypergeometric", tuple(checks))
 
 
 BUNDLED_SHA = {
@@ -289,27 +293,28 @@ BUNDLED_SHA = {
 
 def suite_cm_tables(opts) -> Suite:
     from . import cmtables
-    s = Suite("cm-tables")
+    checks = []
     for n in (7, 9):
         rep = cmtables.verify_table(n, data_dir=opts.data_dir)
-        s.add(Check.equal(f"row-count-x{n}", rep.expected_row_count,
-                          rep.row_count))
-        s.add(Check.predicate(f"no-duplicate-rows-x{n}", not rep.duplicates,
-                              "all field labels distinct",
-                              f"{len(rep.duplicates)} duplicates"))
         bad = [f for f in rep.findings if not f.ok]
-        s.add(Check.predicate(
-            f"row-consistency-x{n}", not bad,
-            f"{len(rep.findings)} checks over {rep.row_count} rows all pass",
-            "all pass" if not bad
-            else f"{len(bad)} failures, first: {bad[0].row} {bad[0].check}"))
+        checks += [
+            Check.equal(f"row-count-x{n}", rep.expected_row_count, rep.row_count),
+            Check.predicate(f"no-duplicate-rows-x{n}", not rep.duplicates,
+                            "all field labels distinct",
+                            f"{len(rep.duplicates)} duplicates"),
+            Check.predicate(
+                f"row-consistency-x{n}", not bad,
+                f"{len(rep.findings)} checks over {rep.row_count} rows all pass",
+                "all pass" if not bad
+                else f"{len(bad)} failures, first: {bad[0].row} {bad[0].check}"),
+        ]
         if opts.data_dir is None:
-            s.add(Check.equal(f"input-checksum-x{n}", BUNDLED_SHA[n],
-                              rep.checksum, citation=GIVEN))
+            checks.append(Check.equal(f"input-checksum-x{n}", BUNDLED_SHA[n],
+                                      rep.checksum, citation=GIVEN))
         else:
-            s.add(Check(f"input-checksum-x{n}", PASS, "(custom data dir)",
-                        rep.checksum, citation=GIVEN))
-    return s
+            checks.append(Check(f"input-checksum-x{n}", PASS, "(custom data dir)",
+                                rep.checksum, citation=GIVEN))
+    return Suite("cm-tables", tuple(checks))
 
 
 SUITES = {
@@ -325,11 +330,8 @@ SUITES = {
 
 
 def build_report(suite_name: str, opts) -> VerificationReport:
-    rep = VerificationReport(__version__)
     names = list(SUITES) if suite_name == "all" else [suite_name]
-    for name in names:
-        rep.add_suite(SUITES[name](opts))
-    return rep
+    return VerificationReport(__version__, tuple(SUITES[name](opts) for name in names))
 
 
 def main(argv=None) -> int:

@@ -238,10 +238,21 @@ class ReductionReport(Record):
 def apply_reduction(plan: ReductionPlan) -> ReductionReport:
     """Execute a reduction plan and verify it against its expected data.
 
-    Raises VerificationError when a step or the uniformizer lies off the
-    ring of the equation it applies to, a declared division is not exact,
-    the uniformizer does not fully cancel, or a non-flagged match fails.
+    This is the one place where a plan fails. Its steps, the final reduction
+    and the match raise MultiPolyError when a step, the uniformizer or the
+    target lies off the ring it meets, and VerificationError when a declared
+    division is not exact, the uniformizer does not fully cancel, or a
+    non-flagged match fails; either becomes one VerificationError whose
+    message starts with the plan's name.
     """
+    try:
+        return _reduce(plan)
+    except (MultiPolyError, VerificationError) as e:
+        raise VerificationError(f"{plan.name}: {e}") from e
+
+
+def _reduce(plan: ReductionPlan) -> ReductionReport:
+    """`apply_reduction` without the plan's name on its errors."""
     if plan.family == "hyperelliptic":
         eq = c7_equation()
     elif plan.family == "plane":
@@ -252,63 +263,43 @@ def apply_reduction(plan: ReductionPlan) -> ReductionReport:
     square_scalar = None
 
     for step in plan.steps:
-        _check_ring(plan, eq.variables, step)
         if isinstance(step, SubstStep):
             eq, _ = eq.substitute({v: (num, den) for v, num, den in step.assignments})
         elif isinstance(step, DivideStep):
             val = eq.valuation(step.var)
             if val < step.power:
-                raise VerificationError(
-                    f"{plan.name}: declared division by {step.var}^{step.power} "
-                    f"but valuation is {val}")
+                raise VerificationError(f"declared division by {step.var}^{step.power} "
+                                        f"but valuation is {val}")
             eq = eq.shift_down(step.var, step.power)
         elif isinstance(step, SquareCheck):
             fiber = eq.evaluate({step.var: F(0)})
             if isinstance(fiber, F):
-                raise VerificationError(f"{plan.name}: fiber degenerated to a constant")
-            sq = step.root * step.root
-            ratio = fiber.exact_div(sq)
+                raise VerificationError("fiber degenerated to a constant")
+            ratio = fiber.exact_div(step.root * step.root)
             if not ratio.is_constant():
-                raise VerificationError(f"{plan.name}: fiber is not a scalar "
-                                        f"multiple of the declared square")
+                raise VerificationError("fiber is not a scalar multiple of the declared square")
             square_scalar = ratio.constant_value()
         else:
             raise VerificationError(f"unknown step {step!r}")
 
-    if u not in eq.variables:
-        raise VerificationError(f"{plan.name}: uniformizer {u!r} is not on {eq.variables}")
     val = eq.valuation(u)
     if val != 0:
-        raise VerificationError(
-            f"{plan.name}: plan does not reduce, leftover {u}^{val}")
+        raise VerificationError(f"plan does not reduce, leftover {u}^{val}")
     reduced = eq.evaluate({u: F(0)})
     if isinstance(reduced, F):
-        raise VerificationError(f"{plan.name}: reduction degenerated to a constant")
+        raise VerificationError("reduction degenerated to a constant")
     reduced = restrict_vars(reduced, tuple(v for v in reduced.variables if v != u))
     if plan.match_kind == "twist":
         reduced = _solve_for_square(reduced, "y")
     return ReductionReport(reduced, _match_reduced(plan, reduced), square_scalar)
 
 
-def _check_ring(plan: ReductionPlan, ring: tuple, step) -> None:
-    """Raise VerificationError naming the plan when step reads a variable
-    or a polynomial off the ring it applies to, where MultiPoly would raise."""
-    if isinstance(step, SubstStep):
-        keys = {v for v, _, _ in step.assignments}
-        images = {p.variables for _, num, den in step.assignments
-                  for p in (num, den) if p is not None}
-        ok = (len(images) == 1 and keys <= set(ring)
-              and set(ring) - keys <= set(*images))
-    elif isinstance(step, SquareCheck):
-        ok = step.var in ring and step.root.variables == ring
-    else:
-        ok = not isinstance(step, DivideStep) or step.var in ring
-    if not ok:
-        raise VerificationError(f"{plan.name}: step {type(step).__name__} is not on {ring}")
-
-
 def _solve_for_square(p: MultiPoly, yvar: str) -> MultiPoly:
-    """From A*y^2 + B(rest) = 0 (A constant) to g = -B/A with y^2 = g."""
+    """From A*y^2 + B(rest) = 0 (A constant) to g = -B/A with y^2 = g, on
+    the ring of the other variables, which must not be empty."""
+    rest = tuple(v for v in p.variables if v != yvar)
+    if not rest:
+        raise VerificationError(f"no variable but {yvar} is left for g")
     if p.degree(yvar) != 2:
         raise VerificationError(f"expected degree 2 in {yvar}")
     A = p.coefficient(yvar, 2)
@@ -317,38 +308,33 @@ def _solve_for_square(p: MultiPoly, yvar: str) -> MultiPoly:
     if not p.coefficient(yvar, 1).is_zero():
         raise VerificationError(f"unexpected linear {yvar} term")
     B = p.coefficient(yvar, 0)
-    g = B / (-A.constant_value())
-    return restrict_vars(g, tuple(v for v in g.variables if v != yvar))
+    return restrict_vars(B / (-A.constant_value()), rest)
 
 
 def _match_reduced(plan: ReductionPlan, reduced: MultiPoly):
-    if reduced.variables != plan.expected.variables:
-        raise VerificationError(f"{plan.name}: reduced equation is on {reduced.variables}, "
-                                f"the target on {plan.expected.variables}")
     if plan.match_kind == "twist":
-        var = plan.expected.variables_used()[0]
-        m = match_hyperelliptic_up_to_twist(reduced, plan.expected, var)
+        # y^2 = reduced(x), on the ring of x that _solve_for_square left
+        m = match_hyperelliptic_up_to_twist(reduced, plan.expected, reduced.variables[0])
         if m is None:
-            raise VerificationError(f"{plan.name}: reduced equation does not "
-                                    f"match the expected curve up to twist")
+            raise VerificationError("reduced equation does not match the "
+                                    "expected curve up to twist")
         return ("twist",) + m
     if plan.match_kind == "proportional":
         r = match_proportional(reduced, plan.expected)
         if r is None:
-            raise VerificationError(f"{plan.name}: reduced equation is not "
-                                    f"proportional to the expected one")
+            raise VerificationError("reduced equation is not proportional to the expected one")
         return ("proportional", r)
     if plan.match_kind == "display-gap":
         return _match_display_gap(plan, reduced)
     raise VerificationError(f"unknown match kind {plan.match_kind!r}")
 
 
-def _split_cube(name: str, p: MultiPoly) -> tuple:
+def _split_cube(p: MultiPoly) -> tuple:
     """(f, c) with p = f(Y) + c*W^3 and c a nonzero constant, or raise."""
     free, cube = p.coefficient("W", 0), p.coefficient("W", 3)
     W = MultiPoly.variable("W", p.variables)
     if cube.is_zero() or not cube.is_constant() or p != free + cube * W ** 3:
-        raise VerificationError(f"{name}: {p} is not f(Y) + c*W^3")
+        raise VerificationError(f"{p} is not f(Y) + c*W^3")
     return free, cube.constant_value()
 
 
@@ -362,11 +348,11 @@ def _match_display_gap(plan: ReductionPlan, reduced: MultiPoly):
     rather than a failure (the underlying curve is the same over the
     algebraic closure).
     """
-    lw, l3 = _split_cube(plan.name, reduced)
-    tw, t3 = _split_cube(plan.name, plan.expected)
+    lw, l3 = _split_cube(reduced)
+    tw, t3 = _split_cube(plan.expected)
     scale = match_proportional(lw, tw)
     if scale is None:
-        raise VerificationError(f"{plan.name}: W-free parts not proportional")
+        raise VerificationError("W-free parts not proportional")
     w_ratio = l3 / t3
     if w_ratio == scale:
         # would be a clean proportional match after all
@@ -401,7 +387,7 @@ def match_hyperelliptic_up_to_twist(lhs: MultiPoly, target: MultiPoly,
     solution fit, the one with lambda > 0 is returned.
     """
     if lhs.variables != target.variables:
-        raise MultiPolyError("matcher operands must share a variable tuple")
+        raise MultiPolyError(f"matcher operands are on {lhs.variables} and {target.variables}")
     try:
         lc, tc = poly_to_dense(lhs, var), poly_to_dense(target, var)
     except MultiPolyError:
@@ -437,7 +423,7 @@ def match_proportional(lhs: MultiPoly, target: MultiPoly) -> Fraction | None:
     The contents fix |r|, so only r and -r are tried.
     """
     if lhs.variables != target.variables:
-        raise MultiPolyError("matcher operands must share a variable tuple")
+        raise MultiPolyError(f"matcher operands are on {lhs.variables} and {target.variables}")
     if lhs.is_zero() or target.is_zero():
         return None
     r = lhs.content() / target.content()

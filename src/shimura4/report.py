@@ -5,9 +5,9 @@ A Check compares an expected value against a recomputed one. Status
 recomputed; they are surfaced prominently but do not fail a run. The JSON
 form is deterministic: fixed key order, fixed separators, no timestamps.
 
-Checks, suites and reports are records (`shimura4.record`): no field is
-ever reassigned. A suite's list of checks and a report's list of suites
-are its own, and grow through `add` and `add_suite`.
+Checks, suites and reports are records (`shimura4.record`), built once: a
+suite holds a tuple of checks and a report a tuple of suites, so each one
+compares and hashes by its contents.
 """
 
 from __future__ import annotations
@@ -50,38 +50,18 @@ class Check(Record):
 
 class Suite(Record):
     name: str
-    checks: list[Check]
-
-    def __init__(self, name: str, checks: list[Check] | None = None):
-        # a fresh list per suite, which add() appends to
-        super().__init__(name, [] if checks is None else checks)
-
-    def add(self, *checks: Check) -> None:
-        self.checks.extend(checks)
-
-    def counts(self) -> dict:
-        out = {PASS: 0, FAIL: 0, FLAGGED: 0}
-        for c in self.checks:
-            out[c.status] += 1
-        return out
+    checks: tuple       # (Check, ...)
 
 
 class VerificationReport(Record):
     version: str
-    suites: list[Suite]
-
-    def __init__(self, version: str, suites: list[Suite] | None = None):
-        # a fresh list per report, which add_suite() appends to
-        super().__init__(version, [] if suites is None else suites)
-
-    def add_suite(self, suite: Suite) -> None:
-        self.suites.append(suite)
+    suites: tuple       # (Suite, ...)
 
     def counts(self) -> dict:
         out = {PASS: 0, FAIL: 0, FLAGGED: 0}
         for s in self.suites:
-            for k, v in s.counts().items():
-                out[k] += v
+            for c in s.checks:
+                out[c.status] += 1
         return out
 
     @property

@@ -3,13 +3,14 @@
 The exact part: curvature classification of a triple (p, q, r), the degree
 of the log-canonical bundle on the associated quotient stack, the
 Bezout-type weight pairs used in the local cyclic-quotient bookkeeping, and
-the tile counts of the (2, 3, n) tessellations. A count is a breadth-first
-search over words in the quaternion triple of `quaternion.uniformizer_triple`:
-each word is an integer coordinate vector, each step an integer
-matrix-vector product over the nonzero matrix entries with an exact
-division, and tiles are told apart by hashing vectors up to sign. Steps
-whose word is provably found already (delta_p^-1, and the step back to a
-tile's parent) are skipped. No float decides whether two tiles are equal.
+the tile counts of the (2, 3, n) tessellations, which take n alone. A count
+is a breadth-first search over words in the quaternion triple of
+`quaternion.uniformizer_triple`: each word is an integer coordinate vector,
+each step an integer matrix-vector product over the nonzero matrix entries
+with an exact division, and tiles are told apart by hashing vectors up to
+sign. Steps whose word is provably found already (delta_p^-1, and the step
+back to a tile's parent) are skipped. No float decides whether two tiles
+are equal.
 
 The relation delta_r delta_q delta_p = 1 is checked exactly, on the same
 integer matrices the search runs on (`relation_product`).
@@ -102,24 +103,25 @@ def _sparse_rows(matrix: tuple) -> tuple:
     return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in matrix)
 
 
-def _generators(r: int) -> list:
+def _generators(n: int) -> list:
     """The six generators the search steps by and the drawing draws with:
     delta, delta^-1 for delta = delta_p, delta_q, delta_r of
-    `uniformizer_triple(r)`, in that order."""
+    `uniformizer_triple(n)`, in that order."""
     # imported here: the arakelov check in families imports this module for
     # canonical_degree alone, and should not load the number field and
     # quaternion modules
     from .quaternion import uniformizer_triple
-    trip = uniformizer_triple(r)
+    trip = uniformizer_triple(n)
     return [g for delta in (trip.delta_p, trip.delta_q, trip.delta_r)
             for g in (delta, delta.inverse())]
 
 
 @lru_cache(maxsize=None)
-def _generator_matrices(p: int, q: int, r: int) -> tuple:
-    """Integer left-multiplication matrices of the quaternion triple.
+def _generator_matrices(n: int) -> tuple:
+    """Integer left-multiplication matrices of the (2, 3, n) quaternion
+    triple, for n odd and >= 7.
 
-    For each g of `_generators(r)`, the matrix of x -> g x over Q in the
+    For each g of `_generators(n)`, the matrix of x -> g x over Q in the
     basis v^k e_s (v generates the field, e_s = 1, i, j, k), read off the
     algebra's structure constants by `quaternion._left_matrix`, as rows,
     times the least common denominator `den` of all six. Returns
@@ -131,11 +133,11 @@ def _generator_matrices(p: int, q: int, r: int) -> tuple:
     delta_p^2 = -1 makes it -delta_p; that is checked here, exactly, on the
     matrices themselves.
     """
-    if p != 2 or q != 3 or not isinstance(r, int) or r < 7 or r % 2 == 0:
+    if not isinstance(n, int) or n < 7 or n % 2 == 0:
         raise TriangleError(f"exact tessellation covers (2,3,n) with n odd and "
-                            f">= 7, got ({p},{q},{r})")
+                            f">= 7, got n = {n!r}")
     from .quaternion import _left_matrix
-    left = [_left_matrix(g) for g in _generators(r)]
+    left = [_left_matrix(g) for g in _generators(n)]
     # to one common denominator, then to the least one
     den = math.lcm(*(d for _, d in left))
     mats = [[[c * (den // d) for c in row] for row in m] for m, d in left]
@@ -147,12 +149,12 @@ def _generator_matrices(p: int, q: int, r: int) -> tuple:
     return mats, den, tuple(_sparse_rows(m) for m in mats)
 
 
-def relation_product(p: int, q: int, r: int) -> tuple:
+def relation_product(n: int) -> tuple:
     """(M_r M_q M_p, den) for the integer generator matrices of
     `_generator_matrices`: the product is den^3 times the matrix of
     x -> delta_r delta_q delta_p x, so the relation holds exactly when it
     equals den^3 I."""
-    mats, den, _ = _generator_matrices(p, q, r)
+    mats, den, _ = _generator_matrices(n)
     prod = mats[0]
     for m in (mats[2], mats[4]):
         prod = tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*prod))
@@ -175,7 +177,7 @@ def _apply(rows: tuple, u: tuple, den: int) -> tuple:
     return tuple(out)
 
 
-def _tile_tree(p: int, q: int, r: int, max_len: int) -> list:
+def _tile_tree(n: int, max_len: int) -> list:
     """Breadth-first search over words of length <= max_len in the exact
     generators and their inverses, one entry per distinct tile.
 
@@ -192,7 +194,7 @@ def _tile_tree(p: int, q: int, r: int, max_len: int) -> list:
     its parent: g^-1, or delta_p again when g is delta_p (delta_p^2 = -1).
     Each step multiplies only the nonzero entries of the generator's rows.
     """
-    _, den, sparse = _generator_matrices(p, q, r)
+    _, den, sparse = _generator_matrices(n)
     start = (den,) + (0,) * (len(sparse[0]) - 1)
     seen = {start}
     tiles = [(-1, -1, 0)]
@@ -218,15 +220,15 @@ def _tile_tree(p: int, q: int, r: int, max_len: int) -> list:
 MAX_DEPTH = 12  # cli.TILE_COUNTS freezes the counts through this depth
 
 
-def tessellate(p: int, q: int, r: int, depth: int = 4,
-               svg_path: str | None = None) -> int:
-    """Number of distinct triangle tiles within BFS depth of the base tile.
+def tessellate(n: int, depth: int = 4, svg_path: str | None = None) -> int:
+    """Number of distinct (2, 3, n) triangle tiles within BFS depth of the
+    base tile.
 
     Tiles are images of the base triangle under words in the quaternion
-    triple of `uniformizer_triple(r)` and its inverses. The count is exact:
+    triple of `uniformizer_triple(n)` and its inverses. The count is exact:
     words run as integer coordinate vectors, and two words give the same
-    tile exactly when their vectors agree up to sign. So (p, q, r) must be
-    (2, 3, n) with n odd and >= 7. Floats are used only for drawing: with
+    tile exactly when their vectors agree up to sign. So n must be odd and
+    >= 7. Floats are used only for drawing: with
     svg_path, `drawing.render_svg` evaluates the same generators at the
     algebra's split real place and renders the tiles to an SVG file with
     geodesic edges.
@@ -235,8 +237,8 @@ def tessellate(p: int, q: int, r: int, depth: int = 4,
         raise TriangleError("depth must be a non-negative integer")
     if depth > MAX_DEPTH:
         raise TriangleError(f"depth capped at {MAX_DEPTH}")
-    tiles = _tile_tree(p, q, r, depth)
+    tiles = _tile_tree(n, depth)
     if svg_path is not None:
         from .drawing import render_svg
-        render_svg(svg_path, _generators(r), tiles)
+        render_svg(svg_path, _generators(n), tiles)
     return len(tiles)

@@ -243,6 +243,16 @@ def test_full_run_applies_each_plan_once(monkeypatch, capsys):
     assert len(calls) == 7 == len(set(calls))
 
 
+def test_equal_suites_and_reports_hash_equal():
+    # a suite and a report are values, built once: two runs of the same
+    # suite give equal suites and equal reports, which hash equal and
+    # collapse in a set
+    r1, r2 = (cli.build_report("hypergeometric", None) for _ in range(2))
+    (s1,), (s2,) = r1.suites, r2.suites
+    assert s1 == s2 and hash(s1) == hash(s2) and len({s1, s2}) == 1
+    assert r1 == r2 and hash(r1) == hash(r2) and len({r1, r2}) == 1
+
+
 def test_failed_plan_fails_square_scalar_and_match(monkeypatch):
     def failing(plan):
         raise VerificationError("synthetic")
@@ -251,6 +261,16 @@ def test_failed_plan_fails_square_scalar_and_match(monkeypatch):
     assert [(c.id, c.status, c.actual) for c in checks[:2]] == [
         ("plane-at-0-square-scalar", "fail", "synthetic"),
         ("plane-at-0-match", "fail", "synthetic")]
+
+
+def _run_with_plans(monkeypatch, capsys, n, plans, args):
+    """Run the CLI with `plans` as the reduction plans of family n; return the
+    exit code, the checks of the JSON report by id, and stderr."""
+    original = families.reduction_plans
+    monkeypatch.setattr(families, "reduction_plans",
+                        lambda k: plans if k == n else original(k))
+    code, out, err = run(capsys, args + ["--json"])
+    return code, {c["id"]: c for s in json.loads(out)["suites"] for c in s["checks"]}, err
 
 
 @pytest.mark.parametrize("n, name, ring", [
@@ -265,19 +285,41 @@ def test_target_on_another_ring_fails_only_its_match(monkeypatch, capsys, n, nam
     pad = (0,) * (len(ring) - len(plan.expected.variables))
     target = MultiPoly(ring, {e + pad: c for e, c in plan.expected.terms.items()})
     swapped = tuple(with_fields(p, expected=target) if p is plan else p for p in plans)
-    original = families.reduction_plans
-    monkeypatch.setattr(families, "reduction_plans",
-                        lambda k: swapped if k == n else original(k))
-    code, out, _ = run(capsys, ["--json"])
+    code, checks, _ = _run_with_plans(monkeypatch, capsys, n, swapped, [])
     assert code == 1
-    checks = {c["id"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
     assert [i for i, c in checks.items() if c["status"] == "fail"] == [f"{name}-match"]
     assert checks[f"{name}-match"]["actual"].startswith(f"{name}: ")
     assert str(ring) in checks[f"{name}-match"]["actual"]
 
 
+def _bad_twist(plan, kind):
+    """hyperelliptic-at-0 with a constant target, or with x sent to 1, so that
+    y^2 = g leaves g no variable."""
+    if kind == "constant-target":
+        return with_fields(plan, expected=MultiPoly.constant(3, ("x",)))
+    y, u = MultiPoly.generators("y", "u")
+    return with_fields(plan, steps=(families.SubstStep(assignments=(
+        ("x", MultiPoly.constant(1, ("y", "u")), None), ("y", y, None), ("t", u, None))),))
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("constant-target", "reduced equation does not match the expected curve up to twist"),
+    ("no-variable-left", "no variable but y is left for g"),
+], ids=["constant-target", "no-variable-left"])
+def test_bad_twist_plan_fails_only_its_match(monkeypatch, capsys, kind, reason):
+    # a twist target with no variable, or a reduction that leaves g none,
+    # fails only the plan's match, not the run, and the run still reports
+    plans = families.reduction_plans(7)
+    swapped = (_bad_twist(plans[0], kind),) + plans[1:]
+    code, checks, err = _run_with_plans(monkeypatch, capsys, 7, swapped, ["reductions7"])
+    assert code == 1, err
+    assert [i for i, c in checks.items() if c["status"] == "fail"] == ["hyperelliptic-at-0-match"]
+    assert checks["hyperelliptic-at-0-match"]["actual"] == f"hyperelliptic-at-0: {reason}"
+
+
 def _off_ring(plan, kind):
-    """plane-at-0 with one step, or its uniformizer, off the equation's ring."""
+    """plane-at-0 with one step, or its uniformizer, off the equation's ring,
+    or with a zero denominator in its first substitution."""
     if kind == "uniformizer":
         return with_fields(plan, uniformizer="q")
     steps = list(plan.steps)
@@ -288,24 +330,26 @@ def _off_ring(plan, kind):
         steps[k] = with_fields(steps[k], root=Y ** 3 - W)
     elif kind == "divide":
         steps[k - 1] = with_fields(steps[k - 1], var="q")
+    elif kind == "zero-denominator":
+        (v, num, _), *rest = steps[0].assignments
+        steps[0] = with_fields(steps[0], assignments=(
+            (v, num, MultiPoly.zero(num.variables)), *rest))
     else:
         steps[0] = with_fields(steps[0], assignments=steps[0].assignments + (
             ("q", MultiPoly.generators("Y", "W", "s")[0], None),))
     return with_fields(plan, steps=tuple(steps))
 
 
-@pytest.mark.parametrize("kind", ["square-root", "divide", "uniformizer", "substitution"])
+@pytest.mark.parametrize("kind", ["square-root", "divide", "uniformizer", "substitution",
+                                  "zero-denominator"])
 def test_step_off_the_ring_fails_only_its_plan(monkeypatch, capsys, kind):
-    # a step on a variable the equation lacks fails the plan's checks with
-    # the plan's name, and the run still prints its report
+    # a step on a variable the equation lacks, or one that divides by zero,
+    # fails the plan's checks with the plan's name, and the run still prints
+    # its report
     plans = families.reduction_plans(9)
     swapped = (_off_ring(plans[0], kind),) + plans[1:]
-    original = families.reduction_plans
-    monkeypatch.setattr(families, "reduction_plans",
-                        lambda k: swapped if k == 9 else original(k))
-    code, out, err = run(capsys, ["reductions9", "--json"])
+    code, checks, err = _run_with_plans(monkeypatch, capsys, 9, swapped, ["reductions9"])
     assert code == 1, err
-    checks = {c["id"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
     failed = [i for i, c in checks.items() if c["status"] == "fail"]
     assert failed == ["plane-at-0-square-scalar", "plane-at-0-match"]
     assert all(checks[i]["actual"].startswith("plane-at-0: ") for i in failed)

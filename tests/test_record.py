@@ -87,14 +87,14 @@ def test_repr_names_each_field():
     assert repr(DivideStep("x", 10)) == "DivideStep(var='x', power=10)"
 
 
-def test_suites_and_reports_get_fresh_lists():
-    a, b = Suite("a"), Suite("b")
-    a.add(Check("x", PASS, "1", "1"))
-    assert a.checks == [Check("x", PASS, "1", "1")] and b.checks == []
-    r1, r2 = VerificationReport("0"), VerificationReport("0")
-    r1.add_suite(a)
-    assert r1.suites == [a] and r2.suites == []
-    assert Suite("a", [Check("x", PASS, "1", "1")]) == a
+def test_suites_and_reports_are_built_from_tuples():
+    a, b = Suite("a", (Check("x", PASS, "1", "1"),)), Suite("b", ())
+    assert a.checks == (Check("x", PASS, "1", "1"),) and b.checks == ()
+    r1, r2 = VerificationReport("0", (a,)), VerificationReport("0", ())
+    assert r1.suites == (a,) and r2.suites == ()
+    assert Suite("a", (Check("x", PASS, "1", "1"),)) == a
+    with pytest.raises(AttributeError):
+        a.checks = ()
 
 
 def _bad_algebra():

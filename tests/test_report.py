@@ -27,20 +27,17 @@ def test_check_equal_and_predicate():
 
 
 def test_counts_and_failed():
-    s = Suite("s")
-    s.add(Check("a", PASS, "1", "1"))
-    s.add(Check("b", FLAGGED, "1", "2"))
-    rep = VerificationReport("0.0.0", [s])
+    a, b, c = Check("a", PASS, "1", "1"), Check("b", FLAGGED, "1", "2"), Check("c", FAIL, "1", "3")
+    rep = VerificationReport("0.0.0", (Suite("s", (a, b)),))
     assert rep.counts() == {PASS: 1, FAIL: 0, FLAGGED: 1}
     assert not rep.failed
-    s.add(Check("c", FAIL, "1", "3"))
+    rep = VerificationReport("0.0.0", (Suite("s", (a, b)), Suite("t", (c,))))
+    assert rep.counts() == {PASS: 1, FAIL: 1, FLAGGED: 1}
     assert rep.failed
 
 
 def test_json_shape_and_determinism():
-    s = Suite("s")
-    s.add(Check("a", PASS, "1", "1"))
-    rep = VerificationReport("0.1.0", [s])
+    rep = VerificationReport("0.1.0", (Suite("s", (Check("a", PASS, "1", "1"),)),))
     j1 = rep.to_json()
     j2 = rep.to_json()
     assert j1 == j2
@@ -52,9 +49,8 @@ def test_json_shape_and_determinism():
 
 
 def test_text_summary_line():
-    s = Suite("s")
-    s.add(Check("a", PASS, "1", "1"))
-    s.add(Check("b", FAIL, "1", "2"))
-    text = VerificationReport("0.1.0", [s]).to_text()
+    s = Suite("s", (Check("a", PASS, "1", "1"), Check("b", FAIL, "1", "2")))
+    text = VerificationReport("0.1.0", (s,)).to_text()
     assert text.splitlines()[-1] == "1 passed, 0 flagged, 1 failed"
     assert "[FAIL] b" in text
+

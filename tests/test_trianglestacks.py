@@ -129,12 +129,12 @@ def test_generator_traces():
 
 
 def test_tessellate_depth0_and_1():
-    assert tessellate(2, 3, 7, depth=0) == 1
+    assert tessellate(7, depth=0) == 1
     # depth 1: the 6 words g, g^-1 over three generators, minus identifications;
     # for (2,3,7) all six are distinct from the identity and from each other
     # except gp = gp^-1 (order 2), giving 5 new tiles + base = 6
-    assert tessellate(2, 3, 7, depth=1) == 6
-    assert tessellate(2, 3, 9, depth=1) == 6
+    assert tessellate(7, depth=1) == 6
+    assert tessellate(9, depth=1) == 6
 
 
 def _float_dedup_counts(p, q, r, max_len):
@@ -158,34 +158,33 @@ def _float_dedup_counts(p, q, r, max_len):
 
 def test_depth1_count_independent_dedup():
     for n in (7, 9):
-        exact = [tessellate(2, 3, n, depth=d) for d in range(7)]
+        exact = [tessellate(n, depth=d) for d in range(7)]
         assert exact == _float_dedup_counts(2, 3, n, 6)
 
 
 def test_tessellate_growth_regression():
-    assert [tessellate(2, 3, 7, depth=d) for d in range(5)] == [1, 6, 15, 31, 55]
-    assert tessellate(2, 3, 9, depth=4) == 59
+    assert [tessellate(7, depth=d) for d in range(5)] == [1, 6, 15, 31, 55]
+    assert tessellate(9, depth=4) == 59
 
 
 def test_tessellate_depth_guard():
     with pytest.raises(TriangleError):
-        tessellate(2, 3, 7, depth=-1)
+        tessellate(7, depth=-1)
     with pytest.raises(TriangleError):
-        tessellate(2, 3, 7, depth=99)
+        tessellate(7, depth=99)
     with pytest.raises(TriangleError):
-        tessellate(2, 3, 7, depth=MAX_DEPTH + 1)
+        tessellate(7, depth=MAX_DEPTH + 1)
 
 
 def test_tessellate_needs_hyperbolic():
     with pytest.raises(TriangleError):
-        tessellate(2, 3, 5, depth=2)
+        tessellate(5, depth=2)
 
 
-@pytest.mark.parametrize("pqr", [(2, 3, 8), (3, 3, 7)])
-def test_tessellate_needs_a_quaternion_triple(pqr):
+def test_tessellate_needs_a_quaternion_triple():
     # exact only for the (2,3,n) triples with n odd and >= 7
-    with pytest.raises(TriangleError):
-        tessellate(*pqr, depth=2)
+    with pytest.raises(TriangleError, match="n = 8"):
+        tessellate(8, depth=2)
 
 
 def test_bfs_step_raises_on_remainder():
@@ -195,10 +194,10 @@ def test_bfs_step_raises_on_remainder():
         _apply(_sparse_rows(((1, 1), (1, 0))), (3, 1), 2)
 
 
-def _full_tile_tree(p, q, r, max_len):
+def _full_tile_tree(n, max_len):
     """The tile tree by a breadth-first search that applies all six dense
     generator matrices to every tile and skips nothing."""
-    mats, den, _ = _generator_matrices(p, q, r)
+    mats, den, _ = _generator_matrices(n)
     start = (den,) + (0,) * (len(mats[0]) - 1)
     seen, tiles, frontier = {start}, [(-1, -1, 0)], [(0, start)]
     for length in range(1, max_len + 1):
@@ -223,7 +222,7 @@ def _full_tile_tree(p, q, r, max_len):
 
 @pytest.mark.parametrize("n", [7, 9, 11])
 def test_pruned_sparse_search_matches_the_full_search(n):
-    assert _tile_tree(2, 3, n, 8) == _full_tile_tree(2, 3, n, 8)
+    assert _tile_tree(n, 8) == _full_tile_tree(n, 8)
 
 
 @pytest.mark.parametrize("n,count,sha", [
@@ -231,7 +230,7 @@ def test_pruned_sparse_search_matches_the_full_search(n):
     (9, 3091, "2728a5c467918954050e4bd04061a0515886f90c70f6482329ac1c411a982c04"),
 ])
 def test_tile_tree_is_frozen_at_max_depth(n, count, sha):
-    tiles = _tile_tree(2, 3, n, MAX_DEPTH)
+    tiles = _tile_tree(n, MAX_DEPTH)
     assert len(tiles) == count
     assert hashlib.sha256(json.dumps(tiles).encode()).hexdigest() == sha
 
@@ -249,18 +248,18 @@ def test_generator_matrices_refuse_a_delta_p_of_order_other_than_4(monkeypatch):
     _generator_matrices.cache_clear()
     try:
         with pytest.raises(TriangleError, match="delta_p"):
-            _generator_matrices(2, 3, 7)
+            _generator_matrices(7)
     finally:
         _generator_matrices.cache_clear()
 
 
 @pytest.mark.parametrize("n,size", [(7, 12), (9, 12), (11, 20)])
 def test_relation_product_is_den_cubed_identity(n, size):
-    prod, den = relation_product(2, 3, n)
+    prod, den = relation_product(n)
     assert prod == tuple(tuple(den ** 3 if i == j else 0 for j in range(size))
                          for i in range(size))
     # the products are not taken up to sign: delta_p^2 = -1 gives -den^2 I
-    mp = _generator_matrices(2, 3, n)[0][0]
+    mp = _generator_matrices(n)[0][0]
     square = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*mp))
                    for row in mp)
     assert square == tuple(tuple(-den ** 2 if i == j else 0 for j in range(size))
@@ -269,18 +268,18 @@ def test_relation_product_is_den_cubed_identity(n, size):
 
 @pytest.mark.parametrize("n", [7, 9, 11, 13])
 def test_structure_constant_matrices_match_the_quaternion_products(n):
-    mats, den, sparse = _generator_matrices(2, 3, n)
+    mats, den, sparse = _generator_matrices(n)
     assert (mats, den) == generator_matrices_by_products(n)
     assert sparse == tuple(_sparse_rows(m) for m in mats)
 
 
 def test_generator_matrices_are_cached():
-    assert _generator_matrices(2, 3, 7) is _generator_matrices(2, 3, 7)
+    assert _generator_matrices(7) is _generator_matrices(7)
 
 
 def test_svg_output(tmp_path):
     out = tmp_path / "tiling.svg"
-    n = tessellate(2, 3, 7, depth=2, svg_path=str(out))
+    n = tessellate(7, depth=2, svg_path=str(out))
     assert n == 15
     text = out.read_text()
     assert text.startswith("<svg")
@@ -301,7 +300,7 @@ def _disk_distance(z, w):
 def test_drawing_agrees_with_the_trig_oracle(n):
     # the drawing evaluates the exact generators at a real place; the trig
     # model builds its triangle from the angles alone
-    tiles = _tile_tree(2, 3, n, 6)
+    tiles = _tile_tree(n, 6)
     verts = _tile_vertices(_generators(n), tiles)
     sides = [_disk_distance(verts[0][i - 2], verts[0][i - 1]) for i in range(3)]
     oracle = triangle_vertices(2, 3, n)
@@ -314,5 +313,5 @@ def test_drawing_agrees_with_the_trig_oracle(n):
                      / (math.sinh(b) * math.sinh(c)))
         assert abs(math.acos(cos_angle) - math.pi / k) < 1e-9
     centroids = [sum(tri) / 3 for tri in verts]
-    assert len(centroids) == tessellate(2, 3, n, depth=6)
+    assert len(centroids) == tessellate(n, depth=6)
     assert min(abs(u - w) for u, w in itertools.combinations(centroids, 2)) > 1e-6
