@@ -51,9 +51,9 @@ def suite_disc7(opts) -> Suite:
         Check.equal("t-valuation", 54, rep.t_valuation),
         Check.equal("t-minus-1-valuation", 12, rep.t1_valuation),
         Check.equal("model-constant-factorization", "2^20*3^36*7^10",
-                    factorization_string(rep.constant_factors)),
+                    factorization_string(dict(rep.constant_factors))),
         Check.equal("curve-constant-factorization", "2^36*3^36*7^10",
-                    factorization_string(rep.curve_constant_factors),
+                    factorization_string(dict(rep.curve_constant_factors)),
                     citation=GIVEN + "; model constant times 2^16 = 2^(4g)"),
         Check.predicate("singular-fibers-exactly-0-1", smooth_ok,
                         "vanishing only at t = 0, 1",
@@ -145,16 +145,20 @@ def suite_arakelov(opts) -> Suite:
             "plane-at-infinity": F(28, 3)},
     }
     degrees = {7: (F(1, 42), F(1, 84)), 9: (F(1, 18), F(1, 36))}
+    identity = "2 * hodge degree == 4 * stack degree"
     checks = []
     for n in (7, 9):
-        rep = families.arakelov_check(n)
+        try:
+            rep = families.arakelov_check(n)
+        except families.VerificationError as e:
+            checks.append(Check.predicate(f"degree-identity-{n}", False, identity, str(e)))
+            continue
         checks += [Check.equal(f"weight-{n}-{name}", expected[n][name], c)
                    for name, c in rep.contributions]
         checks += [
             Check.equal(f"hodge-degree-{n}", degrees[n][0], rep.degree),
             Check.equal(f"stack-degree-{n}", degrees[n][1], rep.stack_degree),
-            Check.predicate(f"degree-identity-{n}", rep.equal,
-                            "2 * hodge degree == 4 * stack degree",
+            Check.predicate(f"degree-identity-{n}", rep.equal, identity,
                             f"{rep.lhs} == {rep.rhs}"),
         ]
     return Suite("arakelov", tuple(checks))
@@ -189,8 +193,9 @@ def _trace_check(trip, precision: int) -> Check:
         actual = "not shown: " + "; ".join(failed)
     else:
         # once sigma_0(-v) is known to be g's largest root, its enclosure is
-        # refined on g's own isolating interval: the field's cached root
-        # intervals depend on what ran before, this one does not
+        # refined on g's own isolating interval: sigma_0(-v) is a root of g,
+        # not of the field's minimal polynomial, whose roots the field's
+        # intervals isolate
         digits = precision + 1
         lo, hi = refine_interval(g, lo, hi, F(1, 10 ** digits))
         actual = (f"sigma_0(-v) in [{_decimal(math.floor(lo * 10 ** digits), digits)}, "

@@ -157,12 +157,6 @@ class TableReport(Record):
     findings: tuple[RowFinding, ...]
     checksum: str
 
-    @property
-    def ok(self) -> bool:
-        return (self.row_count == self.expected_row_count
-                and not self.duplicates
-                and all(f.ok for f in self.findings))
-
 
 def verify_table(n: int, data_dir: str | None = None) -> TableReport:
     table = load_table(n, data_dir)

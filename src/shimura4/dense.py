@@ -2,12 +2,14 @@
 
 A dense polynomial is a list of coefficients, lowest first, with no
 trailing zeros; [] is the zero polynomial. The routines run on int lists;
-`_int_dense` clears the denominators of a list of Fractions. The gcd is
-the primitive remainder sequence: by Gauss's lemma a primitive gcd divides
-exactly in Z[t], so every quotient here is checked exact. `multipoly`
-builds its squarefree decomposition and resultants on these routines, and
-`numberfield` its Sturm chains and minimal polynomials; this module imports
-nothing from the package, so a number field loads no polynomial ring.
+`_int_dense` clears the denominators of a list of Fractions. `_prs` is the
+one signed primitive remainder sequence of the package: the gcd is its last
+term made primitive (by Gauss's lemma a primitive gcd divides exactly in
+Z[t], so every quotient here is checked exact), and `numberfield` reads the
+whole sequence of p and p' as the Sturm chain of p. `multipoly` builds its
+squarefree decomposition and resultants on these routines, and
+`numberfield` its minimal polynomials too; this module imports nothing
+from the package, so a number field loads no polynomial ring.
 """
 
 from __future__ import annotations
@@ -73,18 +75,32 @@ def _zt_divide(a: list, b: list):
 
 def _zt_gcd(a: list, b: list) -> list:
     """Primitive gcd, positive leading coefficient, of dense int a and b,
-    [] when both are zero: the primitive remainder sequence."""
+    [] when both are zero: the last term of their remainder sequence."""
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return _primitive(a) if a else []
-    a, b = _primitive(a), _primitive(b)
-    while len(b) > 1:
+    return _primitive(_prs(_primitive(a), _primitive(b))[-1])
+
+
+def _prs(a: list, b: list) -> list:
+    """The signed primitive remainder sequence a, b, r_2, ... of dense int
+    a and b, deg a >= deg b: r_k is a positive multiple in Z[t] of
+    -rem(r_(k-2), r_(k-1)), the pseudo-remainder over minus the gcd of its
+    coefficients, the sign flipped when lc^(deg + 1) < 0. It stops at a
+    constant or before a zero remainder, so its last term is the gcd up to
+    a constant; for a squarefree p, _prs(p, p') is the Sturm chain of p."""
+    chain = [a, b]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
         r = _uni_pseudo_rem(a, b)
         if not r:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
+            break
+        g = gcd(*r)
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            g = -g
+        chain.append([c // g for c in r])
+    return chain
 
 
 def _zt_squarefree(p: list) -> list:

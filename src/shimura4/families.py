@@ -133,9 +133,9 @@ class DiscriminantReport(Record):
     t_valuation: int
     t1_valuation: int
     constant: Fraction              # polynomial-level constant
-    constant_factors: dict          # prime -> exponent
+    constant_factors: tuple         # ((prime, exponent), ...), primes increasing
     curve_constant: Fraction        # constant * 2^(4g), g = 4
-    curve_constant_factors: dict
+    curve_constant_factors: tuple
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +164,8 @@ def c7_discriminant() -> DiscriminantReport:
     curve_c = c * 2 ** 16
     fac_curve = dict(fac)
     fac_curve[2] = fac_curve.get(2, 0) + 16
-    return DiscriminantReport(a, b, c, fac, curve_c, dict(sorted(fac_curve.items())))
+    return DiscriminantReport(a, b, c, tuple(sorted(fac.items())), curve_c,
+                              tuple(sorted(fac_curve.items())))
 
 
 def specialize_c7(t0) -> MultiPoly:

@@ -10,8 +10,10 @@ Dense univariate polynomials are lists [c0, c1, ...], lowest coefficient
 first, as in `dense`, the only module of the package this one computes
 with; a field takes its minimal polynomial as such a row. The work runs on
 integers: elements are integer rows over one denominator, Sturm chains are
-integer pseudo-remainder sequences, and Fractions appear only where a value
-leaves the API.
+`dense._prs` remainder sequences, and Fractions appear only where a value
+leaves the API. This module alone knows how an element is stored: other
+modules compute with its arithmetic, and `NumberFieldElem.mul_matrix` hands
+out the integer matrix of multiplication by an element.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
-from .dense import (_deriv, _int_dense, _power, _trim, _uni_pseudo_rem, _zt_divide,
-                    _zt_gcd, _zt_squarefree)
+from .dense import _deriv, _int_dense, _power, _prs, _trim, _zt_divide, _zt_gcd, _zt_squarefree
 from .record import Record
 
 
@@ -46,20 +47,10 @@ def _sign_at(p: list, n: int, d: int) -> int:
 
 def sturm_chain(p: Sequence[Fraction]) -> list:
     """Sturm sequence p, p', -rem(...), ... for a squarefree p, each term a
-    positive multiple in Z[x]: -rem is the pseudo-remainder over minus the
-    gcd of its coefficients, the sign flipped when lc^(deg + 1) < 0."""
+    positive multiple in Z[x]: the signed remainder sequence `dense._prs`
+    of p, cleared of denominators, and p'."""
     p = _int_dense(_trim(list(p)))[0]
-    chain = [p, _deriv(p)]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        r = _uni_pseudo_rem(a, b)
-        if not r:
-            break
-        g = gcd(*r)
-        if b[-1] > 0 or (len(a) - len(b)) % 2:
-            g = -g
-        chain.append([c // g for c in r])
-    return chain
+    return _prs(p, _deriv(p))
 
 
 def _sign_variations(chain, x: Fraction) -> int:
@@ -241,19 +232,26 @@ class NumberFieldElem:
         if o is None:
             return NotImplemented
         field = self.field
-        return _elem(field, _mul_fold(field, ((self._num, o._num),)),
+        return _elem(field, _mul_fold(field, self._num, o._num),
                      field._fold_den * self._den * o._den)
 
     __rmul__ = __mul__
 
+    def mul_matrix(self) -> tuple:
+        """(rows, den): the matrix of x -> self * x in the power basis, as
+        integer rows over one positive denominator; column k is self * v^k."""
+        field = self.field
+        cols = [_mul_fold(field, [0] * k + [1], self._num) for k in range(field.degree)]
+        return list(zip(*cols)), field._fold_den * self._den
+
     def inverse(self) -> "NumberFieldElem":
-        """Faddeev-LeVerrier on the integer multiplication matrix A of self
-        (column k is self * v^k over fold_den * den): M_k = A M_(k-1) + c I,
-        then c = -tr(A M_k) / k, exact in Z; A M_d = -c I at k = d."""
+        """Faddeev-LeVerrier on the integer multiplication matrix A of self,
+        over den: M_k = A M_(k-1) + c I, then c = -tr(A M_k) / k, exact in
+        Z; A M_d = -c I at k = d."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        field, d = self.field, self.field.degree
-        a = list(zip(*_mul_matrix(field, self._num)))
+        d = self.field.degree
+        a, den = self.mul_matrix()
         m, c = [[0] * d for _ in range(d)], 1
         for k in range(1, d + 1):
             m = [[sum(x * y for x, y in zip(row, col)) + (c if i == j else 0)
@@ -261,8 +259,8 @@ class NumberFieldElem:
             c = -sum(x * y for i, row in enumerate(a) for x, y in zip(row, (r[i] for r in m))) // k
         if c == 0:
             raise NumberFieldError("element not invertible (reducible modulus?)")
-        scale = -field._fold_den * self._den if c > 0 else field._fold_den * self._den
-        return _elem(field, [scale * row[0] for row in m], abs(c))
+        scale = -den if c > 0 else den
+        return _elem(self.field, [scale * row[0] for row in m], abs(c))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -359,31 +357,18 @@ def _elem(field: NumberField, num: list, den: int) -> NumberFieldElem:
 
 
 # ----------------------------------------------------------------------
-# integer products: the field product and the quaternion product share these
+# the integer product: the field product and the multiplication matrix share it
 
 
-def _int_rows(elems) -> tuple:
-    """(rows, den): the coordinates of each element as an integer row, all
-    over one common denominator."""
-    den = lcm(*(x._den for x in elems))
-    return [list(x._num) if x._den == den else [c * (den // x._den) for c in x._num]
-            for x in elems], den
-
-
-def _mul_fold(field: NumberField, pairs) -> list:
-    """Sum of xs * ys over the integer rows (xs, ys) in pairs, reduced mod
-    the minimal polynomial: an integer row over field._fold_den.
-
-    The products are summed before the one fold, since convolving and
-    folding are both linear.
-    """
+def _mul_fold(field: NumberField, xs: list, ys: list) -> list:
+    """xs * ys for integer rows, reduced mod the minimal polynomial: an
+    integer row over field._fold_den."""
     d = field.degree
     prod = [0] * (2 * d - 1)
-    for xs, ys in pairs:
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in enumerate(ys):
-                    prod[i + j] += a * b
+    for i, a in enumerate(xs):
+        if a:
+            for j, b in enumerate(ys):
+                prod[i + j] += a * b
     den = field._fold_den
     out = [c * den for c in prod[:d]] if den != 1 else prod[:d]
     for c, row in zip(prod[d:], field._fold):
@@ -391,12 +376,6 @@ def _mul_fold(field: NumberField, pairs) -> list:
             for i, r in enumerate(row):
                 out[i] += c * r
     return out
-
-
-def _mul_matrix(field: NumberField, row: list) -> list:
-    """The columns row * v^k, k < degree, of the multiplication matrix of
-    the integer row, each an integer row over field._fold_den."""
-    return [_mul_fold(field, (([0] * k + [1], row),)) for k in range(field.degree)]
 
 
 # ----------------------------------------------------------------------
@@ -449,6 +428,6 @@ def minpoly_2cos(n: int) -> list:
     return f
 
 
-def field_2cos(n: int, name: str = "v") -> NumberField:
-    """The real cyclotomic field generated by 2*cos(2*pi/n)."""
-    return NumberField(minpoly_2cos(n), name)
+def field_2cos(n: int) -> NumberField:
+    """The real cyclotomic field generated by v = 2*cos(2*pi/n)."""
+    return NumberField(minpoly_2cos(n), "v")

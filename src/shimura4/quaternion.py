@@ -3,11 +3,12 @@
 An algebra (a, b / K) has basis 1, i, j, k with i^2 = a, j^2 = b, ij = -ji
 = k. Everything (products, norms, projective orders, which real places
 split) is decided exactly through NumberField arithmetic; there is no float
-in this module. Products run over the integers, read off the structure
-constants e_s e_t = c e_u (c = +-1, +-a, +-b, +-ab, kept as integer rows
-on the algebra): each coordinate of a product is a sum of integer
-convolutions folded once by the field's minimal polynomial, and
-`_left_matrix` gives the integer matrix of left multiplication.
+in this module, and no reading of how a field element is stored. Products
+are read off the structure constants e_s e_t = c e_u (c = +-1, +-a, +-b,
++-ab, with 1, a, b, ab kept on the algebra): each coordinate of a product
+sums the field products x_s y_t c, and `_left_matrix` assembles the
+integer matrix of left multiplication from the field's multiplication
+matrices (`NumberFieldElem.mul_matrix`).
 
 The `uniformizer_triple` constructor builds the (2, 3, n) triple used by the
 verification suites: delta_p = i, delta_q = 1/2 + (v/2) i + (1/2) j over
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .dense import _power
-from .numberfield import (NumberField, NumberFieldElem, _elem, _int_rows, _mul_fold,
-                          _mul_matrix, field_2cos)
+from .numberfield import NumberField, NumberFieldElem, field_2cos
 from .record import Record
 
 
@@ -39,10 +40,8 @@ class QuaternionAlgebra(Record):
     def __post_init__(self):
         if self.a.is_zero() or self.b.is_zero():
             raise QuaternionError("a and b must be nonzero")
-        # 1, a, b, ab (the table's constants) as integer rows over one den
-        rows, den = _int_rows((self.field.one(), self.a, self.b, self.a * self.b))
-        object.__setattr__(self, "_consts", tuple(rows))
-        object.__setattr__(self, "_const_den", den)
+        # 1, a, b, ab: the constants of the structure table
+        object.__setattr__(self, "_consts", (self.field.one(), self.a, self.b, self.a * self.b))
 
     def element(self, x0, x1=0, x2=0, x3=0) -> "Quaternion":
         co = tuple(self._coerce(c) for c in (x0, x1, x2, x3))
@@ -135,21 +134,16 @@ class Quaternion:
         if o is None:
             return NotImplemented
         alg = self.algebra
-        field = alg.field
-        xs, dx = _int_rows(self.coords)
-        ys, dy = _int_rows(o.coords)
-        # z_u sums sign * x_s * (c y_t) over e_s e_t = sign * c * e_u; each
-        # row c y_t is made once, over scale = fold_den * const_den
-        scale = field._fold_den * alg._const_den
-        cy, pairs = {}, ([], [], [], [])
-        for x, structure in zip(xs, _STRUCTURE):
-            for t, (u, sign, c) in enumerate(structure):
-                if (c, t) not in cy:
-                    cy[c, t] = (_mul_fold(field, ((alg._consts[c], ys[t]),)) if c
-                                else [scale * a for a in ys[t]])
-                pairs[u].append((x if sign > 0 else [-a for a in x], cy[c, t]))
-        den = scale * field._fold_den * dx * dy
-        return Quaternion(alg, tuple(_elem(field, _mul_fold(field, p), den) for p in pairs))
+        # z_u sums sign * x_s * y_t * c over e_s e_t = sign * c * e_u
+        z = [alg.field.zero()] * 4
+        for x, structure in zip(self.coords, _STRUCTURE):
+            if x.is_zero():
+                continue
+            for y, (u, sign, c) in zip(o.coords, structure):
+                if not y.is_zero():
+                    xy = x * y * alg._consts[c] if c else x * y
+                    z[u] = z[u] + xy if sign > 0 else z[u] - xy
+        return Quaternion(alg, tuple(z))
 
     def __rmul__(self, other):
         o = self._coerce(other)
@@ -231,19 +225,21 @@ def _left_matrix(g: Quaternion) -> tuple:
     """(rows, den): the matrix of x -> g x over Q in the basis v^k e_t (v
     the field generator, index t*d + k) as integer rows over den. Since
     g e_t sums g_s c_st e_u over e_s e_t = c_st e_u, block (u, t) is the
-    multiplication matrix of g_s c_st: its column k is g_s c_st v^k."""
-    alg, field, d = g.algebra, g.algebra.field, g.algebra.field.degree
-    xs, dx = _int_rows(g.coords)
+    multiplication matrix of g_s c_st, brought to the lcm of the blocks'
+    denominators."""
+    alg, d = g.algebra, g.algebra.field.degree
+    blocks = []
+    for x, structure in zip(g.coords, _STRUCTURE):
+        if not x.is_zero():
+            for t, (u, sign, c) in enumerate(structure):
+                y = x * alg._consts[c] if c else x
+                blocks.append((u, t, (y if sign > 0 else -y).mul_matrix()))
+    den = lcm(*(bd for _, _, (_, bd) in blocks))
     rows = [[0] * (4 * d) for _ in range(4 * d)]
-    for x, structure in zip(xs, _STRUCTURE):
-        if not any(x):
-            continue
-        for t, (u, sign, c) in enumerate(structure):
-            y = _mul_fold(field, ((alg._consts[c], x),))
-            for k, col in enumerate(_mul_matrix(field, y)):
-                for i, z in enumerate(col):
-                    rows[u * d + i][t * d + k] = sign * z
-    return rows, dx * alg._const_den * field._fold_den ** 2
+    for u, t, (block, bd) in blocks:
+        for i, row in enumerate(block):
+            rows[u * d + i][t * d:(t + 1) * d] = [z * (den // bd) for z in row]
+    return rows, den
 
 
 # ----------------------------------------------------------------------

@@ -355,6 +355,21 @@ def test_step_off_the_ring_fails_only_its_plan(monkeypatch, capsys, kind):
     assert all(checks[i]["actual"].startswith("plane-at-0: ") for i in failed)
 
 
+def test_plan_that_does_not_continue_its_first_fails_only_its_identity(monkeypatch, capsys):
+    # the second plane-at-1 component without its first step: the family 9
+    # identity fails with the reason, family 7 still runs, the run reports
+    plans = families.reduction_plans(9)
+    (k,) = [k for k, p in enumerate(plans) if p.name == "plane-at-1-second-component"]
+    swapped = plans[:k] + (with_fields(plans[k], steps=plans[k].steps[1:]),) + plans[k + 1:]
+    code, checks, err = _run_with_plans(monkeypatch, capsys, 9, swapped, ["arakelov"])
+    assert code == 1, err
+    assert [i for i, c in checks.items() if c["status"] == "fail"] == ["degree-identity-9"]
+    assert checks["degree-identity-9"]["actual"] == (
+        "plane-at-1-second-component does not continue plane-at-1-first-component")
+    assert checks["degree-identity-7"]["status"] == "pass"
+    assert [i for i in checks if "-9" in i] == ["degree-identity-9"]
+
+
 def test_cli_import_loads_no_mpmath():
     src = Path(cli.__file__).resolve().parents[1]
     out = subprocess.run(

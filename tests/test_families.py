@@ -98,9 +98,20 @@ def test_c7_discriminant_valuations_and_constant():
     rep = c7_discriminant()
     assert rep.t_valuation == 54
     assert rep.t1_valuation == 12
-    assert rep.constant_factors == {2: 20, 3: 36, 7: 10}
+    assert dict(rep.constant_factors) == {2: 20, 3: 36, 7: 10}
     assert rep.constant == F(2) ** 20 * F(3) ** 36 * F(7) ** 10
-    assert rep.curve_constant_factors == {2: 36, 3: 36, 7: 10}
+    assert dict(rep.curve_constant_factors) == {2: 36, 3: 36, 7: 10}
+
+
+def test_discriminant_report_hashes_by_its_fields():
+    # a rebuilt report equals the original, hashes alike and collapses in a
+    # set; the factorizations are (prime, exponent) pairs, primes increasing
+    rep = c7_discriminant()
+    copy = with_fields(rep)
+    assert copy is not rep
+    assert copy == rep and hash(copy) == hash(rep) and len({copy, rep}) == 1
+    assert rep.constant_factors == ((2, 20), (3, 36), (7, 10))
+    assert rep.curve_constant_factors == ((2, 36), (3, 36), (7, 10))
 
 
 def test_plane_family_eliminant():

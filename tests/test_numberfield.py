@@ -1,5 +1,6 @@
 """Sturm isolation, field arithmetic, exact embedding signs."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -279,3 +280,24 @@ def test_element_arithmetic_matches_a_fraction_reference(make):
         assert (x == q) == (tuple(xs) == (q,) + (0,) * (d - 1))
         r = K.element([q])
         assert r == q and hash(r) == hash(q) and hash(r + 0) == hash(q)
+
+
+@pytest.mark.parametrize("make", [lambda: field_2cos(9), _fold_test_field],
+                         ids=["2cos9", "fold"])
+def test_mul_matrix_maps_a_row_to_the_product(make):
+    import random
+    K = make()
+    d = K.degree
+    rng = random.Random(d)
+    for _ in range(20):
+        x, y = (K.element([F(rng.randint(-30, 30), rng.choice([1, 2, 3, 6, 7]))
+                           for _ in range(d)]) for _ in range(2))
+        rows, den = x.mul_matrix()
+        assert type(den) is int and den > 0
+        assert len(rows) == d and all(len(row) == d for row in rows)
+        assert all(type(c) is int for row in rows for c in row)
+        # y as an integer row over its own denominator
+        yden = math.lcm(*(c.denominator for c in y.coords))
+        yrow = [int(c * yden) for c in y.coords]
+        assert tuple(F(sum(a * b for a, b in zip(row, yrow)), den * yden)
+                     for row in rows) == (x * y).coords
