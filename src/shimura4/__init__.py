@@ -11,6 +11,8 @@ Subpackages of interest:
 - hypergeom: local exponents and eigenvector line counts for the associated
   cyclic covers
 - cli / report: the `verify` command line tool and its JSON report
+- suites: one module per suite of `verify`, with its checks and frozen
+  expected values, imported only when that suite runs
 - record: the immutable base class of every record type above
 """
 

@@ -1,9 +1,11 @@
 """Integer factorization sized for table verification.
 
 Trial division for small factors, deterministic Miller-Rabin below 2**64,
-Brent's cycle-finding rho for the rest. Inputs at or below 64 bits come back
-certified; anything that needed a probabilistic primality call is marked
-"probable" so callers can flag it instead of trusting it.
+Brent's cycle-finding rho, within a fixed budget of steps, for the rest.
+Inputs at or below 64 bits come back certified; a result that needed a
+probabilistic primality call, or holds a cofactor rho did not split within
+its budget, comes back uncertified, so callers can fail it instead of
+trusting it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Miller-Rabin with these bases is a proven primality test below 2**64
 _MR_CERTIFIED_BOUND = 1 << 64
+
+# steps of the rho iteration spent on one cofactor, over all its restarts;
+# rho finds a prime factor p in about sqrt(p) steps, so this splits off
+# factors up to about 2**32 and bounds the work on any input
+_RHO_STEPS = 1 << 18
 
 
 def is_probable_prime(n: int) -> bool:
@@ -67,10 +74,12 @@ def _perfect_power(m: int) -> tuple[int, int] | None:
     return None
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of odd composite n."""
+def _brent_rho(n: int, rng: random.Random) -> int | None:
+    """A nontrivial factor of odd composite n, or None if _RHO_STEPS steps
+    did not find one."""
     if n % 2 == 0:
         return 2
+    left = _RHO_STEPS
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -78,6 +87,10 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            # a round takes r steps to x and at most r more from it
+            if 2 * r > left:
+                return None
+            left -= 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -102,9 +115,13 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 def factor_integer(n: int) -> tuple[dict, bool]:
     """Factor a positive integer.
 
-    Returns (factors, certified) where factors maps prime -> exponent and
-    certified is False when a primality decision relied on probabilistic
-    Miller-Rabin (only possible for cofactors >= 2**64).
+    Returns (factors, certified) where factors maps each factor to its
+    exponent, in increasing order, and recomposes to n. With certified True
+    every factor is a proven prime. certified is False when a primality
+    decision relied on probabilistic Miller-Rabin (only possible for
+    cofactors >= 2**64), or when a composite cofactor was left unsplit
+    because rho did not split it within _RHO_STEPS steps; such a cofactor is
+    a factor of the result but not a prime.
 
     Examples
     --------
@@ -152,6 +169,10 @@ def factor_integer(n: int) -> tuple[dict, bool]:
         if rng is None:
             rng = random.Random(0xC0FFEE)
         g = _brent_rho(m, rng)
+        if g is None:
+            certified = False
+            factors[m] = factors.get(m, 0) + k
+            continue
         stack.extend([(g, k), (m // g, k)])
     return dict(sorted(factors.items())), certified
 

@@ -217,7 +217,7 @@ def _tile_tree(n: int, max_len: int) -> list:
     return tiles
 
 
-MAX_DEPTH = 12  # cli.TILE_COUNTS freezes the counts through this depth
+MAX_DEPTH = 12  # suites.triangle.TILE_COUNTS freezes the counts through this depth
 
 
 def tessellate(n: int, depth: int = 4, svg_path: str | None = None) -> int:

@@ -123,8 +123,9 @@ def test_depth_flag_uses_frozen_counts(capsys):
 
 
 def test_deepest_depth_matches_frozen_counts(capsys):
+    from shimura4.suites.triangle import TILE_COUNTS
     from shimura4.trianglestacks import MAX_DEPTH
-    assert all(len(c) == MAX_DEPTH + 1 for c in cli.TILE_COUNTS.values())
+    assert all(len(c) == MAX_DEPTH + 1 for c in TILE_COUNTS.values())
     code, out, _ = run(capsys, ["triangle", "--depth", str(MAX_DEPTH), "--json"])
     assert code == 0
     doc = json.loads(out)
@@ -155,6 +156,32 @@ def test_corrupted_data_dir_fails(tmp_path, capsys):
     assert code == 1
     assert "row-consistency-x9" in out
     assert "[FAIL]" in out
+
+
+def test_label_rho_cannot_split_fails_its_row_promptly(tmp_path):
+    # this label's integer leaves a 155-bit composite after its small
+    # factors, which rho does not split within its budget: the row fails
+    # label-matches-factorization and independent-refactorization, and the
+    # run ends with its report instead of factoring without end
+    from importlib import resources
+    from shimura4.cmtables import data_file_name
+    for n in (7, 9):
+        src = resources.files("shimura4").joinpath("data", data_file_name(n))
+        (tmp_path / data_file_name(n)).write_bytes(src.read_bytes())
+    p7 = tmp_path / "cm_x7.tsv"
+    p7.write_text(p7.read_text(encoding="utf-8").replace(
+        "8.0.15077030712450721.1\t",
+        "8.0.1999999999999999999999999999999999999995077030712450721.1\t"),
+        encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "shimura4", "cm-tables", "--json", "--data-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=15, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 1, out.stderr
+    checks = {c["id"]: c for s in json.loads(out.stdout)["suites"] for c in s["checks"]}
+    assert checks["row-consistency-x7"]["status"] == "fail"
+    assert checks["row-consistency-x7"]["actual"].startswith("2 failures")
+    assert checks["row-consistency-x9"]["status"] == "pass"
 
 
 # malformed copies of the bundled tables: (file, text replaced, replacement)
@@ -257,7 +284,8 @@ def test_failed_plan_fails_square_scalar_and_match(monkeypatch):
     def failing(plan):
         raise VerificationError("synthetic")
     monkeypatch.setattr(families, "apply_reduction", failing)
-    checks = cli.suite_reductions9(None).checks
+    from shimura4.suites.reductions import suite_reductions9
+    checks = suite_reductions9(None).checks
     assert [(c.id, c.status, c.actual) for c in checks[:2]] == [
         ("plane-at-0-square-scalar", "fail", "synthetic"),
         ("plane-at-0-match", "fail", "synthetic")]
@@ -380,6 +408,60 @@ def test_cli_import_loads_no_mpmath():
     assert out.stdout.strip() == "False"
 
 
+def _loaded_after(args):
+    """The package modules loaded in a fresh process (-S: no site, so no
+    .pth file loads anything first) after `import shimura4.cli` and, with
+    args, one run of cli.main(args); and whether fractions is loaded."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import contextlib, io, json, sys\n"
+            "import shimura4.cli\n"
+            f"args = {args!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = shimura4.cli.main(args) if args else 0\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules\n"
+            "                               if m.split('.')[0] == 'shimura4'),\n"
+            "                  'fractions' in sys.modules]))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    code, loaded, fractions = json.loads(out.stdout)
+    assert code == 0
+    return loaded, fractions
+
+
+def test_cli_import_loads_only_the_dispatcher():
+    # no suite, no computation module and not even fractions: the suites'
+    # modules load when they run
+    loaded, fractions = _loaded_after(None)
+    assert loaded == ["shimura4", "shimura4.cli", "shimura4.record", "shimura4.report"]
+    assert not fractions
+
+
+# the package modules each suite loads when it runs alone, beyond the cli,
+# its records, shimura4.suites and trianglestacks (whose MAX_DEPTH the
+# command line checks --depth against)
+SUITE_MODULES = {
+    "disc7": ("suites.disc7", "families", "multipoly", "dense", "intfactor"),
+    "reductions7": ("suites.reductions", "families", "multipoly", "dense", "intfactor"),
+    "reductions9": ("suites.reductions", "families", "multipoly", "dense", "intfactor"),
+    "arakelov": ("suites.arakelov", "families", "multipoly", "dense"),
+    "quaternion": ("suites.quaternion", "quaternion", "numberfield", "dense"),
+    "triangle": ("suites.triangle", "quaternion", "numberfield", "dense"),
+    "hypergeometric": ("suites.hypergeometric", "hypergeom"),
+    "cm-tables": ("suites.cm_tables", "cmtables", "intfactor"),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_MODULES)
+def test_each_suite_alone_loads_its_own_modules(suite):
+    assert list(SUITE_MODULES) == list(cli.SUITES)
+    loaded, _ = _loaded_after([suite, "--json"])
+    common = ("cli", "record", "report", "suites", "trianglestacks")
+    assert loaded == sorted(["shimura4"] + [f"shimura4.{m}" for m in
+                                            common + SUITE_MODULES[suite]])
+
+
 def test_cli_loads_only_the_modules_its_suites_run(tmp_path):
     # importing the cli loads no computation module; the triangle suite
     # loads the quaternion triple and what it rests on, not the families,
@@ -441,3 +523,4 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     code, _, err = run(capsys, ["disc7"])
     assert code == 3
     assert "internal error" in err
+    assert "disc7" in err

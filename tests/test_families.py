@@ -276,7 +276,7 @@ def test_display_gap_reads_the_whole_equation(extra):
     # each side must be f(Y) + c*W^3 with c constant: a W-term outside W^3,
     # or a W^3 coefficient in Y, fails instead of being flagged as the same
     # curve over the closure
-    from shimura4.cli import _plan_checks
+    from shimura4.suites.reductions import _plan_checks
     from shimura4.families import _match_display_gap
     plan = reduction_plans(9)[1]
     Y, W = P("Y", "W")

@@ -48,6 +48,15 @@ def test_semiprime():
     assert cert
 
 
+def test_cofactor_rho_does_not_split_comes_back_unsplit_and_uncertified():
+    # two primes near 2**45 and 2**46 take rho about 2**22 steps, past its
+    # budget: the product comes back whole, as a factor but not as a proven
+    # prime, and the result is uncertified
+    p, q = 35184372088891, 70368744177679
+    assert is_probable_prime(p) and is_probable_prime(q)
+    assert factor_integer(7 ** 2 * p * q) == ({7: 2, p * q: 1}, False)
+
+
 def test_recompose_and_strings():
     f = {7: 4, 239: 4}
     assert recompose(f) == 7834003547041
