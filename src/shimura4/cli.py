@@ -35,6 +35,11 @@ from .report import VerificationReport
 # is narrower than 10^-precision; below this many digits it would say less
 # than a double does
 MIN_PRECISION = 15
+# the enclosure is refined by bisection and printed in decimal, so the work
+# grows with the digits asked for: 1000 digits take a fraction of a second,
+# 5000 take seconds and then exceed Python's 4300-digit limit on converting
+# an integer to a string
+MAX_PRECISION = 1000
 
 
 def _suite(module: str, function: str):
@@ -88,8 +93,8 @@ def main(argv=None) -> int:
                              f"{MAX_DEPTH} (default 4)")
     parser.add_argument("--precision", type=int, default=30,
                         help="digits of the certified 2 cos(pi/n) enclosures "
-                             f"the matrix-trace checks print, at least "
-                             f"{MIN_PRECISION} (default 30)")
+                             f"the matrix-trace checks print, {MIN_PRECISION} "
+                             f"to {MAX_PRECISION} (default 30)")
     parser.add_argument("--data-dir", default=None,
                         help="directory holding replacement cm_x7.tsv and "
                              "cm_x9.tsv")
@@ -100,8 +105,9 @@ def main(argv=None) -> int:
     opts = parser.parse_args(argv)
     if not 0 <= opts.depth <= MAX_DEPTH:
         parser.error(f"--depth must be between 0 and {MAX_DEPTH}")
-    if opts.precision < MIN_PRECISION:
-        parser.error(f"--precision must be at least {MIN_PRECISION}")
+    if not MIN_PRECISION <= opts.precision <= MAX_PRECISION:
+        parser.error(f"--precision must be between {MIN_PRECISION} "
+                     f"and {MAX_PRECISION}")
     if opts.data_dir is not None:
         from . import cmtables
         for n in (7, 9):

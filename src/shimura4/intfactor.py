@@ -1,28 +1,20 @@
-"""Integer factorization sized for table verification.
+"""Integer factorization and primality sized for table verification.
 
-Trial division for small factors, deterministic Miller-Rabin below 2**64,
-Brent's cycle-finding rho, within a fixed budget of steps, for the rest.
-Inputs at or below 64 bits come back certified; a result that needed a
-probabilistic primality call, or holds a cofactor rho did not split within
-its budget, comes back uncertified, so callers can fail it instead of
-trusting it.
+Deterministic Miller-Rabin below 2**64, which is a proof there, and
+trial division over a wheel below 10**5 with one primality test of the
+cofactor left. The CM tables state their factorizations, and checking a
+stated one needs only the primality test; factoring is for the
+discriminant constant of the x7 family, whose primes are all 2, 3 and 7.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from itertools import cycle
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Miller-Rabin with these bases is a proven primality test below 2**64
 _MR_CERTIFIED_BOUND = 1 << 64
-
-# steps of the rho iteration spent on one cofactor, over all its restarts;
-# rho finds a prime factor p in about sqrt(p) steps, so this splits off
-# factors up to about 2**32 and bounds the work on any input
-_RHO_STEPS = 1 << 18
 
 
 def is_probable_prime(n: int) -> bool:
@@ -50,6 +42,11 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def is_proven_prime(n: int) -> bool:
+    """True when n is prime and Miller-Rabin proves it: n < 2**64."""
+    return n < _MR_CERTIFIED_BOUND and is_probable_prime(n)
+
+
 def _int_nth_root(m: int, e: int) -> int:
     """floor(m ** (1/e)) by Newton iteration on integers."""
     if m < 2:
@@ -62,66 +59,15 @@ def _int_nth_root(m: int, e: int) -> int:
         x = y
 
 
-def _perfect_power(m: int) -> tuple[int, int] | None:
-    """(r, e) with m = r**e for the least prime e that works, or None. A
-    power to a composite exponent is also a power to each prime factor of
-    it, so prime exponents suffice."""
-    for e in filter(is_probable_prime, range(2, m.bit_length())):
-        r = _int_nth_root(m, e)
-        for cand in (r, r + 1):
-            if cand > 1 and cand ** e == m:
-                return cand, e
-    return None
-
-
-def _brent_rho(n: int, rng: random.Random) -> int | None:
-    """A nontrivial factor of odd composite n, or None if _RHO_STEPS steps
-    did not find one."""
-    if n % 2 == 0:
-        return 2
-    left = _RHO_STEPS
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            # a round takes r steps to x and at most r more from it
-            if 2 * r > left:
-                return None
-            left -= 2 * r
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
 def factor_integer(n: int) -> tuple[dict, bool]:
-    """Factor a positive integer.
+    """Factor a positive integer by trial division below 10**5.
 
     Returns (factors, certified) where factors maps each factor to its
     exponent, in increasing order, and recomposes to n. With certified True
-    every factor is a proven prime. certified is False when a primality
-    decision relied on probabilistic Miller-Rabin (only possible for
-    cofactors >= 2**64), or when a composite cofactor was left unsplit
-    because rho did not split it within _RHO_STEPS steps; such a cofactor is
-    a factor of the result but not a prime.
+    every factor is a proven prime. certified is False when the cofactor
+    left after trial division is not proven prime: it is composite, or at
+    least 2**64, where Miller-Rabin is no proof. That cofactor comes back
+    whole, as a factor with exponent 1.
 
     Examples
     --------
@@ -131,57 +77,20 @@ def factor_integer(n: int) -> tuple[dict, bool]:
     if n < 1:
         raise ValueError("factor_integer needs a positive integer")
     factors: dict = {}
-    certified = True
     for p in (2, 3, 5, 7):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    # n = r^k with r not a perfect power; each factor of r counts k times.
-    # Table discriminants are p^4 q^4, so this leaves the wheel to walk up
-    # to p and the square root of q instead of up to q.
-    k = 1
-    while (power := _perfect_power(n)) is not None:
-        n, e = power
-        k *= e
     # trial division below a bound over the wheel of numbers prime to 30
     d, steps = 11, cycle((2, 4, 2, 4, 6, 2, 6, 4))
     while d * d <= n and d < 100_000:
         while n % d == 0:
-            factors[d] = factors.get(d, 0) + k
+            factors[d] = factors.get(d, 0) + 1
             n //= d
         d += next(steps)
-    rng = None
-    stack = [(n, k)]
-    while stack:
-        m, k = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            if m >= _MR_CERTIFIED_BOUND:
-                certified = False
-            factors[m] = factors.get(m, 0) + k
-            continue
-        # perfect power check helps rho on squares
-        power = _perfect_power(m)
-        if power is not None:
-            stack.append((power[0], k * power[1]))
-            continue
-        if rng is None:
-            rng = random.Random(0xC0FFEE)
-        g = _brent_rho(m, rng)
-        if g is None:
-            certified = False
-            factors[m] = factors.get(m, 0) + k
-            continue
-        stack.extend([(g, k), (m // g, k)])
-    return dict(sorted(factors.items())), certified
-
-
-def recompose(factors: dict) -> int:
-    out = 1
-    for p, e in factors.items():
-        out *= p ** e
-    return out
+    if n > 1:
+        factors[n] = 1
+    return dict(sorted(factors.items())), n == 1 or is_proven_prime(n)
 
 
 def factorization_string(factors: dict) -> str:

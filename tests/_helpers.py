@@ -18,6 +18,15 @@ def with_fields(record, **changes):
     return type(record)(**{**values, **changes})
 
 
+def recompose(factors):
+    """The integer that a factorization {p: e} stands for, the product of
+    the p**e."""
+    out = 1
+    for p, e in factors.items():
+        out *= p ** e
+    return out
+
+
 def count_real_roots(p, lo, hi):
     """Number of distinct real roots of squarefree p in (lo, hi], by Sturm's
     theorem on the package's chain."""

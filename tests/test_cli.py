@@ -141,15 +141,33 @@ def test_depth_out_of_range_is_usage_error(capsys, depth):
     assert "--depth" in capsys.readouterr().err
 
 
-def test_corrupted_data_dir_fails(tmp_path, capsys):
-    import shutil
-    from shimura4.cmtables import data_file_name
+def _copy_tables(tmp_path):
+    """Copies of the two bundled tables in tmp_path; returns their paths."""
     from importlib import resources
+    from shimura4.cmtables import data_file_name
+    paths = []
     for n in (7, 9):
         src = resources.files("shimura4").joinpath("data", data_file_name(n))
-        (tmp_path / data_file_name(n)).write_bytes(src.read_bytes())
+        paths.append(tmp_path / data_file_name(n))
+        paths[-1].write_bytes(src.read_bytes())
+    return paths
+
+
+def _cm_tables_in_subprocess(data_dir):
+    """Exit code, 0 or 1, and checks by id of `cm-tables --json --data-dir`
+    run in a fresh interpreter that must end within 15 s."""
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "shimura4", "cm-tables", "--json", "--data-dir", str(data_dir)],
+        capture_output=True, text=True, timeout=15, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode in (0, 1), out.stderr
+    return out.returncode, {c["id"]: c for s in json.loads(out.stdout)["suites"]
+                            for c in s["checks"]}
+
+
+def test_corrupted_data_dir_fails(tmp_path, capsys):
+    _, p9 = _copy_tables(tmp_path)
     # corrupt one factorization digit in the x9 table
-    p9 = tmp_path / "cm_x9.tsv"
     p9.write_text(p9.read_text(encoding="utf-8").replace("3^8*71^4", "3^8*73^4"),
                   encoding="utf-8")
     code, out, _ = run(capsys, ["cm-tables", "--data-dir", str(tmp_path)])
@@ -158,30 +176,59 @@ def test_corrupted_data_dir_fails(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
-def test_label_rho_cannot_split_fails_its_row_promptly(tmp_path):
-    # this label's integer leaves a 155-bit composite after its small
-    # factors, which rho does not split within its budget: the row fails
-    # label-matches-factorization and independent-refactorization, and the
-    # run ends with its report instead of factoring without end
-    from importlib import resources
-    from shimura4.cmtables import data_file_name
-    for n in (7, 9):
-        src = resources.files("shimura4").joinpath("data", data_file_name(n))
-        (tmp_path / data_file_name(n)).write_bytes(src.read_bytes())
-    p7 = tmp_path / "cm_x7.tsv"
-    p7.write_text(p7.read_text(encoding="utf-8").replace(
-        "8.0.15077030712450721.1\t",
-        "8.0.1999999999999999999999999999999999999995077030712450721.1\t"),
-        encoding="utf-8")
-    src = Path(cli.__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-m", "shimura4", "cm-tables", "--json", "--data-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=15, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.returncode == 1, out.stderr
-    checks = {c["id"]: c for s in json.loads(out.stdout)["suites"] for c in s["checks"]}
+LONG_LABEL = "8.0.1999999999999999999999999999999999999995077030712450721.1"
+
+
+@pytest.mark.parametrize("old, new, failures", [
+    # a label whose integer leaves a 155-bit composite after its small
+    # factors: the row is not factored again, and its stated 7 and 1583 are
+    # primes, so only the label check fails
+    pytest.param("8.0.15077030712450721.1\t", f"{LONG_LABEL}\t",
+                 f"1 failures, first: {LONG_LABEL}", id="unsplit-label"),
+    # an exponent whose power has about 10^8 digits: the label check stops
+    # at the first remainder instead of building 13^99999999
+    pytest.param("7^4*239^4\t", "7^4*13^99999999\t",
+                 "2 failures, first: 8.0.7834003547041.1", id="huge-exponent"),
+])
+def test_row_fails_label_check_promptly(tmp_path, old, new, failures):
+    # the run ends with its report, naming the label check first, instead
+    # of working without end on the row
+    p7, _ = _copy_tables(tmp_path)
+    text = p7.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    p7.write_text(text.replace(old, new), encoding="utf-8")
+    code, checks = _cm_tables_in_subprocess(tmp_path)
+    assert code == 1
     assert checks["row-consistency-x7"]["status"] == "fail"
-    assert checks["row-consistency-x7"]["actual"].startswith("2 failures")
+    assert checks["row-consistency-x7"]["actual"] == f"{failures} label-matches-factorization"
     assert checks["row-consistency-x9"]["status"] == "pass"
+
+
+def test_mutated_tables_never_end_in_an_internal_error(tmp_path, capsys):
+    # 200 copies of the bundled tables, each with 1 to 4 bytes replaced by
+    # characters the tables are written in: every run reports (exit 0 or 1)
+    # or rejects the data dir (exit 2), and none raises or exits 3
+    import random
+    from collections import Counter
+    paths = _copy_tables(tmp_path)
+    originals = [p.read_bytes() for p in paths]
+    alphabet = b"0123456789^*.\t\n-x"
+    rng = random.Random(5)
+    exits = Counter()
+    for _ in range(200):
+        copies = [bytearray(b) for b in originals]
+        for _ in range(rng.randint(1, 4)):
+            data = rng.choice(copies)
+            data[rng.randrange(len(data))] = rng.choice(alphabet)
+        for p, data in zip(paths, copies):
+            p.write_bytes(data)
+        try:
+            code = cli.main(["cm-tables", "--json", "--data-dir", str(tmp_path)])
+        except SystemExit as e:
+            code = e.code
+        capsys.readouterr()
+        exits[code] += 1
+    assert set(exits) == {0, 1, 2}, exits
 
 
 # malformed copies of the bundled tables: (file, text replaced, replacement)
@@ -220,6 +267,14 @@ def test_bad_data_dir_is_usage_error(tmp_path, capsys, which):
 
 @pytest.mark.parametrize("precision", ["0", "-5", "-40", "14"])
 def test_precision_below_floor_is_usage_error(capsys, precision):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["quaternion", "--precision", precision])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", ["1001", "5000"])
+def test_precision_above_ceiling_is_usage_error(capsys, precision):
     with pytest.raises(SystemExit) as exc:
         cli.main(["quaternion", "--precision", precision])
     assert exc.value.code == 2

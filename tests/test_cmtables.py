@@ -85,8 +85,32 @@ def test_corrupted_factorization_detected():
     good = t.rows[0]
     bad = CMRow(good.field_label, "3^8*73^4", good.definition_field_label)
     findings = {f.check: f.ok for f in verify_row(bad, t)}
+    # 3^8 * 73^4 is not the label's integer, though 73 is a prime
     assert not findings["label-matches-factorization"]
-    assert not findings["independent-refactorization"]
+    assert findings["stated-bases-prime"]
+
+
+def _failing_checks(label, factorization):
+    t = load_table(7)
+    return [f.check for f in verify_row(CMRow(label, factorization, "3.3.49.1"), t)
+            if not f.ok]
+
+
+def test_composite_stated_base_fails_only_its_primality():
+    # 59989 = 239 * 251 is -1 mod 7, and the label is the stated product:
+    # only the primality of the stated bases shows the factorization wrong
+    assert 59989 == 239 * 251 and 59989 % 7 == 6
+    assert _failing_checks(f"8.0.{7 ** 4 * 59989 ** 4}.1", "7^4*59989^4") == \
+        ["stated-bases-prime"]
+
+
+def test_stated_base_above_two_to_the_64_fails_its_primality():
+    # 2^127 - 1 is a prime, and 1 mod 7, but Miller-Rabin proves nothing
+    # about it: the row is not certified
+    m = 2 ** 127 - 1
+    assert m % 7 == 1
+    assert _failing_checks(f"8.0.{7 ** 4 * m ** 4}.1", f"7^4*{m}^4") == \
+        ["stated-bases-prime"]
 
 
 def test_wrong_exponent_detected():

@@ -1,13 +1,14 @@
 """Factorization helpers used by the table checks."""
 
 import pytest
+from _helpers import recompose
 
 from shimura4.intfactor import (
     factor_integer,
     factorization_string,
     is_probable_prime,
+    is_proven_prime,
     parse_factorization,
-    recompose,
 )
 
 
@@ -41,17 +42,29 @@ def test_primality_small():
         assert not is_probable_prime(c)
 
 
+def test_proven_primes_stop_at_two_to_the_64():
+    # Miller-Rabin with the first 12 primes as bases is a proof below 2**64
+    # only: a prime above it, such as 2**89 - 1, is probable, not proven
+    assert is_proven_prime(2 ** 61 - 1)
+    assert is_proven_prime(18446744073709551557)  # the largest prime < 2**64
+    assert not is_proven_prime(2 ** 61 + 1)
+    assert is_probable_prime(2 ** 89 - 1) and not is_proven_prime(2 ** 89 - 1)
+    for n in (-7, 0, 1, 4, 239 * 251):
+        assert not is_proven_prime(n)
+
+
 def test_semiprime():
+    # both primes lie above the trial bound, so the product is not split:
+    # it comes back whole, as a factor but not as a proven prime
     p, q = 1000003, 1000033
-    f, cert = factor_integer(p * q)
-    assert f == {p: 1, q: 1}
-    assert cert
+    assert factor_integer(p * q) == ({p * q: 1}, False)
+    assert factor_integer(p) == ({p: 1}, True)
 
 
-def test_cofactor_rho_does_not_split_comes_back_unsplit_and_uncertified():
-    # two primes near 2**45 and 2**46 take rho about 2**22 steps, past its
-    # budget: the product comes back whole, as a factor but not as a proven
-    # prime, and the result is uncertified
+def test_composite_cofactor_above_the_trial_bound_comes_back_whole_and_uncertified():
+    # two primes near 2**45 and 2**46 have no factor below the trial bound:
+    # the product comes back whole, as a factor but not as a proven prime,
+    # and the result is uncertified
     p, q = 35184372088891, 70368744177679
     assert is_probable_prime(p) and is_probable_prime(q)
     assert factor_integer(7 ** 2 * p * q) == ({7: 2, p * q: 1}, False)
@@ -100,15 +113,13 @@ def test_products_of_primes_in_the_trial_range():
     assert factor_integer(99_991 * 99_989) == ({99_989: 1, 99_991: 1}, True)
 
 
-def test_perfect_powers_split_before_trial_division():
-    # a power of a composite, a power of a prime above the trial bound, a
-    # square whose root is below 2**64 (so the primality proof holds), and
-    # a cofactor that is 1 once 3 and 5 are removed
-    cases = [((239 * 251) ** 4 * 7 ** 4, {7: 4, 239: 4, 251: 4}),
-             (1000003 ** 5, {1000003: 5}),
-             ((2 ** 61 - 1) ** 2, {2 ** 61 - 1: 2}),
-             (3 ** 40 * 5, {3: 40, 5: 1})]
-    for n, want in cases:
-        f, cert = factor_integer(n)
-        assert f == want and cert
-        assert recompose(f) == n
+def test_powers_split_below_the_trial_bound_and_come_back_whole_above_it():
+    # a power of a composite whose primes lie below the trial bound, and a
+    # cofactor that is 1 once 3 and 5 are removed, are split and certified
+    for n, want in [((239 * 251) ** 4 * 7 ** 4, {7: 4, 239: 4, 251: 4}),
+                    (3 ** 40 * 5, {3: 40, 5: 1})]:
+        assert factor_integer(n) == (want, True)
+    # a power of a prime above the trial bound is not split: it comes back
+    # whole, as a factor but not as a proven prime
+    for n in (1000003 ** 5, (2 ** 61 - 1) ** 2):
+        assert factor_integer(n) == ({n: 1}, False)
