@@ -6,8 +6,10 @@ Subpackages of interest:
 - quaternion: quaternion algebras over real cyclotomic fields, the real
   places where they split, and the (2, 3, n) rotation triples
 - trianglestacks: triangle group data, degrees, and disk tessellations
-- families: the two one-parameter families, their discriminants, semistable
-  reduction charts, and differential bookkeeping
+- families: the two one-parameter families, their discriminant and the
+  t = 1 fiber of the first
+- reductions: the semistable reduction charts of both families, run as
+  frozen plans, and the differential bookkeeping read off them
 - hypergeom: local exponents and eigenvector line counts for the associated
   cyclic covers
 - cli / report: the `verify` command line tool and its JSON report

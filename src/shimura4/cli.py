@@ -108,13 +108,16 @@ def main(argv=None) -> int:
     if not MIN_PRECISION <= opts.precision <= MAX_PRECISION:
         parser.error(f"--precision must be between {MIN_PRECISION} "
                      f"and {MAX_PRECISION}")
+    # the tables of --data-dir, parsed here to reject a bad directory as a
+    # usage error, and handed to the cm-tables suite, which reads no file
+    # again; None leaves the suite to read the bundled tables
+    opts.tables = None
     if opts.data_dir is not None:
         from . import cmtables
-        for n in (7, 9):
-            try:
-                cmtables.load_table(n, opts.data_dir)
-            except (OSError, cmtables.CMTableError) as e:
-                parser.error(f"--data-dir {opts.data_dir}: {e}")
+        try:
+            opts.tables = tuple(cmtables.load_table(n, opts.data_dir) for n in (7, 9))
+        except (OSError, cmtables.CMTableError) as e:
+            parser.error(f"--data-dir {opts.data_dir}: {e}")
     if opts.svg is not None:
         if opts.suite not in ("triangle", "all"):
             parser.error(f"--svg: the {opts.suite} suite draws nothing")

@@ -81,6 +81,7 @@ class CMTable(Record):
     checksum: str
 
 
+# table n: file, base prime, its exponent, and the modulus, which is n
 _TABLE_PARAMS = {7: ("cm_x7.tsv", 7, 4, 7), 9: ("cm_x9.tsv", 3, 8, 9)}
 EXPECTED_ROW_COUNTS = {7: 38, 9: 20}
 
@@ -172,8 +173,9 @@ class TableReport(Record):
     checksum: str
 
 
-def verify_table(n: int, data_dir: str | None = None) -> TableReport:
-    table = load_table(n, data_dir)
+def verify_table(table: CMTable) -> TableReport:
+    """Judge a table as `load_table` read it: its duplicate labels, its row
+    count against the bundled table's, and the checks of every row."""
     seen = set()
     dups = []
     for row in table.rows:
@@ -183,5 +185,5 @@ def verify_table(n: int, data_dir: str | None = None) -> TableReport:
     findings = []
     for row in table.rows:
         findings.extend(verify_row(row, table))
-    return TableReport(table.name, len(table.rows), EXPECTED_ROW_COUNTS[n],
+    return TableReport(table.name, len(table.rows), EXPECTED_ROW_COUNTS[table.modulus],
                        tuple(dups), tuple(findings), table.checksum)

@@ -30,8 +30,11 @@ primitive gcd in Z[t] of its coefficients) and interpolates only the
 resultant of the primitive parts; the resultant is homogeneous of degree
 deg B in the coefficients of A and deg A in those of B, so multiplying
 the interpolated row back by content(A)^deg B * content(B)^deg A is
-exact. The univariate base case is a subresultant remainder sequence over
-int.
+exact. That level also bounds the order of the resultant at t = 0 from
+below, by the same Newton polygon bound on the operands reversed by
+t -> 1/t (`_order_bound` has the proof), read at the common root of the
+operands at t = 0, and interpolates only the cofactor of that power of t.
+The univariate base case is a subresultant remainder sequence over int.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from math import gcd as _int_gcd, lcm, prod
 from operator import add
 
 from .dense import (_deriv, _int_dense, _power, _primitive, _trim, _uni_pseudo_rem,
-                    _zt_divide, _zt_gcd)
+                    _zt_divide, _zt_gcd, _zt_squarefree)
 
 Scalar = int | Fraction
 
@@ -621,8 +624,15 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     exact), and res(cA*A, cB*B) = cA^deg(B) * cB^deg(A) * res(A, B)
     multiplies it back. So a factor in t shared by all coefficients, such
     as the t^2*(t-1)^2 of a discriminant of the plane family, costs no
-    interpolation points. Once no parameter is left, a subresultant
-    remainder sequence over int does the work.
+    interpolation points. At that level t^L also divides the resultant,
+    with L the Newton polygon bound at t = 0: n * min_i(ord_0 f_i +
+    beta*i) + m * min_j(ord_0 g_j + beta*j) - beta*m*n at its best beta,
+    the orders read after var is moved to the common root of f and g at
+    t = 0 when it is the only one. The resultant over t^L is interpolated
+    from the values at nonzero points divided by x^L, through one point
+    more than deg_t bound - L; L above the degree bound means the
+    resultant is 0. Once no parameter is left, a subresultant remainder
+    sequence over int does the work.
 
     The result is a MultiPoly in the same ring with var-degree 0. It is
     zero when f and g share a factor of positive degree in var. An operand
@@ -676,23 +686,33 @@ def _res_params(A: list, B: list, k: int) -> dict:
     more than `_degree_bound` allows for. When that parameter t is the only
     one, res(cA*A', cB*B') = cA^deg B * cB^deg A * res(A', B'), so only the
     resultant of the primitive parts A', B' is interpolated, through fewer
-    points, and the product of the contents multiplies it back.
+    points, and the product of the contents multiplies it back. There
+    `_order_bound` also gives L with t^L dividing the resultant R, so R/t^L
+    is interpolated, one point more than its degree bound, from the values
+    at nonzero points x divided by x^L (checked exact); when L exceeds the
+    degree bound, R = 0 and nothing is evaluated.
     """
     if k == 0:
         r = _res_int([c.get((), 0) for c in A], [c.get((), 0) for c in B])
         return {(): r} if r else {}
     A = [_group_last(c) for c in A]
     B = [_group_last(c) for c in B]
-    scale = [1]
+    scale, low = [1], 0
     if k == 1:
         A, ca = _divide_content(A)
         B, cb = _divide_content(B)
         scale = reduce(_zt_mul, [ca] * (len(B) - 1) + [cb] * (len(A) - 1))
+        low = _order_bound(A, B)
     bound = _degree_bound(*([max(map(len, c.values()), default=0) - 1 for c in P]
                             for P in (A, B)))
+    if low > bound:
+        # a nonzero resultant has no order above its degree
+        return {}
+    # the resultant is t^low times a polynomial of degree <= bound - low,
+    # interpolated from the values at nonzero points divided by x^low
     xs, values = [], []
-    x = 0
-    while len(xs) <= bound:
+    x = 1 if low else 0
+    while len(xs) <= bound - low:
         Ax = [_evaluate_last(c, x) for c in A]
         Bx = [_evaluate_last(c, x) for c in B]
         if Ax[-1] and Bx[-1]:
@@ -701,8 +721,8 @@ def _res_params(A: list, B: list, k: int) -> dict:
         x = -x if x > 0 else 1 - x
     out = {}
     for key in set().union(*values):
-        row = _interpolate(xs, [v.get(key, 0) for v in values])
-        for d, c in enumerate(_zt_mul(row, scale)):
+        row = _interpolate(xs, [_exact(v.get(key, 0), x ** low) for v, x in zip(values, xs)])
+        for d, c in enumerate(_zt_mul(row, scale), low):
             if c:
                 out[key + (d,)] = c
     return out
@@ -735,6 +755,58 @@ def _degree_bound(da: list, db: list) -> int:
     return min((n * max(q * d - p * i for i, d in pa)
                 + m * max(q * e - p * j for j, e in pb) + p * m * n) // q
                for p, q in slopes)
+
+
+def _order_bound(A: list, B: list) -> int:
+    """A lower bound L on ord_{t=0} res(A, B), for A and B over Z[t] with
+    entries {(): dense int list in t} or {} as `_group_last` gives them, m =
+    deg A and n = deg B.
+
+    Proof: t -> 1/t turns order at 0 into degree. With o_i the order at 0
+    of the coefficient of Y^i in A and D at least its degree, for every i,
+    the coefficients of t^D * A(Y, 1/t) have degrees D - o_i, and likewise
+    for B with D' and o'_j; the resultant is homogeneous of degree n in the
+    coefficients of A and m in those of B, so res of the reversed operands
+    is t^(n*D + m*D') * R(1/t), of degree n*D + m*D' - ord_0 R when R is
+    nonzero. So L = n*D + m*D' - `_degree_bound` of the reversed degrees
+    is at most ord_0 R. Raising D by one raises n*D and that bound alike,
+    so L does not depend on D, and D is taken as the largest o_i.
+
+    The orders are read after moving Y = p/q to Y = 0, where p/q is the
+    common root of A(Y, 0) and B(Y, 0) when the squarefree part of their
+    gcd is linear: the moved operands q^m * A((Y + p)/q) and q^n * B((Y +
+    p)/q) have the resultant q^(mn) * res(A, B), since res(f(lambda*Y +
+    mu), g(lambda*Y + mu)) = lambda^(mn) * res(f, g). So the bound stays
+    valid, and it no longer depends on where that root lies.
+    """
+    rows = [[c[()] if c else [] for c in P] for P in (A, B)]
+    g = _zt_gcd(*(_trim([p[0] if p else 0 for p in P]) for P in rows))
+    if len(g) == 1 and all(P[-1][0] for P in rows):
+        # A(Y, 0) and B(Y, 0) keep degrees m and n and share no root, so
+        # their resultant R(0) is not 0
+        return 0
+    if len(g) > 1:
+        s = _zt_squarefree(g)
+        if len(s) == 2:
+            rows = [_centre(P, -s[0], s[1]) for P in rows]
+    orders = [[next((e for e, c in enumerate(p) if c), None) for p in P] for P in rows]
+    tops = [max(o for o in P if o is not None) for P in orders]
+    m, n = len(A) - 1, len(B) - 1
+    rev = ([-1 if o is None else top - o for o in P] for P, top in zip(orders, tops))
+    return n * tops[0] + m * tops[1] - _degree_bound(*rev)
+
+
+def _centre(P: list, p: int, q: int) -> list:
+    """q^m * P((Y + p)/q) for P of degree m in Y, a dense list in Y of
+    dense int lists in t: Horner's rule in Y + p on the coefficients
+    q^(m - i) * P_i."""
+    out = []
+    for k, c in enumerate(reversed(P)):
+        # out <- out * (Y + p) + q^k * c, c the coefficient of Y^(m - k)
+        out = [[p * u + v for u, v in zip_longest(a, b, fillvalue=0)]
+               for a, b in zip(out + [[]], [[]] + out)]
+        out[0] = [u + q ** k * v for u, v in zip_longest(out[0], c, fillvalue=0)]
+    return out
 
 
 def _divide_content(A: list) -> tuple:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from .. import families
+from .. import reductions
 from ..report import Check, Suite
 
 
@@ -22,8 +22,8 @@ def suite_arakelov(opts) -> Suite:
     checks = []
     for n in (7, 9):
         try:
-            rep = families.arakelov_check(n)
-        except families.VerificationError as e:
+            rep = reductions.arakelov_check(n)
+        except reductions.VerificationError as e:
             checks.append(Check.predicate(f"degree-identity-{n}", False, identity, str(e)))
             continue
         checks += [Check.equal(f"weight-{n}-{name}", expected[n][name], c)

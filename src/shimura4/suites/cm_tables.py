@@ -13,9 +13,11 @@ BUNDLED_SHA = {
 
 
 def suite_cm_tables(opts) -> Suite:
+    # with --data-dir the command line has already read and parsed the tables
+    tables = opts.tables or tuple(cmtables.load_table(n) for n in (7, 9))
     checks = []
-    for n in (7, 9):
-        rep = cmtables.verify_table(n, data_dir=opts.data_dir)
+    for n, table in zip((7, 9), tables):
+        rep = cmtables.verify_table(table)
         bad = [f for f in rep.findings if not f.ok]
         checks += [
             Check.equal(f"row-count-x{n}", rep.expected_row_count, rep.row_count),
@@ -26,7 +28,8 @@ def suite_cm_tables(opts) -> Suite:
                 f"row-consistency-x{n}", not bad,
                 f"{len(rep.findings)} checks over {rep.row_count} rows all pass",
                 "all pass" if not bad
-                else f"{len(bad)} failures, first: {bad[0].row} {bad[0].check}"),
+                else f"{len(bad)} failure{'s' if len(bad) > 1 else ''}, "
+                     f"first: {bad[0].row} {bad[0].check}"),
         ]
         if opts.data_dir is None:
             checks.append(Check.equal(f"input-checksum-x{n}", BUNDLED_SHA[n],

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from .. import families
+from .. import families, reductions
 from ..report import FLAGGED, GIVEN, Check, Suite
 
 
@@ -14,8 +14,8 @@ def _plan_checks(plan, square_scalar=None) -> list:
     """The checks of one run of a reduction plan: `<name>-square-scalar`
     first when a square scalar is expected, then the match."""
     try:
-        rep = families.apply_reduction(plan)
-    except families.VerificationError as e:
+        rep = reductions.apply_reduction(plan)
+    except reductions.VerificationError as e:
         square = Check(f"{plan.name}-square-scalar", "fail", str(square_scalar), str(e))
         match = Check(f"{plan.name}-match", "fail", "verified reduction", str(e))
     else:
@@ -50,7 +50,7 @@ def _match_check(plan, rep) -> Check:
 
 
 def suite_reductions7(opts) -> Suite:
-    checks = [c for plan in families.reduction_plans(7) for c in _plan_checks(plan)]
+    checks = [c for plan in reductions.reduction_plans(7) for c in _plan_checks(plan)]
     split = families.t1_fiber_split_c7()
     e = split.elliptic
     checks += [
@@ -64,7 +64,7 @@ def suite_reductions7(opts) -> Suite:
 
 
 def suite_reductions9(opts) -> Suite:
-    plan0, *plans = families.reduction_plans(9)
+    plan0, *plans = reductions.reduction_plans(9)
     checks = _plan_checks(plan0, square_scalar=F(-9))
     for plan in plans:
         checks += _plan_checks(plan)

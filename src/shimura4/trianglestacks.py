@@ -107,7 +107,7 @@ def _generators(n: int) -> list:
     """The six generators the search steps by and the drawing draws with:
     delta, delta^-1 for delta = delta_p, delta_q, delta_r of
     `uniformizer_triple(n)`, in that order."""
-    # imported here: the arakelov check in families imports this module for
+    # imported here: the arakelov check in reductions imports this module for
     # canonical_degree alone, and should not load the number field and
     # quaternion modules
     from .quaternion import uniformizer_triple

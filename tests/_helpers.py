@@ -5,8 +5,8 @@ import cmath
 import math
 from fractions import Fraction as F
 
-from shimura4 import families
-from shimura4.families import apply_reduction, reduction_plans
+from shimura4 import reductions
+from shimura4.reductions import apply_reduction, reduction_plans
 from shimura4.numberfield import _sign_variations, refine_interval, sturm_chain
 from shimura4.trianglestacks import TriangleError, classify
 
@@ -86,8 +86,8 @@ def arakelov_with(monkeypatch, n, replaced):
     swapped for it."""
     plans = tuple(replaced if plan.name == replaced.name else plan
                   for plan in reduction_plans(n))
-    monkeypatch.setattr(families, "reduction_plans", lambda _: plans)
-    return families.arakelov_check(n)
+    monkeypatch.setattr(reductions, "reduction_plans", lambda _: plans)
+    return reductions.arakelov_check(n)
 
 
 def c9_fiber_components_t1():

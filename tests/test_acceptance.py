@@ -13,11 +13,8 @@ from shimura4.cmtables import load_table, verify_table
 from shimura4.families import (
     T1_TARGET_P,
     T1_TARGET_Q,
-    apply_reduction,
-    arakelov_check,
     c7_discriminant,
     c7_family,
-    reduction_plans,
     t1_fiber_split_c7,
 )
 from shimura4.hypergeom import (
@@ -30,6 +27,7 @@ from shimura4.hypergeom import (
 )
 from shimura4.multipoly import discriminant
 from shimura4.quaternion import uniformizer_triple
+from shimura4.reductions import apply_reduction, arakelov_check, reduction_plans
 
 
 def _announce(capsys, label, body):
@@ -158,7 +156,7 @@ def test_criterion_6_cm_tables(capsys):
     def body():
         t0 = time.perf_counter()
         for n, rows in ((7, 38), (9, 20)):
-            rep = verify_table(n)
+            rep = verify_table(load_table(n))
             assert rep.row_count == rows
             assert rep.expected_row_count == rows
             assert all(f.ok for f in rep.findings)

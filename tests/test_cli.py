@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from _helpers import with_fields
 
-from shimura4 import cli, families
-from shimura4.families import VerificationError, apply_reduction
+from shimura4 import cli, reductions
+from shimura4.reductions import VerificationError, apply_reduction
 from shimura4.multipoly import MultiPoly
 
 
@@ -165,6 +165,19 @@ def _cm_tables_in_subprocess(data_dir):
                             for c in s["checks"]}
 
 
+def test_data_dir_tables_are_read_once(tmp_path, monkeypatch, capsys):
+    # the command line parses each table of --data-dir to check it, and the
+    # suite judges those same tables without reading them again
+    from shimura4 import cmtables
+    _copy_tables(tmp_path)
+    calls = []
+    original = cmtables.load_table
+    monkeypatch.setattr(cmtables, "load_table", lambda *args: calls.append(args) or original(*args))
+    code, _, _ = run(capsys, ["cm-tables", "--json", "--data-dir", str(tmp_path)])
+    assert code == 0
+    assert calls == [(7, str(tmp_path)), (9, str(tmp_path))]
+
+
 def test_corrupted_data_dir_fails(tmp_path, capsys):
     _, p9 = _copy_tables(tmp_path)
     # corrupt one factorization digit in the x9 table
@@ -184,7 +197,7 @@ LONG_LABEL = "8.0.1999999999999999999999999999999999999995077030712450721.1"
     # factors: the row is not factored again, and its stated 7 and 1583 are
     # primes, so only the label check fails
     pytest.param("8.0.15077030712450721.1\t", f"{LONG_LABEL}\t",
-                 f"1 failures, first: {LONG_LABEL}", id="unsplit-label"),
+                 f"1 failure, first: {LONG_LABEL}", id="unsplit-label"),
     # an exponent whose power has about 10^8 digits: the label check stops
     # at the first remainder instead of building 13^99999999
     pytest.param("7^4*239^4\t", "7^4*13^99999999\t",
@@ -319,7 +332,7 @@ def test_full_run_applies_each_plan_once(monkeypatch, capsys):
     def counting(plan):
         calls.append(plan.name)
         return apply_reduction(plan)
-    monkeypatch.setattr(families, "apply_reduction", counting)
+    monkeypatch.setattr(reductions, "apply_reduction", counting)
     code, _, _ = run(capsys, ["--json"])
     assert code == 0
     assert len(calls) == 7 == len(set(calls))
@@ -338,7 +351,7 @@ def test_equal_suites_and_reports_hash_equal():
 def test_failed_plan_fails_square_scalar_and_match(monkeypatch):
     def failing(plan):
         raise VerificationError("synthetic")
-    monkeypatch.setattr(families, "apply_reduction", failing)
+    monkeypatch.setattr(reductions, "apply_reduction", failing)
     from shimura4.suites.reductions import suite_reductions9
     checks = suite_reductions9(None).checks
     assert [(c.id, c.status, c.actual) for c in checks[:2]] == [
@@ -349,8 +362,8 @@ def test_failed_plan_fails_square_scalar_and_match(monkeypatch):
 def _run_with_plans(monkeypatch, capsys, n, plans, args):
     """Run the CLI with `plans` as the reduction plans of family n; return the
     exit code, the checks of the JSON report by id, and stderr."""
-    original = families.reduction_plans
-    monkeypatch.setattr(families, "reduction_plans",
+    original = reductions.reduction_plans
+    monkeypatch.setattr(reductions, "reduction_plans",
                         lambda k: plans if k == n else original(k))
     code, out, err = run(capsys, args + ["--json"])
     return code, {c["id"]: c for s in json.loads(out)["suites"] for c in s["checks"]}, err
@@ -363,7 +376,7 @@ def _run_with_plans(monkeypatch, capsys, n, plans, args):
 def test_target_on_another_ring_fails_only_its_match(monkeypatch, capsys, n, name, ring):
     # the plan's target gains a variable the reduced equation lacks: the
     # match check fails with both variable tuples, and the run still reports
-    plans = families.reduction_plans(n)
+    plans = reductions.reduction_plans(n)
     (plan,) = [p for p in plans if p.name == name]
     pad = (0,) * (len(ring) - len(plan.expected.variables))
     target = MultiPoly(ring, {e + pad: c for e, c in plan.expected.terms.items()})
@@ -381,7 +394,7 @@ def _bad_twist(plan, kind):
     if kind == "constant-target":
         return with_fields(plan, expected=MultiPoly.constant(3, ("x",)))
     y, u = MultiPoly.generators("y", "u")
-    return with_fields(plan, steps=(families.SubstStep(assignments=(
+    return with_fields(plan, steps=(reductions.SubstStep(assignments=(
         ("x", MultiPoly.constant(1, ("y", "u")), None), ("y", y, None), ("t", u, None))),))
 
 
@@ -392,7 +405,7 @@ def _bad_twist(plan, kind):
 def test_bad_twist_plan_fails_only_its_match(monkeypatch, capsys, kind, reason):
     # a twist target with no variable, or a reduction that leaves g none,
     # fails only the plan's match, not the run, and the run still reports
-    plans = families.reduction_plans(7)
+    plans = reductions.reduction_plans(7)
     swapped = (_bad_twist(plans[0], kind),) + plans[1:]
     code, checks, err = _run_with_plans(monkeypatch, capsys, 7, swapped, ["reductions7"])
     assert code == 1, err
@@ -406,7 +419,7 @@ def _off_ring(plan, kind):
     if kind == "uniformizer":
         return with_fields(plan, uniformizer="q")
     steps = list(plan.steps)
-    (k,) = [k for k, s in enumerate(steps) if isinstance(s, families.SquareCheck)]
+    (k,) = [k for k, s in enumerate(steps) if isinstance(s, reductions.SquareCheck)]
     if kind == "square-root":
         # the declared root Y^3 - W on (Y, W), the equation on (Y, W, s)
         Y, W = MultiPoly.generators("Y", "W")
@@ -429,7 +442,7 @@ def test_step_off_the_ring_fails_only_its_plan(monkeypatch, capsys, kind):
     # a step on a variable the equation lacks, or one that divides by zero,
     # fails the plan's checks with the plan's name, and the run still prints
     # its report
-    plans = families.reduction_plans(9)
+    plans = reductions.reduction_plans(9)
     swapped = (_off_ring(plans[0], kind),) + plans[1:]
     code, checks, err = _run_with_plans(monkeypatch, capsys, 9, swapped, ["reductions9"])
     assert code == 1, err
@@ -441,7 +454,7 @@ def test_step_off_the_ring_fails_only_its_plan(monkeypatch, capsys, kind):
 def test_plan_that_does_not_continue_its_first_fails_only_its_identity(monkeypatch, capsys):
     # the second plane-at-1 component without its first step: the family 9
     # identity fails with the reason, family 7 still runs, the run reports
-    plans = families.reduction_plans(9)
+    plans = reductions.reduction_plans(9)
     (k,) = [k for k, p in enumerate(plans) if p.name == "plane-at-1-second-component"]
     swapped = plans[:k] + (with_fields(plans[k], steps=plans[k].steps[1:]),) + plans[k + 1:]
     code, checks, err = _run_with_plans(monkeypatch, capsys, 9, swapped, ["arakelov"])
@@ -498,9 +511,11 @@ def test_cli_import_loads_only_the_dispatcher():
 # command line checks --depth against)
 SUITE_MODULES = {
     "disc7": ("suites.disc7", "families", "multipoly", "dense", "intfactor"),
-    "reductions7": ("suites.reductions", "families", "multipoly", "dense", "intfactor"),
-    "reductions9": ("suites.reductions", "families", "multipoly", "dense", "intfactor"),
-    "arakelov": ("suites.arakelov", "families", "multipoly", "dense"),
+    "reductions7": ("suites.reductions", "reductions", "families", "multipoly", "dense",
+                    "intfactor"),
+    "reductions9": ("suites.reductions", "reductions", "families", "multipoly", "dense",
+                    "intfactor"),
+    "arakelov": ("suites.arakelov", "reductions", "families", "multipoly", "dense"),
     "quaternion": ("suites.quaternion", "quaternion", "numberfield", "dense"),
     "triangle": ("suites.triangle", "quaternion", "numberfield", "dense"),
     "hypergeometric": ("suites.hypergeometric", "hypergeom"),
@@ -559,16 +574,18 @@ def test_cli_loads_only_the_modules_its_suites_run(tmp_path):
     assert "dataclasses" not in after_all
     assert "inspect" not in after_all
     assert "typing" not in after_all
-    # importing the families, as the plane elimination does, loads neither
+    # importing the families, as the plane elimination does, loads their
+    # equations and the polynomial ring, and neither the reduction engine,
     # the triangle stacks nor the integer factoring, which only some of the
-    # families' checks call
+    # checks call
     out = subprocess.run([sys.executable, "-S", "-c",
-                          "import sys, shimura4.families; print(sorted(sys.modules))"],
+                          "import json, sys, shimura4.families; print(json.dumps(sorted(m "
+                          "for m in sys.modules if m.split('.')[0] == 'shimura4')))"],
                          capture_output=True, text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
-    assert "shimura4.trianglestacks" not in out.stdout
-    assert "shimura4.intfactor" not in out.stdout
+    assert json.loads(out.stdout) == ["shimura4"] + [
+        f"shimura4.{m}" for m in ("dense", "families", "multipoly", "record")]
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

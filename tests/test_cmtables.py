@@ -45,7 +45,7 @@ def test_row_counts_and_checksums():
 
 def test_tables_fully_verify():
     for n in (7, 9):
-        rep = verify_table(n)
+        rep = verify_table(load_table(n))
         assert rep.row_count == rep.expected_row_count
         assert not rep.duplicates
         assert rep.row_count == EXPECTED_ROW_COUNTS[n]
@@ -132,7 +132,7 @@ def test_data_dir_override(tmp_path):
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
     t = load_table(7, data_dir=str(tmp_path))
     assert len(t.rows) == 3
-    rep = verify_table(7, data_dir=str(tmp_path))
+    rep = verify_table(t)
     assert rep.row_count == 3
     # row count no longer matches the bundled expectation
     assert rep.expected_row_count == EXPECTED_ROW_COUNTS[7] != rep.row_count

@@ -4,25 +4,15 @@ import pytest
 from _helpers import arakelov_with, c9_fiber_components_t1, with_fields
 
 from shimura4.families import (
-    ArakelovReport,
-    DivideStep,
-    ReductionPlan,
-    SubstStep,
     VerificationError,
-    apply_reduction,
-    arakelov_check,
     c7_discriminant,
     c7_equation,
     c7_family,
     c9_family,
     c9_family_flat_form,
-    chart_orders,
     is_smooth_fiber_c7,
     j_invariant_depressed,
-    match_hyperelliptic_up_to_twist,
-    match_proportional,
     quadratic_twist_factor,
-    reduction_plans,
     specialize_c7,
     t1_fiber_split_c7,
 )
@@ -32,6 +22,18 @@ from shimura4.multipoly import (
     discriminant,
     restrict_vars,
     squarefree_decomposition,
+)
+from shimura4.reductions import (
+    ArakelovReport,
+    DivideStep,
+    ReductionPlan,
+    SubstStep,
+    apply_reduction,
+    arakelov_check,
+    chart_orders,
+    match_hyperelliptic_up_to_twist,
+    match_proportional,
+    reduction_plans,
 )
 
 
@@ -126,21 +128,28 @@ def test_plane_family_eliminant():
 
 
 def test_eliminations_interpolate_through_the_newton_polygon_bound(monkeypatch):
-    # the degree bound of each interpolation is the true degree, so the
-    # plane elimination makes 119 + 91 base-case resultants and the c7
-    # discriminant 50, where the Sylvester row bound made 452 + 127 and 77
+    # the Newton polygons at t = oo and t = 0 bound the degree and the
+    # order of each one-parameter resultant, so the plane elimination makes
+    # 119 + 36 base-case resultants and the c7 discriminant 14, where the
+    # degree bound alone made 119 + 91 and 50, and the Sylvester row bound
+    # 452 + 127 and 77. The order is read at the common root of the
+    # operands at t = 0, so translating Y and W changes no count
     import shimura4.multipoly as multipoly
     calls = []
     base = multipoly._res_int
     monkeypatch.setattr(multipoly, "_res_int",
                         lambda A, B: calls.append(1) or base(A, B))
-    disc_w = discriminant(c9_family(), "W")
-    assert len(calls) == 119
-    discriminant(disc_w, "Y")
-    assert len(calls) == 119 + 91
+    f = c9_family()
+    Y, W, _ = P(*f.variables)
+    for g in (f, f.substitute({"Y": Y + 1, "W": W + 2})[0]):
+        calls.clear()
+        disc_w = discriminant(g, "W")
+        assert len(calls) == 119
+        discriminant(disc_w, "Y")
+        assert len(calls) == 119 + 36
     calls.clear()
     c7_discriminant.__wrapped__()  # past the cache
-    assert len(calls) == 50
+    assert len(calls) == 14
 
 
 def test_smoothness_predicate():
@@ -277,7 +286,7 @@ def test_display_gap_reads_the_whole_equation(extra):
     # or a W^3 coefficient in Y, fails instead of being flagged as the same
     # curve over the closure
     from shimura4.suites.reductions import _plan_checks
-    from shimura4.families import _match_display_gap
+    from shimura4.reductions import _match_display_gap
     plan = reduction_plans(9)[1]
     Y, W = P("Y", "W")
     term = {"5*Y*W": 5 * Y * W, "Y^2*W^3": Y ** 2 * W ** 3}[extra]
@@ -483,7 +492,7 @@ def test_quadratic_twist_factor():
 
 
 def test_fraction_nth_root():
-    from shimura4.families import _fraction_nth_root
+    from shimura4.reductions import _fraction_nth_root
     assert _fraction_nth_root(F(27, 8), 3) == F(3, 2)
     assert _fraction_nth_root(F(16, 81), 4) == F(2, 3)
     assert _fraction_nth_root(F(5, 4), 2) is None  # numerator not a square

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from _helpers import (
@@ -472,6 +473,75 @@ def test_degree_bound_lies_between_true_degree_and_row_bound():
                 assert r.degree("t") <= bound <= row_bound
                 below += bound < row_bound
     assert below >= 10
+
+
+def _one_parameter_bounds(f, g):
+    """(order bound at t = 0, degree bound) of the resultant in x of f and g
+    on (x, t), as the one-parameter level of the resultant reads them."""
+    import shimura4.multipoly as multipoly
+    A, B = ([multipoly._group_last(c) for c in multipoly._integer_rows(
+        p, 0, p.degree("x"), [1], gcd(*p._num.values()))] for p in (f, g))
+    degrees = ([max(map(len, c.values()), default=0) - 1 for c in P] for P in (A, B))
+    return multipoly._order_bound(A, B), _degree_bound(*degrees)
+
+
+def _planted_pair(rng, r):
+    """f = (x - r)^i * a + t^k * c and g = (x - r)^j * b + t^l * d, with r
+    a rational, random small a, b, c, d and 1 <= i, j, k, l <= 3: both
+    vanish at x = r when t = 0, so the resultant has positive order at
+    t = 0."""
+    x, t = MultiPoly.generators("x", "t")
+
+    def small(deg):
+        return sum((rng.choice([-3, -2, -1, 1, 2, 3]) * x ** e * t ** rng.randint(0, 2)
+                    for e in range(deg + 1)), MultiPoly.zero(("x", "t")))
+    f = (x - r) ** rng.randint(1, 3) * (x + rng.choice([-2, -1, 1, 2]) + small(1) * t)
+    g = (x - r) ** rng.randint(1, 3) * (2 * x - rng.choice([-3, 1, 3]) + small(0) * t)
+    return f + t ** rng.randint(1, 3) * small(2), g + t ** rng.randint(1, 3) * small(1)
+
+
+def test_order_bound_lies_below_true_order_at_zero():
+    # operands that share the rational root x = c at t = 0, with planted
+    # powers of t in the rest: the order bound never exceeds the true order
+    # of the resultant at t = 0, the resultant interpolated above it is the
+    # Sylvester determinant, and the bound is the same under translations
+    # of x, the one by c included, because the orders are read at the
+    # common root
+    rng = random.Random(20261020)
+    x, t = MultiPoly.generators("x", "t")
+    positive = 0
+    for _ in range(12):
+        c = F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+        f, g = _planted_pair(rng, c)
+        r = resultant(f, g, "x")
+        assert r == _sylvester_det(f, g, "x")
+        low, bound = _one_parameter_bounds(f, g)
+        if not r.is_zero():
+            assert low <= r.valuation("t") <= r.degree("t") <= bound
+        positive += low > 0
+        for shift in (c, *rng.sample(range(-3, 4), 3)):
+            fs, gs = (p.substitute({"x": x + shift})[0] for p in (f, g))
+            assert _one_parameter_bounds(fs, gs)[0] == low
+            assert resultant(fs, gs, "x") == r
+    assert positive >= 10
+
+
+def test_shared_factor_gives_zero_without_evaluating(monkeypatch):
+    # f and g share the factor x - 2, so their resultant is 0; read at the
+    # common root x = 2 of f and g at t = 0, the order bound exceeds the
+    # degree bound, so the resultant is 0 with no base case evaluated
+    import shimura4.multipoly as multipoly
+    calls = []
+    base = multipoly._res_int
+    monkeypatch.setattr(multipoly, "_res_int",
+                        lambda A, B: calls.append(1) or base(A, B))
+    x, t = MultiPoly.generators("x", "t")
+    f = (x - 2) * (x - 2 + t)
+    g = (x - 2) ** 2
+    assert _one_parameter_bounds(f, g) == (4, 2)
+    assert resultant(f, g, "x").is_zero()
+    assert calls == []
+    assert _sylvester_det(f, g, "x").is_zero()
 
 
 def test_resultant_of_two_constants_is_one():

@@ -16,16 +16,7 @@ from _helpers import (
     with_fields,
 )
 
-from shimura4.families import (
-    DivideStep,
-    ReductionPlan,
-    SubstStep,
-    apply_reduction,
-    c7_discriminant,
-    chart_orders,
-    reduction_plans,
-    specialize_c7,
-)
+from shimura4.families import c7_discriminant, specialize_c7
 from shimura4.hypergeom import (
     hypergeometric_data,
     invariant_table,
@@ -35,6 +26,14 @@ from shimura4.hypergeom import (
 from shimura4.multipoly import MultiPoly, discriminant, resultant
 from shimura4.numberfield import field_2cos
 from shimura4.quaternion import uniformizer_triple
+from shimura4.reductions import (
+    DivideStep,
+    ReductionPlan,
+    SubstStep,
+    apply_reduction,
+    chart_orders,
+    reduction_plans,
+)
 from shimura4.trianglestacks import classify, bezout_weights
 
 

@@ -2,11 +2,11 @@
 
 import pytest
 
-from shimura4.families import DivideStep, SquareCheck
 from shimura4.hypergeom import HypergeomError, HypergeometricData
 from shimura4.multipoly import MultiPoly
 from shimura4.numberfield import NumberField, NumberFieldError
 from shimura4.quaternion import QuaternionAlgebra, QuaternionError
+from shimura4.reductions import DivideStep, SquareCheck
 from shimura4.record import Record
 from shimura4.report import PASS, RECOMPUTED, Check, Suite, VerificationReport
 
