@@ -2,7 +2,9 @@
 
 Subpackages of interest:
 
-- multipoly / numberfield / intfactor: the exact computation core
+- multipoly / numberfield: the exact computation core
+- intfactor: the primality test of the CM-table checks and the
+  factorization strings of the tables and reports
 - quaternion: quaternion algebras over real cyclotomic fields, the real
   places where they split, and the (2, 3, n) rotation triples
 - trianglestacks: triangle group data, degrees, and disk tessellations
@@ -19,3 +21,7 @@ Subpackages of interest:
 """
 
 __version__ = "0.1.0"
+
+# the deepest tessellation: `verify --depth` and `trianglestacks.tessellate`
+# refuse more, and suites.triangle.TILE_COUNTS freezes the counts through it
+MAX_DEPTH = 12

@@ -221,13 +221,24 @@ def _match_display_gap(plan: ReductionPlan, reduced: MultiPoly):
 # matching helpers
 
 
+def _int_nth_root(m: int, e: int) -> int:
+    """floor(m ** (1/e)) by Newton iteration on integers."""
+    if m < 2:
+        return m
+    x = 1 << ((m.bit_length() + e - 1) // e)
+    while True:
+        y = ((e - 1) * x + m // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 def _fraction_nth_root(x: Fraction, n: int) -> Fraction | None:
     """Exact rational n-th root, or None. For even n the positive root."""
     if n <= 0:
         raise ValueError("n must be positive")
     if x < 0 and n % 2 == 0:
         return None
-    from .intfactor import _int_nth_root
     ax = abs(x)
     r = F(_int_nth_root(ax.numerator, n), _int_nth_root(ax.denominator, n))
     if r ** n != ax:

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 from .. import trianglestacks
 from ..report import Check, Suite
 
-# exact tile counts by depth 0 .. trianglestacks.MAX_DEPTH
+# exact tile counts by depth 0 .. shimura4.MAX_DEPTH
 TILE_COUNTS = {
     7: (1, 6, 15, 31, 55, 88, 136, 203, 295, 424, 602, 848, 1190),
     9: (1, 6, 15, 31, 59, 104, 174, 287, 468, 755, 1210, 1936, 3091),

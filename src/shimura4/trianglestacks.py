@@ -28,6 +28,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
+from . import MAX_DEPTH
 from .record import Record
 
 
@@ -215,9 +216,6 @@ def _tile_tree(n: int, max_len: int) -> list:
                     tiles.append((parent, gi, length))
         frontier = new_frontier
     return tiles
-
-
-MAX_DEPTH = 12  # suites.triangle.TILE_COUNTS freezes the counts through this depth
 
 
 def tessellate(n: int, depth: int = 4, svg_path: str | None = None) -> int:

@@ -235,7 +235,6 @@ def minpoly_2cos_by_primes(n):
     V_n - 2 with, for each prime p | n, its gcd with V_{n/p} - 2 divided
     out; 1 and 2 are the rational cases."""
     from shimura4.dense import _zt_divide, _zt_gcd, _zt_squarefree
-    from shimura4.intfactor import factor_integer
     from shimura4.numberfield import _chebyshev_like
     if n <= 2:
         return [-2, 1] if n == 1 else [2, 1]
@@ -246,7 +245,9 @@ def minpoly_2cos_by_primes(n):
         return v
 
     f = _zt_squarefree(v_minus_2(n))
-    for p in factor_integer(n)[0]:
+    # the primes dividing n, by trial division
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+    for p in primes:
         f = _zt_divide(f, _zt_gcd(f, v_minus_2(n // p)))
     return f
 

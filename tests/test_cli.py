@@ -308,8 +308,11 @@ def test_precision_at_floor_passes(capsys):
 
 
 def test_svg_into_missing_directory_is_usage_error(tmp_path, capsys):
-    # a missing directory, an existing directory, an empty path
-    for path in (str(tmp_path / "no-such-dir" / "x.svg"), str(tmp_path), ""):
+    # a missing directory, an existing directory, an empty path, and a file
+    # name longer than the file system allows, which cannot be created even
+    # by root, for whom a read-only directory would not fail
+    for path in (str(tmp_path / "no-such-dir" / "x.svg"), str(tmp_path), "",
+                 str(tmp_path / ("a" * 300 + ".svg"))):
         with pytest.raises(SystemExit) as exc:
             cli.main(["triangle", "--svg", path])
         assert exc.value.code == 2
@@ -476,16 +479,20 @@ def test_cli_import_loads_no_mpmath():
     assert out.stdout.strip() == "False"
 
 
-def _loaded_after(args):
+def _loaded_after(args, exit_code=0):
     """The package modules loaded in a fresh process (-S: no site, so no
     .pth file loads anything first) after `import shimura4.cli` and, with
-    args, one run of cli.main(args); and whether fractions is loaded."""
+    args, one run of cli.main(args), which must end with exit_code; whether
+    fractions is loaded; and what the run wrote to stderr."""
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import contextlib, io, json, sys\n"
             "import shimura4.cli\n"
             f"args = {args!r}\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = shimura4.cli.main(args) if args else 0\n"
+            "    try:\n"
+            "        code = shimura4.cli.main(args) if args else 0\n"
+            "    except SystemExit as e:\n"
+            "        code = e.code\n"
             "print(json.dumps([code, sorted(m for m in sys.modules\n"
             "                               if m.split('.')[0] == 'shimura4'),\n"
             "                  'fractions' in sys.modules]))\n")
@@ -494,30 +501,29 @@ def _loaded_after(args):
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.returncode == 0, out.stderr
     code, loaded, fractions = json.loads(out.stdout)
-    assert code == 0
-    return loaded, fractions
+    assert code == exit_code, out.stderr
+    return loaded, fractions, out.stderr
 
 
 def test_cli_import_loads_only_the_dispatcher():
     # no suite, no computation module and not even fractions: the suites'
     # modules load when they run
-    loaded, fractions = _loaded_after(None)
+    loaded, fractions, _ = _loaded_after(None)
     assert loaded == ["shimura4", "shimura4.cli", "shimura4.record", "shimura4.report"]
     assert not fractions
 
 
 # the package modules each suite loads when it runs alone, beyond the cli,
-# its records, shimura4.suites and trianglestacks (whose MAX_DEPTH the
-# command line checks --depth against)
+# its records and shimura4.suites; the command line checks --depth against
+# shimura4.MAX_DEPTH, so only the suites that use the triangle stacks load them
 SUITE_MODULES = {
     "disc7": ("suites.disc7", "families", "multipoly", "dense", "intfactor"),
-    "reductions7": ("suites.reductions", "reductions", "families", "multipoly", "dense",
-                    "intfactor"),
-    "reductions9": ("suites.reductions", "reductions", "families", "multipoly", "dense",
-                    "intfactor"),
-    "arakelov": ("suites.arakelov", "reductions", "families", "multipoly", "dense"),
+    "reductions7": ("suites.reductions", "reductions", "families", "multipoly", "dense"),
+    "reductions9": ("suites.reductions", "reductions", "families", "multipoly", "dense"),
+    "arakelov": ("suites.arakelov", "reductions", "families", "multipoly", "dense",
+                 "trianglestacks"),
     "quaternion": ("suites.quaternion", "quaternion", "numberfield", "dense"),
-    "triangle": ("suites.triangle", "quaternion", "numberfield", "dense"),
+    "triangle": ("suites.triangle", "quaternion", "numberfield", "dense", "trianglestacks"),
     "hypergeometric": ("suites.hypergeometric", "hypergeom"),
     "cm-tables": ("suites.cm_tables", "cmtables", "intfactor"),
 }
@@ -526,10 +532,22 @@ SUITE_MODULES = {
 @pytest.mark.parametrize("suite", SUITE_MODULES)
 def test_each_suite_alone_loads_its_own_modules(suite):
     assert list(SUITE_MODULES) == list(cli.SUITES)
-    loaded, _ = _loaded_after([suite, "--json"])
-    common = ("cli", "record", "report", "suites", "trianglestacks")
+    loaded, _, _ = _loaded_after([suite, "--json"])
+    common = ("cli", "record", "report", "suites")
     assert loaded == sorted(["shimura4"] + [f"shimura4.{m}" for m in
                                             common + SUITE_MODULES[suite]])
+
+
+def test_depth_is_checked_without_the_triangle_stacks(capsys):
+    # the cap lives in the package, so a bad --depth is a usage error with
+    # the triangle stacks still unloaded, and the help text names the cap
+    loaded, _, err = _loaded_after(["hypergeometric", "--depth", "13"], exit_code=2)
+    assert "--depth must be between 0 and 12" in err
+    assert "shimura4.trianglestacks" not in loaded
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "tessellation depth, 0 to 12 (default 4)" in capsys.readouterr().out
 
 
 def test_cli_loads_only_the_modules_its_suites_run(tmp_path):
@@ -596,3 +614,23 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert code == 3
     assert "internal error" in err
     assert "disc7" in err
+
+
+def test_wrong_discriminant_constant_fails_its_check(monkeypatch, capsys):
+    # a family scaled by two primes other than 2, 3 and 7: its discriminant
+    # constant gains (p q)^18, which the split over 2, 3 and 7 keeps whole,
+    # so the check fails and shows it, and the run still reports (exit 1)
+    from shimura4 import families
+    p, q = 1000003, 1000033
+    family = families.c7_family()
+    monkeypatch.setattr(families, "c7_family", lambda: p * q * family)
+    families.c7_discriminant.cache_clear()
+    try:
+        code, out, _ = run(capsys, ["disc7", "--json"])
+    finally:
+        families.c7_discriminant.cache_clear()
+    assert code == 1
+    checks = {c["id"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    check = checks["model-constant-factorization"]
+    assert check["status"] == "fail"
+    assert check["actual"] == f"2^20*3^36*7^10*{(p * q) ** 18}"

@@ -5,6 +5,7 @@ from _helpers import arakelov_with, c9_fiber_components_t1, with_fields
 
 from shimura4.families import (
     VerificationError,
+    _split_constant,
     c7_discriminant,
     c7_equation,
     c7_family,
@@ -103,6 +104,32 @@ def test_c7_discriminant_valuations_and_constant():
     assert dict(rep.constant_factors) == {2: 20, 3: 36, 7: 10}
     assert rep.constant == F(2) ** 20 * F(3) ** 36 * F(7) ** 10
     assert dict(rep.curve_constant_factors) == {2: 36, 3: 36, 7: 10}
+
+
+def test_split_over_the_family_primes_gives_the_exact_exponents():
+    assert _split_constant(1) == {}
+    assert _split_constant(2 ** 10) == {2: 10}
+    assert _split_constant(2 ** 20 * 3 ** 36 * 7 ** 10) == {2: 20, 3: 36, 7: 10}
+    # a prime not among those split over is a cofactor, even a small one
+    assert _split_constant(360) == {2: 3, 3: 2, 5: 1}
+
+
+def test_split_over_the_family_primes_keeps_a_semiprime_whole():
+    # nothing is factored: a prime and a semiprime left over each come back
+    # as one factor with exponent 1
+    p, q = 1000003, 1000033
+    assert _split_constant(p) == {p: 1}
+    assert _split_constant(p * q) == {p * q: 1}
+
+
+def test_split_over_the_family_primes_keeps_the_cofactor_whole():
+    # a composite or a prime power left over beside the family primes comes
+    # back as one factor with exponent 1, next to the exact exponents
+    p, q = 1000003, 1000033
+    assert _split_constant(7 ** 2 * p * q) == {7: 2, p * q: 1}
+    assert _split_constant(2 * 3 ** 4 * p ** 5) == {2: 1, 3: 4, p ** 5: 1}
+    p, q = 35184372088891, 70368744177679
+    assert _split_constant(7 ** 2 * p * q) == {7: 2, p * q: 1}
 
 
 def test_discriminant_report_hashes_by_its_fields():
