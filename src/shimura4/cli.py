@@ -95,7 +95,7 @@ def main(argv=None) -> int:
                              f"to {MAX_PRECISION} (default 30)")
     parser.add_argument("--data-dir", default=None,
                         help="directory holding replacement cm_x7.tsv and "
-                             "cm_x9.tsv")
+                             "cm_x9.tsv; only with the cm-tables suite or all")
     parser.add_argument("--svg", default=None, metavar="PATH",
                         help="also render the (2,3,7) tessellation to PATH; "
                              "only with the triangle suite or all")
@@ -111,6 +111,8 @@ def main(argv=None) -> int:
     # again; None leaves the suite to read the bundled tables
     opts.tables = None
     if opts.data_dir is not None:
+        if opts.suite not in ("cm-tables", "all"):
+            parser.error(f"--data-dir: the {opts.suite} suite reads no table")
         from . import cmtables
         try:
             opts.tables = tuple(cmtables.load_table(n, opts.data_dir) for n in (7, 9))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 
-from .intfactor import is_proven_prime, parse_factorization
+from .intfactor import is_proven_prime, parse_digits, parse_factorization
 from .record import Record
 
 
@@ -42,7 +42,7 @@ class FieldLabel(Record):
         if len(parts) != 4:
             raise CMTableError(f"malformed field label {text!r}")
         try:
-            d, r, disc, idx = (int(p) for p in parts)
+            d, r, disc, idx = map(parse_digits, parts)
         except ValueError:
             raise CMTableError(f"malformed field label {text!r}") from None
         if d < 1 or not 0 <= r <= d or disc < 1 or idx < 1:

@@ -4,6 +4,8 @@ printed discriminant constant.
 A table states each discriminant's factorization; checking it needs only
 a primality test of each stated base, and this one is a proof: Miller-Rabin
 with deterministic bases below 2**64. Nothing here factors an integer.
+The numbers of a table, in its factorizations and its field labels, are
+read as ASCII digits only (`parse_digits`).
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ def factorization_string(factors: dict) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def parse_digits(s: str) -> int:
+    """The natural number that the ASCII digits s write. Anything else is
+    a ValueError, where int() would also read a sign, underscores,
+    surrounding space or the digits of other scripts."""
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"not a string of digits: {s!r}")
+    return int(s)
+
+
 def parse_factorization(s: str) -> dict:
     """Inverse of factorization_string; accepts '7^4*239^4' or '3^8*71^4'."""
     s = s.strip()
@@ -56,9 +67,9 @@ def parse_factorization(s: str) -> dict:
         piece = piece.strip()
         if "^" in piece:
             base, exp = piece.split("^")
-            p, e = int(base), int(exp)
+            p, e = parse_digits(base), parse_digits(exp)
         else:
-            p, e = int(piece), 1
+            p, e = parse_digits(piece), 1
         if p < 2 or e < 1:
             raise ValueError(f"bad factorization piece {piece!r}")
         out[p] = out.get(p, 0) + e

@@ -154,10 +154,6 @@ class MultiPoly:
     # constructors
 
     @staticmethod
-    def zero(variables: Sequence[str]) -> "MultiPoly":
-        return MultiPoly(variables, {})
-
-    @staticmethod
     def constant(c: Scalar, variables: Sequence[str]) -> "MultiPoly":
         vt = tuple(variables)
         return MultiPoly(vt, {(0,) * len(vt): c})
@@ -531,8 +527,7 @@ def restrict_vars(p: MultiPoly, variables: Sequence[str]) -> MultiPoly:
 # dense univariate polynomials
 #
 # A dense polynomial is a list of coefficients, lowest first, as in
-# `dense`: `poly_to_dense` gives Fractions, and `dense_to_poly` reads
-# Fractions or ints back.
+# `dense`: `poly_to_dense` gives Fractions.
 
 
 def _int_row(f: MultiPoly, var: str) -> list:
@@ -551,11 +546,6 @@ def poly_to_dense(f: MultiPoly, var: str) -> list:
     """f as a dense Fraction list in var; raises MultiPolyError when a
     variable other than var occurs in f."""
     return [Fraction(c, f._den) for c in _int_row(f, var)]
-
-
-def dense_to_poly(p: Sequence, var: str = "x") -> MultiPoly:
-    """Dense list p as a MultiPoly in the single variable var."""
-    return MultiPoly((var,), {(k,): c for k, c in enumerate(p)})
 
 
 def squarefree_decomposition(f: MultiPoly, var: str) -> list:
@@ -642,7 +632,7 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         raise MultiPolyError("resultant operands must share a variable tuple")
     vt = f.variables
     if f.is_zero() or g.is_zero():
-        return MultiPoly.zero(vt)
+        return f if f.is_zero() else g
     m, n = f.degree(var), g.degree(var)
     sign = 1
     if m < n:

@@ -1,19 +1,23 @@
 """Totally real number fields with exact real-embedding arithmetic.
 
-A field is Q[x]/(m) for a monic irreducible m with all roots real. Real
-embeddings are identified with the real roots of m, ordered increasingly and
-represented by exact isolating intervals from a Sturm chain. Element signs
-under an embedding are decided exactly by interval refinement -- no floating
-point is involved anywhere in a sign decision.
+A field is Q[x]/(m) for a monic irreducible m in Z[x] with all roots real,
+and m is all there is to it: every number field has such a presentation,
+and two fields on the same m are equal. Real embeddings are identified
+with the real roots of m, ordered increasingly and represented by exact
+isolating intervals from a Sturm chain. Element signs under an embedding
+are decided exactly by interval refinement -- no floating point is
+involved anywhere in a sign decision.
 
 Dense univariate polynomials are lists [c0, c1, ...], lowest coefficient
 first, as in `dense`, the only module of the package this one computes
-with; a field takes its minimal polynomial as such a row. The work runs on
-integers: elements are integer rows over one denominator, Sturm chains are
-`dense._prs` remainder sequences, and Fractions appear only where a value
-leaves the API. This module alone knows how an element is stored: other
-modules compute with its arithmetic, and `NumberFieldElem.mul_matrix` hands
-out the integer matrix of multiplication by an element.
+with; a field takes its minimal polynomial as such a row of integers, and
+it prints as that row, so not even printing loads the polynomial ring. The
+work runs on integers: elements are integer rows over one denominator,
+products fold by integer rows of m, Sturm chains are `dense._prs` remainder
+sequences, and Fractions appear only where a value enters or leaves the
+API. This module alone knows how an element is stored: other modules
+compute with its arithmetic, and `NumberFieldElem.mul_matrix` hands out the
+integer matrix of multiplication by an element.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 
 from .dense import _deriv, _int_dense, _power, _prs, _trim, _zt_divide, _zt_gcd, _zt_squarefree
 from .record import Record
@@ -111,55 +115,48 @@ def refine_interval(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
 
 
 class NumberField(Record):
-    """Q[x]/(m) for m monic irreducible, all roots real.
+    """Q[x]/(m) for m monic irreducible in Z[x], all roots real.
 
-    `min_poly` is the monic minimal polynomial as a dense row of rationals,
-    lowest coefficient first (kept as a tuple of Fractions); `name` is a
-    display name for the generator. Real embeddings are indexed 0, 1, ...
-    by increasing root.
+    `min_poly` is m as a dense row of integers, lowest coefficient first
+    (kept as a tuple of ints), and it is the whole field: two fields on the
+    same modulus are equal. Real embeddings are indexed 0, 1, ... by
+    increasing root.
     """
     min_poly: tuple
-    name: str = "a"
 
     def __post_init__(self):
         dense = tuple(map(Fraction, self.min_poly))
+        if any(c.denominator != 1 for c in dense):
+            raise NumberFieldError("minimal polynomial must have integer coefficients")
         if not dense or dense[-1] != 1:
             raise NumberFieldError("minimal polynomial must be monic")
         if len(dense) < 2:
             raise NumberFieldError("minimal polynomial must be non-constant")
-        object.__setattr__(self, "min_poly", dense)
-        object.__setattr__(self, "degree", len(dense) - 1)
-        # x^k mod m for d <= k <= 2d - 2, scaled to integers by one common
-        # denominator: the rows that fold a product of two reduced elements
-        # back below degree d
-        rows, xk = [], [-c for c in dense[:-1]]
-        for _ in range(len(dense) - 2):
-            rows.append(xk)
-            xk = [p + xk[-1] * c for p, c in zip([Fraction(0)] + xk[:-1], rows[0])]
-        den = lcm(*(c.denominator for row in rows for c in row))
-        object.__setattr__(self, "_fold", tuple(
-            tuple(c.numerator * (den // c.denominator) for c in row) for row in rows))
-        object.__setattr__(self, "_fold_den", den)
-        roots = isolate_real_roots(dense)
-        if len(roots) != len(dense) - 1:
+        m = tuple(c.numerator for c in dense)
+        object.__setattr__(self, "min_poly", m)
+        object.__setattr__(self, "degree", len(m) - 1)
+        # x^k mod m for d <= k <= 2d - 2: the integer rows that fold a
+        # product of two reduced elements back below degree d
+        rows, xk = [], [-c for c in m[:-1]]
+        for _ in range(len(m) - 2):
+            rows.append(tuple(xk))
+            xk = [p + xk[-1] * c for p, c in zip([0] + xk[:-1], rows[0])]
+        object.__setattr__(self, "_fold", tuple(rows))
+        roots = isolate_real_roots(m)
+        if len(roots) != len(m) - 1:
             raise NumberFieldError("minimal polynomial is not totally real")
         object.__setattr__(self, "_roots", tuple(roots))
 
     def gen(self) -> "NumberFieldElem":
-        coords = [Fraction(0)] * self.degree
-        if self.degree == 1:
-            # x - c: generator is the rational c
-            coords[0] = -self.min_poly[0]
-        else:
-            coords[1] = Fraction(1)
-        return NumberFieldElem(self, tuple(coords))
+        # x - c: the generator of a degree-1 field is the rational c
+        return self.element([-self.min_poly[0]] if self.degree == 1 else [0, 1])
 
     def element(self, coords) -> "NumberFieldElem":
         cs = [Fraction(c) for c in coords]
         if len(cs) > self.degree:
             raise NumberFieldError("too many coordinates")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return NumberFieldElem(self, tuple(cs))
+        num, den = _int_dense(cs)
+        return _elem(self, num + [0] * (self.degree - len(num)), den)
 
     def zero(self) -> "NumberFieldElem":
         return self.element([])
@@ -167,28 +164,15 @@ class NumberField(Record):
     def one(self) -> "NumberFieldElem":
         return self.element([1])
 
-    def __repr__(self):
-        # the polynomial ring is loaded only to print
-        from .multipoly import dense_to_poly
-        return f"NumberField({self.name}: {dense_to_poly(self.min_poly, self.name)})"
-
 
 class NumberFieldElem:
     """Element of a NumberField in power-basis coordinates, held as an
     integer row over one positive denominator in lowest terms (`coords` is
-    the Fraction view). Field arithmetic and exact embedding signs.
+    the Fraction view). Field arithmetic and exact embedding signs. Built
+    by `NumberField.element` and by the arithmetic, never directly.
     """
 
     __slots__ = ("field", "_num", "_den")
-
-    def __init__(self, field: NumberField, coords: tuple):
-        cs = tuple(coords)
-        if len(cs) != field.degree:
-            raise NumberFieldError("coordinate length mismatch")
-        # lowest terms already: each prime's full power in the lcm comes
-        # from a coordinate whose numerator it does not divide
-        num, self._den = _int_dense(cs)
-        self.field, self._num = field, tuple(num)
 
     @property
     def coords(self) -> tuple:
@@ -231,9 +215,8 @@ class NumberFieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        field = self.field
-        return _elem(field, _mul_fold(field, self._num, o._num),
-                     field._fold_den * self._den * o._den)
+        return _elem(self.field, _mul_fold(self.field, self._num, o._num),
+                     self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -242,7 +225,7 @@ class NumberFieldElem:
         integer rows over one positive denominator; column k is self * v^k."""
         field = self.field
         cols = [_mul_fold(field, [0] * k + [1], self._num) for k in range(field.degree)]
-        return list(zip(*cols)), field._fold_den * self._den
+        return list(zip(*cols)), self._den
 
     def inverse(self) -> "NumberFieldElem":
         """Faddeev-LeVerrier on the integer multiplication matrix A of self,
@@ -302,18 +285,7 @@ class NumberFieldElem:
         return not any(self._num[1:])
 
     def __repr__(self):
-        name = self.field.name
-        parts = []
-        for k, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*{name}" if c != 1 else name)
-            else:
-                parts.append(f"{c}*{name}^{k}" if c != 1 else f"{name}^{k}")
-        return " + ".join(parts) if parts else "0"
+        return f"NumberFieldElem({', '.join(map(str, self.coords))})"
 
     # ------------------------------------------------------------------
     # real-embedding queries
@@ -322,13 +294,17 @@ class NumberFieldElem:
         """Sign (-1, 0, +1) of the image under the index-th real embedding.
 
         Interval Horner over the root's isolating interval, in integers,
-        bisected until the enclosure excludes 0. Terminates: a nonzero
-        element has p(alpha) != 0 (deg p < deg m and m irreducible).
+        bisected until the enclosure excludes 0. Terminates: an element p
+        prime to m has p(alpha) != 0, and one that shares a factor with m,
+        which only a reducible m allows, raises NumberFieldError.
         """
         if self.is_zero():
             return 0
         if self.is_rational():
             return 1 if self._num[0] > 0 else -1
+        if len(_zt_gcd(_trim(list(self._num)), list(self.field.min_poly))) > 1:
+            raise NumberFieldError("element shares a factor with the modulus: "
+                                   "the modulus is reducible")
         lo, hi = self.field._roots[index]
         while True:
             (a, b), d = _int_dense((lo, hi))
@@ -361,16 +337,14 @@ def _elem(field: NumberField, num: list, den: int) -> NumberFieldElem:
 
 
 def _mul_fold(field: NumberField, xs: list, ys: list) -> list:
-    """xs * ys for integer rows, reduced mod the minimal polynomial: an
-    integer row over field._fold_den."""
+    """xs * ys for integer rows, reduced mod the minimal polynomial."""
     d = field.degree
     prod = [0] * (2 * d - 1)
     for i, a in enumerate(xs):
         if a:
             for j, b in enumerate(ys):
                 prod[i + j] += a * b
-    den = field._fold_den
-    out = [c * den for c in prod[:d]] if den != 1 else prod[:d]
+    out = prod[:d]
     for c, row in zip(prod[d:], field._fold):
         if c:
             for i, r in enumerate(row):
@@ -430,4 +404,4 @@ def minpoly_2cos(n: int) -> list:
 
 def field_2cos(n: int) -> NumberField:
     """The real cyclotomic field generated by v = 2*cos(2*pi/n)."""
-    return NumberField(minpoly_2cos(n), "v")
+    return NumberField(minpoly_2cos(n))

@@ -50,7 +50,7 @@ class QuaternionAlgebra(Record):
     def _coerce(self, c) -> NumberFieldElem:
         if isinstance(c, NumberFieldElem):
             return c
-        return self.field.element([Fraction(c)])
+        return self.field.element([c])
 
     def zero(self):
         return self.element(0)
@@ -75,9 +75,6 @@ class QuaternionAlgebra(Record):
             if sa > 0 or sb > 0:
                 out.append(idx)
         return out
-
-    def __repr__(self):
-        return f"QuaternionAlgebra(({self.a}, {self.b}) over {self.field.name})"
 
 
 # e_s e_t = sign * c * e_u in the basis e = 1, i, j, k, with c = 1, a, b, ab
@@ -209,16 +206,7 @@ class Quaternion:
         raise QuaternionError(f"no projective order found up to {cap}")
 
     def __repr__(self):
-        names = ("", "i", "j", "k")
-        parts = []
-        for c, n in zip(self.coords, names):
-            if c.is_zero():
-                continue
-            cs = repr(c)
-            if n and ("+" in cs or "-" in cs.strip("-")):
-                cs = f"({cs})"
-            parts.append(f"{cs}*{n}" if n else cs)
-        return " + ".join(parts) if parts else "0"
+        return f"Quaternion{self.coords}"
 
 
 def _left_matrix(g: Quaternion) -> tuple:

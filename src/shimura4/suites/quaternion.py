@@ -1,5 +1,5 @@
 """The quaternion suite: the (2, 3, n) rotation triples of the quaternion
-algebras over Q(2 cos(pi/n)), their orders, split places and traces."""
+algebras over Q(2 cos(2 pi/n)), their orders, split places and traces."""
 
 from __future__ import annotations
 

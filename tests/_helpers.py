@@ -217,6 +217,13 @@ def generator_matrices_by_products(n):
                        for row in zip(*m)) for m in cols), den
 
 
+def dense_to_poly(p, var="x"):
+    """The dense list p as a MultiPoly in the single variable var, to print
+    it."""
+    from shimura4.multipoly import MultiPoly
+    return MultiPoly((var,), {(k,): c for k, c in enumerate(p)})
+
+
 def dense_rem(a, m):
     """Remainder of the dense Fraction list a by the monic dense list m,
     padded with zeros to deg m coordinates."""

@@ -250,6 +250,8 @@ MALFORMED = {
     "bad-label": ("cm_x7.tsv", "8.0.7834003547041.1", "8.0.x.1"),
     "bad-factorization": ("cm_x7.tsv", "7^4*239^4", "2^x"),
     "not-utf8": ("cm_x9.tsv", "3^8*71^4", "3^8*71^4\udcff"),
+    "underscore-in-label": ("cm_x7.tsv", "8.0.7834003547041.1", "8.0.7834003547_041.1"),
+    "signed-exponent": ("cm_x7.tsv", "7^4*239^4", "7^+4*239^4"),
 }
 
 
@@ -276,6 +278,16 @@ def test_bad_data_dir_is_usage_error(tmp_path, capsys, which):
     assert "--data-dir" in err
     if which in MALFORMED:
         assert f"{MALFORMED[which][0]}:" in err  # file and line
+
+
+@pytest.mark.parametrize("suite", sorted(set(cli.SUITES) - {"cm-tables"}))
+def test_data_dir_with_a_suite_that_reads_no_table_is_usage_error(tmp_path, suite):
+    # refused before any table is read, for a missing directory and for a
+    # valid one alike, so the CM tables are never loaded
+    for data_dir in (tmp_path / "no-such-dir", tmp_path):
+        loaded, _, err = _loaded_after([suite, "--data-dir", str(data_dir)], exit_code=2)
+        assert f"--data-dir: the {suite} suite reads no table" in err
+        assert "shimura4.cmtables" not in loaded
 
 
 @pytest.mark.parametrize("precision", ["0", "-5", "-40", "14"])
@@ -432,7 +444,7 @@ def _off_ring(plan, kind):
     elif kind == "zero-denominator":
         (v, num, _), *rest = steps[0].assignments
         steps[0] = with_fields(steps[0], assignments=(
-            (v, num, MultiPoly.zero(num.variables)), *rest))
+            (v, num, MultiPoly(num.variables, {})), *rest))
     else:
         steps[0] = with_fields(steps[0], assignments=steps[0].assignments + (
             ("q", MultiPoly.generators("Y", "W", "s")[0], None),))

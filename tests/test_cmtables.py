@@ -26,6 +26,11 @@ def test_label_parsing():
         FieldLabel.parse("8.1.123.1")  # odd number of complex places
     with pytest.raises(CMTableError):
         FieldLabel.parse("a.b.c.d")
+    # numbers are ASCII digits only: int() would read each of these, the
+    # first as disc 10
+    for text in ("8.0.1_0.1", "8.0.+10.1", "8.0. 10.1", "8.0.\u0661\u0660.1", "+8.0.10.1"):
+        with pytest.raises(CMTableError, match="malformed field label"):
+            FieldLabel.parse(text)
     # a row parses its labels and its factorization when it is built
     good = ("8.0.7834003547041.1", "7^4*239^4", "3.3.49.1")
     for i, bad, error in ((0, "8.0.123", "malformed field label"),

@@ -236,7 +236,7 @@ def test_proportional_matcher():
     assert match_proportional(t + y, t) is None
     # equal contents leave the sign to decide
     assert match_proportional(-t, t) == F(-1)
-    zero = MultiPoly.zero(("Y", "W"))
+    zero = MultiPoly(("Y", "W"), {})
     assert match_proportional(zero, t) is None
     assert match_proportional(t, zero) is None
 

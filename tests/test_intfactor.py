@@ -44,3 +44,8 @@ def test_parse_rejects_garbage():
         parse_factorization("7^0")
     with pytest.raises(ValueError):
         parse_factorization("1^4*5")
+    # numbers are ASCII digits only: int() would read each base and
+    # exponent here, the first as 239
+    for text in ("7^4*2_39^4", "7^+4", "+7^4", "7 ^4", "\u0667^4"):
+        with pytest.raises(ValueError):
+            parse_factorization(text)

@@ -1,18 +1,22 @@
 """Sturm isolation, field arithmetic, exact embedding signs."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from _helpers import (
     count_real_roots,
     dense_mul,
     dense_rem,
+    dense_to_poly,
     embedding_interval,
     minpoly_2cos_by_primes,
 )
 
-from shimura4.multipoly import dense_to_poly
 from shimura4.numberfield import (
     NumberField,
     NumberFieldError,
@@ -118,8 +122,8 @@ def test_mul_matches_schoolbook_remainder():
     import random
     rng = random.Random(11)
     fields = [field_2cos(n) for n in (5, 7, 9, 11)]
-    fields.append(NumberField([F(-1, 3), F(-2), F(1, 2), F(1)], "w"))
-    fields.append(NumberField([F(-7, 4), F(1)], "u"))
+    fields.append(NumberField([1, -4, 0, 1]))
+    fields.append(NumberField([-7, 1]))
     for K in fields:
         for _ in range(40):
             x, y = (K.element([F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4]))
@@ -203,7 +207,7 @@ def test_embedding_interval_width():
 def test_embedding_queries_leave_the_field_unchanged():
     # an enclosure depends on the element and the width only, not on what
     # earlier queries refined
-    K = NumberField(minpoly_2cos(7), "v")
+    K = NumberField(minpoly_2cos(7))
     v = K.gen()
     roots = K._roots
     lo, hi = embedding_interval(v * v, 0, F(1, 10 ** 6))
@@ -214,18 +218,73 @@ def test_embedding_queries_leave_the_field_unchanged():
     assert hi2 - lo2 == hi - lo
 
 
+def test_a_field_is_its_modulus():
+    # the modulus is all there is to a field: built either way, the fields
+    # are equal, hash alike, and their elements add
+    K, L = NumberField(minpoly_2cos(7)), field_2cos(7)
+    assert K == L and hash(K) == hash(L)
+    assert K.min_poly == (-1, -2, 1, 1) and all(type(c) is int for c in K.min_poly)
+    assert K.gen() + L.gen() == 2 * L.gen()
+    assert NumberField([F(-1), F(-2), F(1), F(1)]) == L
+
+
+def _run_python(code, timeout):
+    """(exit code, stdout, stderr) of a fresh interpreter running code with
+    the package on its path; a run past timeout seconds fails the test."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    try:
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=timeout, env={**os.environ, "PYTHONPATH": str(src)})
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"no answer within {timeout} s")
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_printing_loads_no_polynomial_ring():
+    code, out, err = _run_python(
+        "import sys\n"
+        "from shimura4.quaternion import uniformizer_triple\n"
+        "t = uniformizer_triple(7)\n"
+        "K = t.algebra.field\n"
+        "for x in (K, K.gen(), t.algebra, t.delta_q):\n"
+        "    print(repr(x))\n"
+        "print('shimura4.multipoly' in sys.modules)\n", timeout=60)
+    assert code == 0, err
+    *lines, loaded = out.splitlines()
+    assert loaded == "False"
+    assert lines[:2] == ["NumberField(min_poly=(-1, -2, 1, 1))", "NumberFieldElem(0, 1, 0)"]
+    assert lines[3] == ("Quaternion(NumberFieldElem(1/2, 0, 0), NumberFieldElem(0, 1/2, 0), "
+                        "NumberFieldElem(1/2, 0, 0), NumberFieldElem(0, 0, 0))")
+
+
+def test_sign_on_a_reducible_modulus_raises():
+    # (x - 1)(x - 2) is totally real, so the field is built; x - 1 vanishes
+    # at its first root, where bisection alone would never decide a sign
+    code, out, err = _run_python(
+        "from shimura4.numberfield import NumberField, NumberFieldError\n"
+        "e = NumberField([2, -3, 1]).element([-1, 1])\n"
+        "for index in (0, 1):\n"
+        "    try:\n"
+        "        e.sign_at_embedding(index)\n"
+        "    except NumberFieldError as exc:\n"
+        "        print(exc)\n", timeout=30)
+    assert code == 0, err
+    assert out.splitlines() == ["element shares a factor with the modulus: "
+                                "the modulus is reducible"] * 2
+
+
 def test_not_totally_real_rejected():
     with pytest.raises(NumberFieldError):
-        NumberField([1, 0, 1], "i")  # x^2 + 1
+        NumberField([1, 0, 1])  # x^2 + 1
 
 
 def test_non_monic_rejected():
     with pytest.raises(NumberFieldError):
-        NumberField([-3, 0, 2], "a")  # 2x^2 - 3
+        NumberField([-3, 0, 2])  # 2x^2 - 3
 
 
 def test_degree_one_field_is_rational():
-    K = NumberField([F(1), F(1)], "r")  # x + 1
+    K = NumberField([F(1), F(1)])  # x + 1
     g = K.gen()
     assert g.is_rational() and g == -1
     assert (g * g).is_rational() and g * g == 1
@@ -240,9 +299,9 @@ def test_sturm_chain_endpoints():
 
 
 def _fold_test_field():
-    # x^3 + x^2/2 - 2x - 1/3: not integral, so products fold over a
-    # denominator other than 1
-    return NumberField([F(-1, 3), F(-2), F(1, 2), F(1)], "w")
+    # x^3 - 4x + 1: irreducible (no root +-1), discriminant 229 > 0, and not
+    # a 2 cos field; elements with denominators fold by its integer rows
+    return NumberField([1, -4, 0, 1])
 
 
 @pytest.mark.parametrize("make", [lambda: field_2cos(5), lambda: field_2cos(7),
@@ -253,8 +312,6 @@ def test_element_arithmetic_matches_a_fraction_reference(make):
     K = make()
     m = list(K.min_poly)
     d = K.degree
-    if make is _fold_test_field:
-        assert K._fold_den != 1
     # seeded by the minimal polynomial as printed in its variable
     rng = random.Random(str(dense_to_poly(K.min_poly, "x" if make is _fold_test_field else "v")))
     for _ in range(40):

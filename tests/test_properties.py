@@ -50,7 +50,7 @@ def rand_frac(rng, num=9, den=5):
 def rand_upoly(rng, var, max_deg, nonzero=True):
     deg = rng.randint(1, max_deg)
     x = MultiPoly.variable(var, (var,))
-    p = MultiPoly.zero((var,))
+    p = MultiPoly((var,), {})
     for k in range(deg + 1):
         p = p + rand_frac(rng) * x ** k
     if nonzero and p.is_zero():
@@ -60,7 +60,7 @@ def rand_upoly(rng, var, max_deg, nonzero=True):
 
 def rand_mpoly(rng, variables, max_deg, max_terms):
     gens = MultiPoly.generators(*variables)
-    p = MultiPoly.zero(tuple(variables))
+    p = MultiPoly(tuple(variables), {})
     for _ in range(rng.randint(1, max_terms)):
         term = MultiPoly.constant(rand_frac(rng), tuple(variables))
         for g in gens:

@@ -1,5 +1,7 @@
 """The record contract shared by every record type of the package."""
 
+from fractions import Fraction as F
+
 import pytest
 
 from shimura4.hypergeom import HypergeomError, HypergeometricData
@@ -98,7 +100,7 @@ def test_suites_and_reports_are_built_from_tuples():
 
 
 def _bad_algebra():
-    K = NumberField([-1, 1], "r")
+    K = NumberField([-1, 1])
     return QuaternionAlgebra(K, K.zero(), K.one())
 
 
@@ -111,6 +113,7 @@ def _bad_field(row):
     (_bad_field([-3, 0, 2]), NumberFieldError),                      # not monic
     (_bad_field([1, 0, 1]), NumberFieldError),                       # not totally real
     (_bad_field([1]), NumberFieldError),                             # constant
+    (_bad_field([F(1, 2), 1]), NumberFieldError),                    # not integral
     (_bad_algebra, QuaternionError),                                 # a = 0
     (lambda: HypergeometricData(1, (1, 1, 1, 1)), HypergeomError),   # level
     (lambda: HypergeometricData(12, (1, 2, 9)), HypergeomError),     # three exponents
