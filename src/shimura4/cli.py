@@ -7,8 +7,8 @@ Suites: all (default), disc7, reductions7, reductions9, arakelov,
 quaternion, triangle, hypergeometric, cm-tables.
 
 Exit codes: 0 all checks passed (flagged-only runs count as success),
-1 at least one check failed, 2 usage error, 3 internal error (stderr
-names the suite that raised it).
+1 at least one check failed, 2 usage error or a report that cannot be
+written, 3 internal error (stderr names the suite that raised it).
 
 This module parses the arguments, runs the suites and renders the report.
 Each suite's checks and frozen expected values live in its own module
@@ -18,6 +18,7 @@ under `shimura4.suites`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from importlib import import_module
 
@@ -136,7 +137,15 @@ def main(argv=None) -> int:
     except InternalError as e:  # distinct from check failures
         print(e, file=sys.stderr)
         return 3
-    print(report.to_json() if opts.json else report.to_text())
+    try:
+        print(report.to_json() if opts.json else report.to_text(), flush=True)
+    except OSError as e:  # a full disk, a closed pipe: no report, no verdict
+        print(f"verify: cannot write the report: {e.strerror}", file=sys.stderr)
+        # closing drops what is still buffered (and raises the same error),
+        # so the exit does not try to write it again
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        return 2
     return 1 if report.failed else 0
 
 

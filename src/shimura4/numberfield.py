@@ -1,17 +1,18 @@
 """Totally real number fields with exact real-embedding arithmetic.
 
-A field is Q[x]/(m) for a monic irreducible m in Z[x] with all roots real,
-and m is all there is to it: every number field has such a presentation,
-and two fields on the same m are equal. Real embeddings are identified
-with the real roots of m, ordered increasingly and represented by exact
-isolating intervals from a Sturm chain. Element signs under an embedding
-are decided exactly by interval refinement -- no floating point is
-involved anywhere in a sign decision.
+A field is Q(2 cos(2 pi/n)), presented as Q[x]/(m) for m = `minpoly_2cos(n)`,
+and n is all there is to it: two fields on the same n are equal. m is the
+minimal polynomial of 2 cos(2 pi/n), so it is monic, integral and
+irreducible by construction, and its roots 2 cos(2 pi k/n) are all real.
+Real embeddings are identified with the roots of m, ordered increasingly
+and represented by exact isolating intervals from a Sturm chain. Element
+signs under an embedding are decided exactly by interval refinement -- no
+floating point is involved anywhere in a sign decision.
 
 Dense univariate polynomials are lists [c0, c1, ...], lowest coefficient
 first, as in `dense`, the only module of the package this one computes
-with; a field takes its minimal polynomial as such a row of integers, and
-it prints as that row, so not even printing loads the polynomial ring. The
+with; a field keeps its minimal polynomial as such a row of integers and
+prints as its n, so not even printing loads the polynomial ring. The
 work runs on integers: elements are integer rows over one denominator,
 products fold by integer rows of m, Sturm chains are `dense._prs` remainder
 sequences, and Fractions appear only where a value enters or leaves the
@@ -115,24 +116,17 @@ def refine_interval(p: Sequence[Fraction], lo: Fraction, hi: Fraction,
 
 
 class NumberField(Record):
-    """Q[x]/(m) for m monic irreducible in Z[x], all roots real.
+    """Q(2 cos(2 pi/n)) as Q[x]/(m) for m = `minpoly_2cos(n)`.
 
-    `min_poly` is m as a dense row of integers, lowest coefficient first
-    (kept as a tuple of ints), and it is the whole field: two fields on the
-    same modulus are equal. Real embeddings are indexed 0, 1, ... by
-    increasing root.
+    n is the whole field: two fields on the same n are equal. m is a
+    minimal polynomial, so it is monic, integral and irreducible, and
+    `min_poly` keeps it as a tuple of ints, lowest coefficient first. Real
+    embeddings are indexed 0, 1, ... by increasing root.
     """
-    min_poly: tuple
+    n: int
 
     def __post_init__(self):
-        dense = tuple(map(Fraction, self.min_poly))
-        if any(c.denominator != 1 for c in dense):
-            raise NumberFieldError("minimal polynomial must have integer coefficients")
-        if not dense or dense[-1] != 1:
-            raise NumberFieldError("minimal polynomial must be monic")
-        if len(dense) < 2:
-            raise NumberFieldError("minimal polynomial must be non-constant")
-        m = tuple(c.numerator for c in dense)
+        m = tuple(minpoly_2cos(self.n))
         object.__setattr__(self, "min_poly", m)
         object.__setattr__(self, "degree", len(m) - 1)
         # x^k mod m for d <= k <= 2d - 2: the integer rows that fold a
@@ -142,6 +136,7 @@ class NumberField(Record):
             rows.append(tuple(xk))
             xk = [p + xk[-1] * c for p, c in zip([0] + xk[:-1], rows[0])]
         object.__setattr__(self, "_fold", tuple(rows))
+        # one isolating interval per root: `_roots[index]` is an embedding
         roots = isolate_real_roots(m)
         if len(roots) != len(m) - 1:
             raise NumberFieldError("minimal polynomial is not totally real")
@@ -240,8 +235,6 @@ class NumberFieldElem:
             m = [[sum(x * y for x, y in zip(row, col)) + (c if i == j else 0)
                   for j, col in enumerate(zip(*m))] for i, row in enumerate(a)]
             c = -sum(x * y for i, row in enumerate(a) for x, y in zip(row, (r[i] for r in m))) // k
-        if c == 0:
-            raise NumberFieldError("element not invertible (reducible modulus?)")
         scale = -den if c > 0 else den
         return _elem(self.field, [scale * row[0] for row in m], abs(c))
 
@@ -294,17 +287,13 @@ class NumberFieldElem:
         """Sign (-1, 0, +1) of the image under the index-th real embedding.
 
         Interval Horner over the root's isolating interval, in integers,
-        bisected until the enclosure excludes 0. Terminates: an element p
-        prime to m has p(alpha) != 0, and one that shares a factor with m,
-        which only a reducible m allows, raises NumberFieldError.
+        bisected until the enclosure excludes 0. Terminates: m is
+        irreducible, so a nonzero element p has p(alpha) != 0.
         """
         if self.is_zero():
             return 0
         if self.is_rational():
             return 1 if self._num[0] > 0 else -1
-        if len(_zt_gcd(_trim(list(self._num)), list(self.field.min_poly))) > 1:
-            raise NumberFieldError("element shares a factor with the modulus: "
-                                   "the modulus is reducible")
         lo, hi = self.field._roots[index]
         while True:
             (a, b), d = _int_dense((lo, hi))
@@ -401,7 +390,3 @@ def minpoly_2cos(n: int) -> list:
             f = _zt_divide(f, _zt_gcd(f, v_minus_2(d)))
     return f
 
-
-def field_2cos(n: int) -> NumberField:
-    """The real cyclotomic field generated by v = 2*cos(2*pi/n)."""
-    return NumberField(minpoly_2cos(n))

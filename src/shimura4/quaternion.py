@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import lcm
 
 from .dense import _power
-from .numberfield import NumberField, NumberFieldElem, field_2cos
+from .numberfield import NumberField, NumberFieldElem
 from .record import Record
 
 
@@ -254,7 +254,7 @@ def uniformizer_triple(n: int) -> UniformizerTriple:
     """
     if n < 7 or n % 2 == 0:
         raise QuaternionError("triple is defined here for odd n >= 7")
-    K = field_2cos(n)
+    K = NumberField(n)
     v = K.gen()
     alg = QuaternionAlgebra(K, K.element([-1]), v * v - 3)
     half = Fraction(1, 2)

@@ -8,9 +8,11 @@ is a breadth-first search over words in the quaternion triple of
 `quaternion.uniformizer_triple`: each word is an integer coordinate vector,
 each step an integer matrix-vector product over the nonzero matrix entries
 with an exact division, and tiles are told apart by hashing vectors up to
-sign. Steps whose word is provably found already (delta_p^-1, and the step
-back to a tile's parent) are skipped. No float decides whether two tiles
-are equal.
+sign. Steps whose word is found already are skipped, and which those are
+is read off the exact products of the generators: a generator that
+repeats an earlier one up to sign (delta_p^-1 = -delta_p), and from a
+tile reached by g, each s with s g = +-1 or +- a generator. No float
+decides whether two tiles are equal.
 
 The relation delta_r delta_q delta_p = 1 is checked exactly, on the same
 integer matrices the search runs on (`relation_product`).
@@ -120,19 +122,23 @@ def _generators(n: int) -> list:
 @lru_cache(maxsize=None)
 def _generator_matrices(n: int) -> tuple:
     """Integer left-multiplication matrices of the (2, 3, n) quaternion
-    triple, for n odd and >= 7.
+    triple, for n odd and >= 7, and the steps the search takes.
 
     For each g of `_generators(n)`, the matrix of x -> g x over Q in the
     basis v^k e_s (v generates the field, e_s = 1, i, j, k), read off the
     algebra's structure constants by `quaternion._left_matrix`, as rows,
     times the least common denominator `den` of all six. Returns
-    (matrices, den, sparse), sparse holding each matrix's rows in the form
-    of `_sparse_rows`; cached, so the relation check and every search share
-    one set.
+    (matrices, den, sparse, steps), sparse holding each matrix's rows in
+    the form of `_sparse_rows`; cached, so the relation check and every
+    search share one set.
 
-    The search never applies delta_p^-1 (see `_tile_tree`), since
-    delta_p^2 = -1 makes it -delta_p; that is checked here, exactly, on the
-    matrices themselves.
+    steps maps the generator g a tile was reached by (-1 for the base
+    tile) to the generators s the search steps by from it: all but those
+    whose word is found already, read off the exact products of the
+    generators' own vectors (a word's vector is its quaternion times den,
+    up to sign). s is left out when it repeats an earlier generator up to
+    sign (delta_p^-1 = -delta_p), and when s g = +-1 or +- a generator h:
+    then s g parent = +-h parent, a word no longer than the tile.
     """
     if not isinstance(n, int) or n < 7 or n % 2 == 0:
         raise TriangleError(f"exact tessellation covers (2,3,n) with n odd and "
@@ -144,10 +150,15 @@ def _generator_matrices(n: int) -> tuple:
     mats = [[[c * (den // d) for c in row] for row in m] for m, d in left]
     g = math.gcd(den, *(c for m in mats for row in m for c in row))
     den, mats = den // g, tuple(tuple(tuple(c // g for c in row) for row in m) for m in mats)
-    if mats[1] != tuple(tuple(-c for c in row) for row in mats[0]):
-        raise TriangleError("M(delta_p^-1) != -M(delta_p): the search may not "
-                            "skip delta_p^-1")
-    return mats, den, tuple(_sparse_rows(m) for m in mats)
+    sparse = tuple(_sparse_rows(m) for m in mats)
+    unit = (den,) + (0,) * (len(mats[0]) - 1)   # the word 1
+    gens = [_up_to_sign(_apply(rows, unit, den)) for rows in sparse]
+    firsts = [s for s, w in enumerate(gens) if w not in gens[:s]]
+    known = {unit, *gens}
+    steps = {g: tuple(s for s in firsts
+                      if g < 0 or _up_to_sign(_apply(sparse[s], gens[g], den)) not in known)
+             for g in (-1, *firsts)}
+    return mats, den, sparse, steps
 
 
 def relation_product(n: int) -> tuple:
@@ -155,7 +166,7 @@ def relation_product(n: int) -> tuple:
     `_generator_matrices`: the product is den^3 times the matrix of
     x -> delta_r delta_q delta_p x, so the relation holds exactly when it
     equals den^3 I."""
-    mats, den, _ = _generator_matrices(n)
+    mats, den = _generator_matrices(n)[:2]
     prod = mats[0]
     for m in (mats[2], mats[4]):
         prod = tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*prod))
@@ -178,6 +189,11 @@ def _apply(rows: tuple, u: tuple, den: int) -> tuple:
     return tuple(out)
 
 
+def _up_to_sign(w: tuple) -> tuple:
+    """w or -w, whichever has its first nonzero entry positive."""
+    return tuple(-c for c in w) if next(c for c in w if c) < 0 else w
+
+
 def _tile_tree(n: int, max_len: int) -> list:
     """Breadth-first search over words of length <= max_len in the exact
     generators and their inverses, one entry per distinct tile.
@@ -188,14 +204,15 @@ def _tile_tree(n: int, max_len: int) -> list:
     tile i is generator `generator` times tile `parent`; the base tile is
     (-1, -1, 0).
 
-    Two kinds of step are skipped, because their word is already in `seen`
-    when they would run: delta_p^-1 (generator 1), which is -delta_p (checked
-    in `_generator_matrices`) and so gives the word generator 0 gave the
-    step before; and, from a tile reached by generator g, the step back to
-    its parent: g^-1, or delta_p again when g is delta_p (delta_p^2 = -1).
-    Each step multiplies only the nonzero entries of the generator's rows.
+    From a tile reached by generator g the search steps only by
+    `steps[g]` of `_generator_matrices`. A step left out gives a word
+    already in `seen`: the word of an earlier generator's step, or +-h
+    parent for a generator h (or +-parent), whose length is at most the
+    tile's, and every word that short is in `seen` by then. So the tree is
+    the one a search by all six generators builds. Each step multiplies
+    only the nonzero entries of the generator's rows.
     """
-    _, den, sparse = _generator_matrices(n)
+    _, den, sparse, steps = _generator_matrices(n)
     start = (den,) + (0,) * (len(sparse[0]) - 1)
     seen = {start}
     tiles = [(-1, -1, 0)]
@@ -203,13 +220,8 @@ def _tile_tree(n: int, max_len: int) -> list:
     for length in range(1, max_len + 1):
         new_frontier = []
         for parent, g, u in frontier:
-            back = 0 if g == 0 else g ^ 1
-            for gi, rows in enumerate(sparse):
-                if gi == 1 or gi == back:
-                    continue
-                w = _apply(rows, u, den)
-                if next(c for c in w if c) < 0:
-                    w = tuple(-c for c in w)
+            for gi in steps[g]:
+                w = _up_to_sign(_apply(sparse[gi], u, den))
                 if w not in seen:
                     seen.add(w)
                     new_frontier.append((len(tiles), gi, w))

@@ -62,6 +62,8 @@ def test_json_is_the_same_under_two_hash_seeds():
 
 # sha256 of the default `verify --json` stdout
 VERIFY_JSON_SHA256 = "0641cf6411ddb050d23d868fce4283467486478965fa248ad0da65359058a84a"
+# sha256 of the `verify triangle --depth 12 --json` stdout
+TRIANGLE_JSON_SHA256 = "75287bd5476401f744682bf96773059d0e3b911b99c274f576bb77499620a108"
 
 
 def test_json_output_is_pinned(capsys):
@@ -72,6 +74,28 @@ def test_json_output_is_pinned(capsys):
     """
     _, out, _ = run(capsys, ["--json"])
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_JSON_SHA256
+
+
+def test_deepest_triangle_json_is_pinned(capsys):
+    """`verify triangle --depth 12 --json` stdout stays byte-identical: the
+    tile counts of the deepest search, as `test_json_output_is_pinned`
+    pins the default run."""
+    code, out, _ = run(capsys, ["triangle", "--depth", "12", "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TRIANGLE_JSON_SHA256
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_report_that_cannot_be_written_is_exit_2():
+    # writing to /dev/full fails with ENOSPC: one line on stderr, exit 2 as
+    # for an --svg PATH that cannot be opened, and nothing left to flush
+    src = Path(cli.__file__).resolve().parents[1]
+    with open("/dev/full", "w") as full:
+        out = subprocess.run([sys.executable, "-m", "shimura4", "hypergeometric", "--json"],
+                             stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 2
+    assert out.stderr == "verify: cannot write the report: No space left on device\n"
 
 
 def test_suite_selection(capsys):

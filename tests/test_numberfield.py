@@ -17,10 +17,10 @@ from _helpers import (
     minpoly_2cos_by_primes,
 )
 
+from shimura4 import numberfield
 from shimura4.numberfield import (
     NumberField,
     NumberFieldError,
-    field_2cos,
     isolate_real_roots,
     minpoly_2cos,
     refine_interval,
@@ -92,7 +92,7 @@ def test_minpoly_2cos_degree_is_half_totient():
 
 
 def test_field_basic_arithmetic():
-    K = field_2cos(7)
+    K = NumberField(7)
     v = K.gen()
     # v satisfies v^3 + v^2 - 2v - 1 = 0
     assert (v ** 3 + v ** 2 - 2 * v - 1).is_zero()
@@ -107,7 +107,7 @@ def test_field_basic_arithmetic():
 def test_field_inverse_roundtrip_randomized():
     import random
     rng = random.Random(7)
-    K = field_2cos(9)
+    K = NumberField(9)
     v = K.gen()
     for _ in range(50):
         coords = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
@@ -121,10 +121,8 @@ def test_mul_matches_schoolbook_remainder():
     # reference: the dense product reduced by the monic minimal polynomial
     import random
     rng = random.Random(11)
-    fields = [field_2cos(n) for n in (5, 7, 9, 11)]
-    fields.append(NumberField([1, -4, 0, 1]))
-    fields.append(NumberField([-7, 1]))
-    for K in fields:
+    # 14: a second cubic, 2 cos(pi/7); 1: the degree-one field on x - 2
+    for K in map(NumberField, (5, 7, 9, 11, 14, 1)):
         for _ in range(40):
             x, y = (K.element([F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4]))
                                if rng.random() < 0.7 else 0
@@ -136,18 +134,18 @@ def test_mul_matches_schoolbook_remainder():
 
 
 def test_hash_agrees_with_eq():
-    K = field_2cos(7)
+    K = NumberField(7)
     assert K.element([3]) == 3 and hash(K.element([3])) == hash(3)
     half = K.element([F(1, 2)])
     assert half == F(1, 2) and hash(half) == hash(F(1, 2))
     v = K.gen()
-    assert len({v, field_2cos(7).gen(), v * 1}) == 1
+    assert len({v, NumberField(7).gen(), v * 1}) == 1
 
 
 def test_equality_across_fields():
     # elements of different fields are unequal, except equal rationals,
     # which equal their common value and hash like it
-    K7, K9 = field_2cos(7), field_2cos(9)
+    K7, K9 = NumberField(7), NumberField(9)
     assert K7.one() == K9.one() and K7.one() == 1 == K9.one()
     assert len({K7.one(), K9.one()}) == 1
     assert K7.element([F(-3, 2)]) == K9.element([F(-3, 2)])
@@ -163,7 +161,7 @@ def test_equality_across_fields():
 
 
 def test_real_embeddings_ordered():
-    K = field_2cos(7)
+    K = NumberField(7)
     ivs = [embedding_interval(K.gen(), i, F(1, 10 ** 6)) for i in range(K.degree)]
     assert len(ivs) == 3
     mids = [float((lo + hi) / 2) for lo, hi in ivs]
@@ -176,7 +174,7 @@ def test_real_embeddings_ordered():
 
 def test_sign_at_embedding_matches_float():
     import math
-    K = field_2cos(7)
+    K = NumberField(7)
     v = K.gen()
     roots = sorted(2 * math.cos(2 * math.pi * k / 7) for k in (1, 2, 3))
     e = v ** 2 - 3
@@ -186,13 +184,13 @@ def test_sign_at_embedding_matches_float():
 
 
 def test_sign_of_zero_and_rational():
-    K = field_2cos(7)
+    K = NumberField(7)
     assert K.zero().sign_at_embedding(0) == 0
     assert K.element([F(-3, 7)]).sign_at_embedding(2) == -1
 
 
 def test_embedding_interval_width():
-    K = field_2cos(9)
+    K = NumberField(9)
     v = K.gen()
     e = v ** 2 + v - 1
     lo, hi = embedding_interval(e, 1, F(1, 10 ** 30))
@@ -207,7 +205,7 @@ def test_embedding_interval_width():
 def test_embedding_queries_leave_the_field_unchanged():
     # an enclosure depends on the element and the width only, not on what
     # earlier queries refined
-    K = NumberField(minpoly_2cos(7))
+    K = NumberField(7)
     v = K.gen()
     roots = K._roots
     lo, hi = embedding_interval(v * v, 0, F(1, 10 ** 6))
@@ -218,14 +216,15 @@ def test_embedding_queries_leave_the_field_unchanged():
     assert hi2 - lo2 == hi - lo
 
 
-def test_a_field_is_its_modulus():
-    # the modulus is all there is to a field: built either way, the fields
-    # are equal, hash alike, and their elements add
-    K, L = NumberField(minpoly_2cos(7)), field_2cos(7)
-    assert K == L and hash(K) == hash(L)
-    assert K.min_poly == (-1, -2, 1, 1) and all(type(c) is int for c in K.min_poly)
-    assert K.gen() + L.gen() == 2 * L.gen()
-    assert NumberField([F(-1), F(-2), F(1), F(1)]) == L
+def test_a_field_is_its_n():
+    # n is all there is to a field: its modulus is minpoly_2cos(n), and two
+    # fields on the same n are equal, hash alike, and their elements add
+    for n in range(1, 41):
+        K, L = NumberField(n), NumberField(n)
+        assert K.min_poly == tuple(minpoly_2cos(n)) and all(type(c) is int for c in K.min_poly)
+        assert K == L and hash(K) == hash(L)
+        assert K.gen() + L.gen() == 2 * L.gen()
+    assert NumberField(7) != NumberField(14) and NumberField(7).min_poly == (-1, -2, 1, 1)
 
 
 def _run_python(code, timeout):
@@ -252,39 +251,21 @@ def test_printing_loads_no_polynomial_ring():
     assert code == 0, err
     *lines, loaded = out.splitlines()
     assert loaded == "False"
-    assert lines[:2] == ["NumberField(min_poly=(-1, -2, 1, 1))", "NumberFieldElem(0, 1, 0)"]
+    assert lines[:2] == ["NumberField(n=7)", "NumberFieldElem(0, 1, 0)"]
     assert lines[3] == ("Quaternion(NumberFieldElem(1/2, 0, 0), NumberFieldElem(0, 1/2, 0), "
                         "NumberFieldElem(1/2, 0, 0), NumberFieldElem(0, 0, 0))")
 
 
-def test_sign_on_a_reducible_modulus_raises():
-    # (x - 1)(x - 2) is totally real, so the field is built; x - 1 vanishes
-    # at its first root, where bisection alone would never decide a sign
-    code, out, err = _run_python(
-        "from shimura4.numberfield import NumberField, NumberFieldError\n"
-        "e = NumberField([2, -3, 1]).element([-1, 1])\n"
-        "for index in (0, 1):\n"
-        "    try:\n"
-        "        e.sign_at_embedding(index)\n"
-        "    except NumberFieldError as exc:\n"
-        "        print(exc)\n", timeout=30)
-    assert code == 0, err
-    assert out.splitlines() == ["element shares a factor with the modulus: "
-                                "the modulus is reducible"] * 2
-
-
-def test_not_totally_real_rejected():
+def test_not_totally_real_rejected(monkeypatch):
+    # the root count guards the embedding index; no minimal polynomial of a
+    # 2 cos field fails it, so a modulus that does is put in by hand
+    monkeypatch.setattr(numberfield, "minpoly_2cos", lambda n: [1, 0, 1])  # x^2 + 1
     with pytest.raises(NumberFieldError):
-        NumberField([1, 0, 1])  # x^2 + 1
-
-
-def test_non_monic_rejected():
-    with pytest.raises(NumberFieldError):
-        NumberField([-3, 0, 2])  # 2x^2 - 3
+        NumberField(7)
 
 
 def test_degree_one_field_is_rational():
-    K = NumberField([F(1), F(1)])  # x + 1
+    K = NumberField(3)  # x + 1: 2 cos(2 pi/3) = -1
     g = K.gen()
     assert g.is_rational() and g == -1
     assert (g * g).is_rational() and g * g == 1
@@ -299,21 +280,22 @@ def test_sturm_chain_endpoints():
 
 
 def _fold_test_field():
-    # x^3 - 4x + 1: irreducible (no root +-1), discriminant 229 > 0, and not
-    # a 2 cos field; elements with denominators fold by its integer rows
-    return NumberField([1, -4, 0, 1])
+    # 2 cos(pi/7), x^3 - x^2 - 2x + 1: a cubic whose fold rows differ from
+    # those of 2 cos(2 pi/7); elements with denominators fold by its rows
+    return NumberField(14)
 
 
-@pytest.mark.parametrize("make", [lambda: field_2cos(5), lambda: field_2cos(7),
-                                  lambda: field_2cos(9), _fold_test_field],
-                         ids=["2cos5", "2cos7", "2cos9", "fold"])
+@pytest.mark.parametrize("make", [lambda: NumberField(5), lambda: NumberField(7),
+                                  lambda: NumberField(9), _fold_test_field,
+                                  lambda: NumberField(16)],
+                         ids=["2cos5", "2cos7", "2cos9", "fold", "fold-quartic"])
 def test_element_arithmetic_matches_a_fraction_reference(make):
     import random
     K = make()
     m = list(K.min_poly)
     d = K.degree
     # seeded by the minimal polynomial as printed in its variable
-    rng = random.Random(str(dense_to_poly(K.min_poly, "x" if make is _fold_test_field else "v")))
+    rng = random.Random(str(dense_to_poly(K.min_poly, "v")))
     for _ in range(40):
         xs, ys = ([F(rng.randint(-30, 30), rng.choice([1, 2, 3, 6, 7]))
                    if rng.random() < 0.75 else F(0) for _ in range(d)] for _ in range(2))
@@ -339,7 +321,7 @@ def test_element_arithmetic_matches_a_fraction_reference(make):
         assert r == q and hash(r) == hash(q) and hash(r + 0) == hash(q)
 
 
-@pytest.mark.parametrize("make", [lambda: field_2cos(9), _fold_test_field],
+@pytest.mark.parametrize("make", [lambda: NumberField(9), _fold_test_field],
                          ids=["2cos9", "fold"])
 def test_mul_matrix_maps_a_row_to_the_product(make):
     import random

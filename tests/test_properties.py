@@ -24,7 +24,7 @@ from shimura4.hypergeom import (
     units,
 )
 from shimura4.multipoly import MultiPoly, discriminant, resultant
-from shimura4.numberfield import field_2cos
+from shimura4.numberfield import NumberField
 from shimura4.quaternion import uniformizer_triple
 from shimura4.reductions import (
     DivideStep,
@@ -143,7 +143,7 @@ def test_exact_signs_agree_with_floats():
     rng = random.Random(404)
     comparisons = 0
     for n in (7, 9):
-        K = field_2cos(n)
+        K = NumberField(n)
         while comparisons < 60 * (1 if n == 7 else 2):
             el = K.element([rand_frac(rng, 4, 3) for _ in range(K.degree)])
             for i in range(K.degree):

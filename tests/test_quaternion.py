@@ -18,7 +18,7 @@ F = Fraction
 
 
 def _rational_algebra(a, b):
-    K = NumberField([F(1), F(1)])  # Q as Q[x]/(x+1)
+    K = NumberField(3)  # Q as Q[x]/(x+1): 2 cos(2 pi/3) = -1
     return QuaternionAlgebra(K, K.element([a]), K.element([b]))
 
 
@@ -130,9 +130,9 @@ def test_mul_matches_schoolbook_formula(case):
     if case == "rational":
         alg = _rational_algebra(F(2, 3), -5)
     elif case == "fraction-coefficients":
-        # a field that is not a 2 cos field, x^3 - 4x + 1, and a, b with
+        # a cubic field that carries no triple, 2 cos(pi/7), and a, b with
         # denominators
-        K = NumberField([1, -4, 0, 1])
+        K = NumberField(14)
         alg = QuaternionAlgebra(K, K.element([F(1, 3), F(-2, 5)]),
                                 K.element([F(-7, 2), 0, F(1, 4)]))
     else:

@@ -19,6 +19,7 @@ from _helpers import (
     triangle_vertices,
     with_fields,
 )
+from shimura4 import trianglestacks
 from shimura4.drawing import _tile_vertices
 from shimura4.trianglestacks import (
     MAX_DEPTH,
@@ -197,7 +198,7 @@ def test_bfs_step_raises_on_remainder():
 def _full_tile_tree(n, max_len):
     """The tile tree by a breadth-first search that applies all six dense
     generator matrices to every tile and skips nothing."""
-    mats, den, _ = _generator_matrices(n)
+    mats, den = _generator_matrices(n)[:2]
     start = (den,) + (0,) * (len(mats[0]) - 1)
     seen, tiles, frontier = {start}, [(-1, -1, 0)], [(0, start)]
     for length in range(1, max_len + 1):
@@ -220,7 +221,7 @@ def _full_tile_tree(n, max_len):
     return tiles
 
 
-@pytest.mark.parametrize("n", [7, 9, 11])
+@pytest.mark.parametrize("n", [7, 9, 11, 13])
 def test_pruned_sparse_search_matches_the_full_search(n):
     assert _tile_tree(n, 8) == _full_tile_tree(n, 8)
 
@@ -235,9 +236,10 @@ def test_tile_tree_is_frozen_at_max_depth(n, count, sha):
     assert hashlib.sha256(json.dumps(tiles).encode()).hexdigest() == sha
 
 
-def test_generator_matrices_refuse_a_delta_p_of_order_other_than_4(monkeypatch):
-    # with delta_q (order 6 in the algebra) in place of delta_p, the skipped
-    # inverse would not be -delta_p: the set-up must refuse to search
+def test_search_with_delta_q_in_delta_p_s_slot_matches_the_full_search(monkeypatch):
+    # delta_q has order 6 in the algebra, so its inverse is not -delta_q: the
+    # steps derived from the products still leave out only words found
+    # already, and no rule that holds for delta_p alone is assumed
     from shimura4 import quaternion
     original = quaternion.uniformizer_triple
 
@@ -247,10 +249,35 @@ def test_generator_matrices_refuse_a_delta_p_of_order_other_than_4(monkeypatch):
     monkeypatch.setattr(quaternion, "uniformizer_triple", swapped)
     _generator_matrices.cache_clear()
     try:
-        with pytest.raises(TriangleError, match="delta_p"):
-            _generator_matrices(7)
+        assert 1 in _generator_matrices(7)[3][-1]
+        assert _tile_tree(7, 6) == _full_tile_tree(7, 6)
     finally:
         _generator_matrices.cache_clear()
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_step_table_is_read_off_the_products(n):
+    # delta_p^-1 = -delta_p (1) is never a step; from delta_p (0), delta_p
+    # again gives -1, delta_q (2) gives delta_r^-1 and delta_r^-1 (5) gives
+    # -delta_q, so only delta_q^-1 and delta_r are left
+    assert _generator_matrices(n)[3] == {-1: (0, 2, 3, 4, 5), 0: (3, 4), 2: (0, 5),
+                                         3: (4, 5), 4: (2, 3, 4), 5: (0, 2, 5)}
+
+
+def test_depth_8_searches_take_1256_steps(monkeypatch):
+    # 1962 for the two searches with only delta_p^-1 and the step back to
+    # the parent left out
+    for n in (7, 9):
+        _generator_matrices(n)  # built and cached before counting
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _apply(*args)
+    monkeypatch.setattr(trianglestacks, "_apply", counted)
+    for n in (7, 9):
+        _tile_tree(n, 8)
+    assert len(calls) == 1256
 
 
 @pytest.mark.parametrize("n,size", [(7, 12), (9, 12), (11, 20)])
@@ -268,7 +295,7 @@ def test_relation_product_is_den_cubed_identity(n, size):
 
 @pytest.mark.parametrize("n", [7, 9, 11, 13])
 def test_structure_constant_matrices_match_the_quaternion_products(n):
-    mats, den, sparse = _generator_matrices(n)
+    mats, den, sparse, _ = _generator_matrices(n)
     assert (mats, den) == generator_matrices_by_products(n)
     assert sparse == tuple(_sparse_rows(m) for m in mats)
 
