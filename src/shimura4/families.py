@@ -7,11 +7,14 @@ F(Y, W, t) = 0 (conic parametrized by Y, so X = Y^2, Z = 1).
 This module holds the equations of both families and recomputes, from
 scratch and exactly:
 
-- the t-discriminant of the hyperelliptic family, its integer constant
-  split over the primes of the family's coefficients, and the valuations
-  at t = 0 and t = 1;
+- the t-discriminant of the hyperelliptic family: its valuations at t = 0
+  and t = 1, and its constant split over the primes of the family's
+  coefficients;
 - the splitting of the t = 1 hyperelliptic fiber into an elliptic piece
-  (j-invariant and the exact quadratic twist constant) and a genus-3 piece.
+  (its depressed cubic and j-invariant) and a genus-3 piece.
+
+The paper's values for these (the stated constant, the target curve of the
+elliptic piece) live in the suites that compare against them.
 
 The semistable-reduction charts at t = 0, 1, infinity and the local weights
 read off them live in `reductions`, which imports this module; a caller
@@ -118,56 +121,52 @@ def c9_family_flat_form() -> MultiPoly:
 _FAMILY_PRIMES = (2, 3, 7)
 
 
-def _split_constant(n: int) -> dict:
-    """{p: e} for each family prime p dividing the positive integer n, with
-    p^e the largest such power, and what is left of n, if not 1, as one more
-    factor with exponent 1. Nothing is factored: a cofactor is kept whole."""
+def _split_constant(c) -> dict:
+    """{p: e} for each family prime p dividing the nonzero rational c, with
+    p^e the largest such power (e < 0 for a prime of the denominator), and
+    what is left of the numerator and of the denominator, if not 1, as one
+    more factor each, with exponent 1 and -1. The sign of c is dropped.
+    Nothing is factored: a cofactor is kept whole."""
     factors = {}
-    for p in _FAMILY_PRIMES:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        factors[n] = 1
+    for n, sign in ((abs(c.numerator), 1), (c.denominator, -1)):
+        for p in _FAMILY_PRIMES:
+            while n % p == 0:
+                factors[p] = factors.get(p, 0) + sign
+                n //= p
+        if n > 1:
+            factors[n] = sign
     return factors
 
 
 class DiscriminantReport(Record):
     t_valuation: int
     t1_valuation: int
-    constant: Fraction              # polynomial-level constant
+    constant: Fraction              # c, signed so that r leads with a positive coefficient
     constant_factors: tuple         # ((factor, exponent), ...), increasing
-    curve_constant: Fraction        # constant * 2^(4g), g = 4
-    curve_constant_factors: tuple
+    cofactor: MultiPoly             # r, in t: 1 for the family
 
 
 @lru_cache(maxsize=None)
 def c7_discriminant() -> DiscriminantReport:
-    """disc_x of the family polynomial, peeled as c * t^a * (t-1)^b.
+    """disc_x of the family polynomial, peeled as c * t^a * (t-1)^b * r(t),
+    with r primitive and of positive leading coefficient.
 
-    The degree-16 power of 2 separating `constant` from `curve_constant` is
-    the usual normalization between the discriminant of the right-hand side
-    and the discriminant of the hyperelliptic model (2^(4g) with g = 4).
-    The constant is split over the primes of the family's coefficients, so
-    a wrong constant shows its cofactor among `constant_factors`.
+    For the family, r = 1 and c is an integer. Both are reported as
+    computed, so a wrong family shows its cofactor: in r, or among
+    `constant_factors`, where c is split over the primes of the family's
+    coefficients.
     """
     dt = restrict_vars(discriminant(c7_family(), "x"), ("t",))
     a = dt.valuation("t")
-    # translated by t -> t + 1, the cofactor of t^a is c * t^b
-    shifted, _ = dt.shift_down("t", a).substitute({"t": MultiPoly.variable("t", ("t",)) + 1})
+    t = MultiPoly.variable("t", ("t",))
+    # translated by t -> t + 1, the cofactor of t^a is c * t^b * r(t + 1)
+    shifted, _ = dt.shift_down("t", a).substitute({"t": t + 1})
     b = shifted.valuation("t")
-    rest = shifted.shift_down("t", b)
-    if not rest.is_constant():
-        raise VerificationError("discriminant does not factor as c*t^a*(t-1)^b")
-    c = rest.constant_value()
-    if c.denominator != 1:
-        raise VerificationError("discriminant constant is not an integer")
-    fac = _split_constant(abs(c.numerator))
-    curve_c = c * 2 ** 16
-    fac_curve = dict(fac)
-    fac_curve[2] = fac_curve.get(2, 0) + 16
-    return DiscriminantReport(a, b, c, tuple(sorted(fac.items())), curve_c,
-                              tuple(sorted(fac_curve.items())))
+    rest, _ = shifted.shift_down("t", b).substitute({"t": t - 1})
+    c = rest.content()
+    if rest.leading_coefficient("t").constant_value() < 0:
+        c = -c
+    return DiscriminantReport(a, b, c, tuple(sorted(_split_constant(c).items())), rest / c)
 
 
 def specialize_c7(t0) -> MultiPoly:
@@ -182,7 +181,8 @@ def is_smooth_fiber_c7(t0) -> bool:
     """Whether the fiber at t0 is smooth: nonvanishing family discriminant."""
     rep = c7_discriminant()
     t0 = F(t0)
-    return rep.constant * t0 ** rep.t_valuation * (t0 - 1) ** rep.t1_valuation != 0
+    return (t0 ** rep.t_valuation * (t0 - 1) ** rep.t1_valuation
+            * rep.cofactor.evaluate({"t": t0}) != 0)
 
 
 # ----------------------------------------------------------------------
@@ -194,14 +194,10 @@ class EllipticPiece(Record):
     cubic_p: Fraction           # depressed cubic y^2 = x^3 + p x + q
     cubic_q: Fraction
     j: Fraction
-    target_p: Fraction
-    target_q: Fraction
-    target_j: Fraction
-    twist: Fraction             # d with p = d^2 target_p, q = d^3 target_q
 
 
 class T1Split(Record):
-    multiplicities: tuple       # ((factor-string, multiplicity), ...)
+    multiplicities: tuple       # (multiplicity, ...) of the squarefree factors
     elliptic: EllipticPiece
 
 
@@ -236,22 +232,16 @@ def quadratic_twist_factor(p: Fraction, q: Fraction, pt: Fraction,
     return None
 
 
-T1_TARGET_P = F(-45, 28)
-T1_TARGET_Q = F(27, 28)
-
-
 def t1_fiber_split_c7() -> T1Split:
     """Split the t = 1 fiber into its square part and an elliptic quartic.
 
     The fiber polynomial factors with one multiplicity-7 linear factor; the
     odd-multiplicity kernel is a quartic with a root at x = 0, which after
-    inverting x and depressing gives an elliptic curve. Its j-invariant and
-    the exact quadratic-twist constant against y^2 = x^3 - (45/28) x + 27/28
-    are verified here.
+    inverting x and depressing gives an elliptic curve, reported with its
+    j-invariant. The reductions7 suite compares it with the paper's model.
     """
     f1 = specialize_c7(1)
     dec = squarefree_decomposition(f1, "x")
-    mults = tuple((str(pp), m) for pp, m in dec)
     # divide out the largest square: S = prod p^(m//2)
     S = MultiPoly.constant(1, f1.variables)
     for pp, m in dec:
@@ -264,13 +254,5 @@ def t1_fiber_split_c7() -> T1Split:
         raise VerificationError("quartic has no root at x = 0")
     # x -> 1/x turns y^2 = q4 x^4 + ... + q1 x into y^2 = q1 x^3 + ... + q4
     p, q = _cubic_to_depressed(*coeffs[1:])
-    j = j_invariant_depressed(p, q)
-    tj = j_invariant_depressed(T1_TARGET_P, T1_TARGET_Q)
-    if j != tj:
-        raise VerificationError(f"elliptic piece has j = {j}, expected {tj}")
-    d = quadratic_twist_factor(p, q, T1_TARGET_P, T1_TARGET_Q)
-    if d is None:
-        raise VerificationError("no rational quadratic twist relates the "
-                                "elliptic piece to its expected model")
-    piece = EllipticPiece(quartic, p, q, j, T1_TARGET_P, T1_TARGET_Q, tj, d)
-    return T1Split(mults, piece)
+    piece = EllipticPiece(quartic, p, q, j_invariant_depressed(p, q))
+    return T1Split(tuple(m for _, m in dec), piece)

@@ -40,11 +40,12 @@ def is_proven_prime(n: int) -> bool:
 
 
 def factorization_string(factors: dict) -> str:
-    """Render {7: 4, 239: 4} as '7^4*239^4' (primes ascending)."""
+    """Render {7: 4, 239: 4} as '7^4*239^4' (primes ascending); a factor of
+    a denominator has a negative exponent, {5: -1} as '5^-1'."""
     parts = []
     for p in sorted(factors):
         e = factors[p]
-        parts.append(f"{p}^{e}" if e > 1 else str(p))
+        parts.append(str(p) if e == 1 else f"{p}^{e}")
     return "*".join(parts) if parts else "1"
 
 

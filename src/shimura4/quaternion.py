@@ -64,17 +64,12 @@ class QuaternionAlgebra(Record):
     def split_real_places(self) -> list:
         """Indices of the real places of K where the algebra is M_2(R).
 
-        (a, b / R) is split unless both a and b are negative there.
+        (a, b / R) is split unless both a and b are negative there. Neither
+        has sign 0 at any place: only the zero element does, and the algebra
+        refuses a zero a or b.
         """
-        out = []
-        for idx in range(self.field.degree):
-            sa = self.a.sign_at_embedding(idx)
-            sb = self.b.sign_at_embedding(idx)
-            if sa == 0 or sb == 0:
-                raise QuaternionError("a or b vanishes at a real place")
-            if sa > 0 or sb > 0:
-                out.append(idx)
-        return out
+        return [idx for idx in range(self.field.degree)
+                if self.a.sign_at_embedding(idx) > 0 or self.b.sign_at_embedding(idx) > 0]
 
 
 # e_s e_t = sign * c * e_u in the basis e = 1, i, j, k, with c = 1, a, b, ab

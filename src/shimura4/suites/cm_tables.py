@@ -6,6 +6,7 @@ from __future__ import annotations
 from .. import cmtables
 from ..report import GIVEN, PASS, Check, Suite
 
+EXPECTED_ROW_COUNTS = {7: 38, 9: 20}
 BUNDLED_SHA = {
     7: "9fe02775fe804cd25bf61dda9b27379b9e845dcb51aa860e2f914412f2ed9263",
     9: "a660f9f6491960c0d19bcce61268ffb84dc9edcb0aebd5957d3c93967e9a525b",
@@ -20,7 +21,7 @@ def suite_cm_tables(opts) -> Suite:
         rep = cmtables.verify_table(table)
         bad = [f for f in rep.findings if not f.ok]
         checks += [
-            Check.equal(f"row-count-x{n}", rep.expected_row_count, rep.row_count),
+            Check.equal(f"row-count-x{n}", EXPECTED_ROW_COUNTS[n], rep.row_count),
             Check.predicate(f"no-duplicate-rows-x{n}", not rep.duplicates,
                             "all field labels distinct",
                             f"{len(rep.duplicates)} duplicates"),

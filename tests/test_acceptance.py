@@ -11,10 +11,9 @@ from _helpers import c9_fiber_components_t1
 
 from shimura4.cmtables import load_table, verify_table
 from shimura4.families import (
-    T1_TARGET_P,
-    T1_TARGET_Q,
     c7_discriminant,
     c7_family,
+    j_invariant_depressed,
     t1_fiber_split_c7,
 )
 from shimura4.hypergeom import (
@@ -28,6 +27,9 @@ from shimura4.hypergeom import (
 from shimura4.multipoly import discriminant
 from shimura4.quaternion import uniformizer_triple
 from shimura4.reductions import apply_reduction, arakelov_check, reduction_plans
+from shimura4.suites.cm_tables import EXPECTED_ROW_COUNTS
+from shimura4.suites.disc7 import suite_disc7
+from shimura4.suites.reductions import T1_TARGET_P, T1_TARGET_Q
 
 
 def _announce(capsys, label, body):
@@ -53,7 +55,8 @@ def test_criterion_1_discriminant_shape(capsys):
         assert set(dict(rep.constant_factors)) <= {2, 3, 7}
         assert dict(rep.constant_factors)[3] == 36
         assert dict(rep.constant_factors)[7] == 10
-        assert rep.curve_constant == 2 ** 36 * 3 ** 36 * 7 ** 10
+        checks = {c.id: c for c in suite_disc7(None).checks}
+        assert checks["curve-constant-factorization"].actual == "2^36*3^36*7^10"
         assert elapsed < 30.0, f"discriminant took {elapsed:.1f}s"
 
     _announce(capsys, "1. degree-10 family discriminant: "
@@ -68,10 +71,10 @@ def test_criterion_2_all_six_reductions(capsys):
         assert p7["hyperelliptic-at-infinity"].match == ("twist", F(1), F(1))
 
         split = t1_fiber_split_c7()
-        assert sorted(m for _, m in split.multiplicities) == [1, 7]
-        assert split.elliptic.j == F(-3375) == split.elliptic.target_j
-        assert split.elliptic.target_p == T1_TARGET_P
-        assert split.elliptic.target_q == T1_TARGET_Q
+        assert sorted(split.multiplicities) == [1, 7]
+        assert split.elliptic.j == F(-3375) == j_invariant_depressed(T1_TARGET_P, T1_TARGET_Q)
+        assert T1_TARGET_P == F(-45, 28)
+        assert T1_TARGET_Q == F(27, 28)
 
         p9 = {p.name: apply_reduction(p) for p in reduction_plans(9)}
         assert p9["plane-at-0"].square_scalar == F(-9)
@@ -158,7 +161,7 @@ def test_criterion_6_cm_tables(capsys):
         for n, rows in ((7, 38), (9, 20)):
             rep = verify_table(load_table(n))
             assert rep.row_count == rows
-            assert rep.expected_row_count == rows
+            assert EXPECTED_ROW_COUNTS[n] == rows
             assert all(f.ok for f in rep.findings)
             assert not rep.duplicates
             assert len(load_table(n).rows) == rows

@@ -60,29 +60,50 @@ def test_json_is_the_same_under_two_hash_seeds():
     assert outs[0].stdout == outs[1].stdout
 
 
-# sha256 of the default `verify --json` stdout
+# The sha256 of four outputs. This is their one pin: CI runs these tests on
+# the checkout and on the installed package instead of restating them. A
+# deliberate change to an output updates its pin here, and CHANGES.md
+# records what changed and the new sha256.
+# `verify --json`
 VERIFY_JSON_SHA256 = "0641cf6411ddb050d23d868fce4283467486478965fa248ad0da65359058a84a"
-# sha256 of the `verify triangle --depth 12 --json` stdout
+# `verify`, the text report
+VERIFY_TEXT_SHA256 = "1b306eaf50195b3bbfd9702ea04f0c9f894755f5104536606d58f5a6fe7b3a38"
+# `verify triangle --depth 12 --json`: the tile counts of the deepest search
 TRIANGLE_JSON_SHA256 = "75287bd5476401f744682bf96773059d0e3b911b99c274f576bb77499620a108"
+# `verify triangle --depth 12 --svg disk.svg --json`, whose report names the path
+TRIANGLE_SVG_JSON_SHA256 = "23aae14339135920fcd89e05d5bdf0d0f15d4a9a1c09ea5881aa53458cc41457"
 
 
-def test_json_output_is_pinned(capsys):
-    """The default `verify --json` stdout stays byte-identical.
+def _sha256_of_run(args, cwd=None):
+    """sha256 of the stdout of `python -W error -m shimura4 *args` in a fresh
+    process, which must exit 0: a warning on any Python fails it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "shimura4", *args],
+                         capture_output=True, timeout=120, cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    return hashlib.sha256(out.stdout).hexdigest()
 
-    A deliberate change to the output updates this pin, and CHANGES.md
-    records what changed and the new sha256.
-    """
-    _, out, _ = run(capsys, ["--json"])
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_JSON_SHA256
+
+def test_json_output_is_pinned():
+    assert _sha256_of_run(["--json"]) == VERIFY_JSON_SHA256
 
 
-def test_deepest_triangle_json_is_pinned(capsys):
-    """`verify triangle --depth 12 --json` stdout stays byte-identical: the
-    tile counts of the deepest search, as `test_json_output_is_pinned`
-    pins the default run."""
-    code, out, _ = run(capsys, ["triangle", "--depth", "12", "--json"])
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TRIANGLE_JSON_SHA256
+def test_text_report_is_pinned(capsys):
+    _, out, _ = run(capsys, [])
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_TEXT_SHA256
+
+
+def test_deepest_triangle_json_is_pinned():
+    assert _sha256_of_run(["triangle", "--depth", "12", "--json"]) == TRIANGLE_JSON_SHA256
+
+
+def test_deepest_triangle_drawing_is_pinned(tmp_path):
+    # depth 12 is shimura4.MAX_DEPTH; the drawing has one path per counted
+    # tile, 1190 for (2,3,7), and its printed floats are not pinned
+    args = ["triangle", "--depth", "12", "--svg", "disk.svg", "--json"]
+    assert _sha256_of_run(args, cwd=tmp_path) == TRIANGLE_SVG_JSON_SHA256
+    assert (tmp_path / "disk.svg").read_text(encoding="utf-8").count("<path") == 1190
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -200,6 +221,26 @@ def test_data_dir_tables_are_read_once(tmp_path, monkeypatch, capsys):
     code, _, _ = run(capsys, ["cm-tables", "--json", "--data-dir", str(tmp_path)])
     assert code == 0
     assert calls == [(7, str(tmp_path)), (9, str(tmp_path))]
+
+
+@pytest.mark.parametrize("kind", ["form-feed", "vertical-tab", "next-line",
+                                  "line-separator", "crlf"])
+def test_data_dir_lines_end_at_newline_alone(tmp_path, capsys, kind):
+    # a form feed, a vertical tab or a Unicode line break in a comment leaves
+    # the comment one line and the row after it whole, and CRLF line ends
+    # still load
+    _, p9 = _copy_tables(tmp_path)
+    text = p9.read_text(encoding="utf-8")
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    else:
+        brk = {"form-feed": "\f", "vertical-tab": "\v", "next-line": "\x85",
+               "line-separator": "\u2028"}[kind]
+        text = text.replace("# field_label\t", f"# field_label{brk}\t", 1)
+    p9.write_bytes(text.encode("utf-8"))
+    code, out, _ = run(capsys, ["cm-tables", "--data-dir", str(tmp_path)])
+    assert code == 0, out
+    assert out.endswith("8 passed, 0 flagged, 0 failed\n")
 
 
 def test_corrupted_data_dir_fails(tmp_path, capsys):
@@ -625,9 +666,10 @@ def test_cli_loads_only_the_modules_its_suites_run(tmp_path):
     assert "shimura4.quaternion" in after_triangle
     assert "shimura4.drawing" in after_svg
     assert "shimura4.families" in after_all
-    assert "dataclasses" not in after_all
-    assert "inspect" not in after_all
-    assert "typing" not in after_all
+    # nothing in the package draws random numbers, and nothing needs mpmath,
+    # which sympy, the tests' oracle, pulls in
+    for name in ("dataclasses", "inspect", "typing", "random", "mpmath"):
+        assert name not in after_all
     # importing the families, as the plane elimination does, loads their
     # equations and the polynomial ring, and neither the reduction engine,
     # the triangle stacks nor the integer factoring, which only some of the
@@ -653,20 +695,41 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 
 def test_wrong_discriminant_constant_fails_its_check(monkeypatch, capsys):
-    # a family scaled by two primes other than 2, 3 and 7: its discriminant
-    # constant gains (p q)^18, which the split over 2, 3 and 7 keeps whole,
-    # so the check fails and shows it, and the run still reports (exit 1)
+    # the family scaled by two primes other than 2, 3 and 7, by 1/5 and by
+    # t - 2: its discriminant gains (p q)^18, 5^-18 or (t - 2)^18, which the
+    # report keeps whole, so both constant checks fail and show it, and the
+    # run still reports (exit 1)
     from shimura4 import families
     p, q = 1000003, 1000033
+    _, t = MultiPoly.generators("x", "t")
+    (u,) = MultiPoly.generators("t")
     family = families.c7_family()
-    monkeypatch.setattr(families, "c7_family", lambda: p * q * family)
-    families.c7_discriminant.cache_clear()
-    try:
-        code, out, _ = run(capsys, ["disc7", "--json"])
-    finally:
+    for scale, cofactor in ((p * q, f"{(p * q) ** 18}"), (Fraction(1, 5), f"{5 ** 18}^-1"),
+                            (t - 2, f"({(u - 2) ** 18})")):
+        monkeypatch.setattr(families, "c7_family", lambda scale=scale: scale * family)
         families.c7_discriminant.cache_clear()
+        try:
+            code, out, _ = run(capsys, ["disc7", "--json"])
+        finally:
+            families.c7_discriminant.cache_clear()
+        assert code == 1, scale
+        checks = {c["id"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+        for check_id, constant in (("model-constant-factorization", "2^20*3^36*7^10"),
+                                   ("curve-constant-factorization", "2^36*3^36*7^10")):
+            assert checks[check_id]["status"] == "fail"
+            assert checks[check_id]["actual"] == f"{constant}*{cofactor}"
+
+
+def test_wrong_t1_target_fails_its_check(monkeypatch, capsys):
+    # a target model whose j is not the elliptic piece's: the target-j check
+    # fails, and so does the twist constant, since no rational twist relates
+    # the two, and the run still reports (exit 1)
+    from shimura4.suites import reductions as reductions_suite
+    monkeypatch.setattr(reductions_suite, "T1_TARGET_P", Fraction(-44, 28))
+    code, out, _ = run(capsys, ["reductions7", "--json"])
     assert code == 1
     checks = {c["id"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
-    check = checks["model-constant-factorization"]
-    assert check["status"] == "fail"
-    assert check["actual"] == f"2^20*3^36*7^10*{(p * q) ** 18}"
+    assert [i for i, c in checks.items() if c["status"] == "fail"] == [
+        "t1-elliptic-target-j", "t1-elliptic-twist-constant"]
+    assert (checks["t1-elliptic-target-j"]["expected"],
+            checks["t1-elliptic-target-j"]["actual"]) == ("-147197952/52597", "-3375")

@@ -3,12 +3,12 @@ import pytest
 from shimura4.cmtables import (
     CMRow,
     CMTableError,
-    EXPECTED_ROW_COUNTS,
     FieldLabel,
     load_table,
     verify_row,
     verify_table,
 )
+from shimura4.suites.cm_tables import EXPECTED_ROW_COUNTS
 
 X7_SHA = "9fe02775fe804cd25bf61dda9b27379b9e845dcb51aa860e2f914412f2ed9263"
 X9_SHA = "a660f9f6491960c0d19bcce61268ffb84dc9edcb0aebd5957d3c93967e9a525b"
@@ -51,7 +51,6 @@ def test_row_counts_and_checksums():
 def test_tables_fully_verify():
     for n in (7, 9):
         rep = verify_table(load_table(n))
-        assert rep.row_count == rep.expected_row_count
         assert not rep.duplicates
         assert rep.row_count == EXPECTED_ROW_COUNTS[n]
         per_row = 7
@@ -140,5 +139,5 @@ def test_data_dir_override(tmp_path):
     rep = verify_table(t)
     assert rep.row_count == 3
     # row count no longer matches the bundled expectation
-    assert rep.expected_row_count == EXPECTED_ROW_COUNTS[7] != rep.row_count
+    assert EXPECTED_ROW_COUNTS[7] != rep.row_count
     assert all(f.ok for f in rep.findings)

@@ -36,6 +36,14 @@ from shimura4.reductions import (
     match_proportional,
     reduction_plans,
 )
+from shimura4.suites.disc7 import suite_disc7
+from shimura4.suites.reductions import T1_TARGET_P, T1_TARGET_Q
+
+
+def _curve_constant_factorization():
+    """What the disc7 suite reports as the curve's discriminant constant."""
+    (check,) = [c for c in suite_disc7(None).checks if c.id == "curve-constant-factorization"]
+    return check.actual
 
 
 def P(*names):
@@ -103,7 +111,8 @@ def test_c7_discriminant_valuations_and_constant():
     assert rep.t1_valuation == 12
     assert dict(rep.constant_factors) == {2: 20, 3: 36, 7: 10}
     assert rep.constant == F(2) ** 20 * F(3) ** 36 * F(7) ** 10
-    assert dict(rep.curve_constant_factors) == {2: 36, 3: 36, 7: 10}
+    assert rep.cofactor == MultiPoly.constant(1, ("t",))
+    assert _curve_constant_factorization() == "2^36*3^36*7^10"
 
 
 def test_split_over_the_family_primes_gives_the_exact_exponents():
@@ -130,6 +139,8 @@ def test_split_over_the_family_primes_keeps_the_cofactor_whole():
     assert _split_constant(2 * 3 ** 4 * p ** 5) == {2: 1, 3: 4, p ** 5: 1}
     p, q = 35184372088891, 70368744177679
     assert _split_constant(7 ** 2 * p * q) == {7: 2, p * q: 1}
+    # a denominator splits the same way, with negative exponents
+    assert _split_constant(F(2 ** 20, 3 * 5 ** 18)) == {2: 20, 3: -1, 5 ** 18: -1}
 
 
 def test_discriminant_report_hashes_by_its_fields():
@@ -140,7 +151,7 @@ def test_discriminant_report_hashes_by_its_fields():
     assert copy is not rep
     assert copy == rep and hash(copy) == hash(rep) and len({copy, rep}) == 1
     assert rep.constant_factors == ((2, 20), (3, 36), (7, 10))
-    assert rep.curve_constant_factors == ((2, 36), (3, 36), (7, 10))
+    assert _curve_constant_factorization() == "2^36*3^36*7^10"
 
 
 def test_plane_family_eliminant():
@@ -486,7 +497,7 @@ def test_arakelov_mutation_breaks_equality():
 
 def test_t1_split_structure():
     split = t1_fiber_split_c7()
-    mults = sorted(m for _, m in split.multiplicities)
+    mults = sorted(split.multiplicities)
     assert mults == [1, 7]
     x, = P("x")
     assert split.elliptic.quartic == (-F(11, 16) * x ** 4 - F(39, 64) * x ** 3
@@ -498,11 +509,12 @@ def test_t1_elliptic_invariants():
     assert e.cubic_p == F(-315, 1024)
     assert e.cubic_q == F(-1323, 16384)
     assert e.j == F(-3375)
-    assert e.target_j == F(-3375)
-    assert e.twist == F(-7, 16)
+    assert j_invariant_depressed(T1_TARGET_P, T1_TARGET_Q) == F(-3375)
+    twist = quadratic_twist_factor(e.cubic_p, e.cubic_q, T1_TARGET_P, T1_TARGET_Q)
+    assert twist == F(-7, 16)
     # twist really transports the target onto the piece
-    assert e.cubic_p == e.twist ** 2 * e.target_p
-    assert e.cubic_q == e.twist ** 3 * e.target_q
+    assert e.cubic_p == twist ** 2 * T1_TARGET_P
+    assert e.cubic_q == twist ** 3 * T1_TARGET_Q
 
 
 def test_j_invariant_formula():
